@@ -7,7 +7,6 @@ move splines between spaces (h/p/k refinement and coarsening, knot
 repositioning) without assembling or solving global systems.
 """
 
-from ._accel import COMPILED
 from .bernstein import (
     elevation_matrix,
     eval_basis,
@@ -72,7 +71,6 @@ from .tmesh import TMesh, read_tmesh_json, write_tmesh_json
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPILED",
     "__version__",
     # bernstein
     "eval_basis",

@@ -16,7 +16,6 @@ rungs reuse the exactly refined geometry weights, so the projected
 space is the rational space of the refined geometry.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +79,6 @@ class BenchmarkConfig:
     levels: int = 5
     weighting: str = "approximate"
     projector: str = "both"
-    output: str = None
     quad_order: int = None
 
     def __post_init__(self):
@@ -247,9 +245,3 @@ def rows_to_csv(rows):
             cells.append("" if r[key] is None else f"{r[key]:.6f}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def timed_run(**kwargs):
-    t0 = time.perf_counter()
-    rows = run_convergence(**kwargs)
-    return rows, time.perf_counter() - t0

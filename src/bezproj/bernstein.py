@@ -22,6 +22,7 @@ from .tensor import reversed_kron
 __all__ = [
     "eval_basis",
     "eval_basis_multi",
+    "bernstein_matrix",
     "bernstein_integral",
     "gramian",
     "gramian_inverse",
@@ -75,6 +76,24 @@ def eval_basis(p, xi):
     if xi < -1.0 or xi > 1.0:
         raise ValueError(f"evaluation point {xi} outside [-1, 1]")
     return np.array([_basis_value(p, i, xi) for i in range(p + 1)])
+
+
+def bernstein_matrix(p, xi):
+    """Design matrix of the degree-p Bernstein basis on [-1, 1].
+
+    Returns shape (len(xi), p + 1); row k holds all basis values at
+    xi[k]. Points outside the biunit interval are allowed and evaluate
+    the polynomial extension.
+    """
+    x = np.ascontiguousarray(xi, dtype=np.float64).ravel()
+    lo = (1.0 - x) / 2.0
+    hi = (1.0 + x) / 2.0
+    out = np.empty((x.size, p + 1))
+    binom = 1.0
+    for i in range(p + 1):
+        out[:, i] = binom * lo ** (p - i) * hi**i
+        binom = binom * (p - i) / (i + 1)
+    return out
 
 
 def eval_basis_multi(degrees, xi):

@@ -248,7 +248,6 @@ def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, o
             levels=levels,
             weighting=_WEIGHTING[weighting],
             projector=projector,
-            output=out_path,
             quad_order=quad_order,
         )
         rows = config.run()

@@ -16,13 +16,12 @@ projected onto the underlying polynomial space and the result divided
 by the control weights.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bernstein
-from ._accel import bernstein_matrix
 from .spline_space import ControlNet, evaluate, evaluate_derivative
 from .tensor import reversed_kron
 
@@ -79,6 +78,20 @@ def _as_target(f):
     return f if isinstance(f, TargetFunction) else TargetFunction(f)
 
 
+def _as_weights(weights, space):
+    """Control weights of a rational space as a checked vector, or None."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=np.float64).ravel()
+    if weights.size != space.n_funcs:
+        raise ValueError("weight count does not match space dimension")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+    return weights
+
+
 def _quad_orders(space, quad_order, f_degree=None, rational=False):
     """Gauss point counts per direction.
 
@@ -111,7 +124,7 @@ def _tensor_rule(degrees, orders):
         x, w = leggauss(q)
         nodes.append(x)
         wts.append(w)
-        designs.append(bernstein_matrix(p, x))
+        designs.append(bernstein.bernstein_matrix(p, x))
     mesh = np.meshgrid(*nodes, indexing="ij")
     pts = np.stack([m.ravel(order="F") for m in mesh], axis=1)
     weights = reversed_kron(wts)
@@ -191,8 +204,6 @@ class ProjectionReport:
 
     net: ControlNet
     coefficients: np.ndarray
-    element_beta: list = field(repr=False, default=None)
-    element_lambda: list = field(repr=False, default=None)
     weight_mode: str = "approximate"
 
 
@@ -204,12 +215,7 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     resulting coefficients are divided by the control weights.
     """
     f = _as_target(f)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        if weights.size != space.n_funcs:
-            raise ValueError("weight count does not match space dimension")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+    weights = _as_weights(weights, space)
 
     table = smoothing_weight_table(space, weight_mode)
     orders = _quad_orders(
@@ -219,7 +225,6 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     Gi = bernstein.gramian_inverse_multi(space.degrees)
 
     coeffs = None
-    betas, lams = [], []
     for e in range(space.n_elements):
         el = space.element(e)
         vals = f(el.map_from_biunit(xi))
@@ -233,8 +238,6 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
         beta = Gi @ (design.T @ (wq[:, None] * vals))
         lam = local_spline_coefficients(space, e, beta)
         coeffs[el.support] += table[e][:, None] * lam
-        betas.append(beta)
-        lams.append(lam)
 
     if weights is not None:
         out = ControlNet(coeffs / weights[:, None], weights)
@@ -243,8 +246,6 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     return ProjectionReport(
         net=out,
         coefficients=out.points,
-        element_beta=betas,
-        element_lambda=lams,
         weight_mode=weight_mode,
     )
 
@@ -262,6 +263,7 @@ def global_l2_project(f, space, weights=None, quad_order=None):
     """Globally assembled L2 projection, the reference the local
     projector is measured against. Returns a ControlNet."""
     f = _as_target(f)
+    weights = _as_weights(weights, space)
     orders = _quad_orders(
         space, quad_order, f_degree=f.degree, rational=weights is not None
     )
@@ -285,9 +287,7 @@ def global_l2_project(f, space, weights=None, quad_order=None):
         M[np.ix_(sup, sup)] += scale * (N.T @ wN)
         rhs[sup] += scale * (wN.T @ vals)
     coeffs = np.linalg.solve(M, rhs)
-    if weights is None:
-        return ControlNet(coeffs)
-    return ControlNet(coeffs, np.asarray(weights, dtype=np.float64))
+    return ControlNet(coeffs, weights)
 
 
 def l2_error(f, space, net, quad_order=None, relative=False):

@@ -1,11 +1,11 @@
 """Tensor-product B-spline and NURBS spaces with element extraction.
 
 A :class:`KnotVector` owns univariate structure (validation, spans,
-single knot insertion, extraction to element-local Bernstein form); a
-:class:`SplineSpace` is a list of knot vectors plus the tensor-product
-bookkeeping; a :class:`ControlNet` carries coefficients and optional
-positive weights. Extraction operators C map element-local spline
-functions to the Bernstein basis of the element,
+extraction to element-local Bernstein form); a :class:`SplineSpace` is
+a list of knot vectors plus the tensor-product bookkeeping; a
+:class:`ControlNet` carries coefficients and optional positive
+weights. Extraction operators C map element-local spline functions to
+the Bernstein basis of the element,
 
     N_A|_e = sum_b C[A, b] B_b,
 
@@ -20,13 +20,12 @@ fastest, matching :func:`bezproj.tensor.reversed_kron`.
 """
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._accel import bspline_basis_matrix
+from .bernstein import bernstein_matrix
 from .tensor import reversed_kron
 
 __all__ = [
@@ -47,25 +46,55 @@ __all__ = [
 _SNAP_TOL = 1e-12
 
 
-def _insertion_alphas(U, p, t):
-    """Boehm coefficients for inserting t into the open knot vector U.
+def _bezier_extraction(U, p):
+    """Per-element Bezier extraction operators of an open knot vector.
 
-    Returns (k, alphas) where k is the span index of t and alphas has
-    length n + 1 with n = len(U) - p - 1. The old basis relates to the
-    new one by N_A = alphas[A] * Nhat_A + (1 - alphas[A + 1]) * Nhat_{A+1}.
-    Works for any number type with arithmetic (float, Fraction).
+    Borden, Scott, Evans & Hughes (2011), "Isogeometric finite element
+    data structures based on Bezier extraction of NURBS", Algorithm 1:
+    one sweep over the breakpoints raises each interior knot to
+    multiplicity p, updating only the (p+1) x (p+1) operator of the
+    current element; the trailing columns of that operator seed the
+    next one. Cost is O(n p^2) for n elements.
+
+    U is a sequence of numbers of one type; only + - * / are applied,
+    so float knots give float operators and Fraction knots give exact
+    ones. Returns one (p+1) x (p+1) nested list per nonzero span, rows
+    ordered by ascending function index, columns by ascending Bernstein
+    index.
     """
-    n = len(U) - p - 1
-    k = bisect_right(U, t) - 1
-    alphas = []
-    for A in range(n + 1):
-        if A <= k - p:
-            alphas.append(1)
-        elif A <= k:
-            alphas.append((t - U[A]) / (U[A + p] - U[A]))
-        else:
-            alphas.append(0)
-    return k, alphas
+    zero = U[0] - U[0]
+    one = zero + 1
+
+    def identity():
+        return [[one if i == j else zero for j in range(p + 1)] for i in range(p + 1)]
+
+    m = len(U)
+    ops = []
+    C = identity()
+    a, b = p, p + 1
+    while b < m - 1:
+        nxt = identity()
+        i = b
+        while b < m - 1 and U[b + 1] == U[b]:
+            b += 1
+        mult = b - i + 1
+        if mult < p:
+            numer = U[b] - U[a]
+            alphas = [numer / (U[a + j] - U[a]) for j in range(mult + 1, p + 1)]
+            r = p - mult
+            for j in range(1, r + 1):
+                s = mult + j
+                for k in range(p, s - 1, -1):
+                    alpha = alphas[k - s]
+                    for row in C:
+                        row[k] = alpha * row[k] + (1 - alpha) * row[k - 1]
+                save = r - j
+                for t in range(j + 1):
+                    nxt[save + t][save] = C[p - j + t][p]
+        ops.append(C)
+        C = nxt
+        a, b = b, b + 1
+    return ops
 
 
 class KnotVector:
@@ -81,6 +110,8 @@ class KnotVector:
         if p < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         knots = np.asarray(knots, dtype=np.float64).ravel().copy()
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
         if knots.size < 2 * (p + 1):
             raise ValueError(
                 f"need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}"
@@ -178,26 +209,6 @@ class KnotVector:
             raise IndexError(f"function {A} outside 0..{self.n - 1}")
         return np.array(self.knots[A : A + self.degree + 2])
 
-    def insert(self, t):
-        """Insert one knot at t (strictly inside the domain).
-
-        Returns (new KnotVector, M) where M is (n, n+1) and relates the
-        bases by N_old = M @ N_new, so control points map as P_new = M.T P.
-        """
-        a, b = self.domain
-        if not a < t < b:
-            raise ValueError(f"insertion point {t} not strictly inside ({a}, {b})")
-        U = self.knots
-        p = self.degree
-        n = self.n
-        k, alphas = _insertion_alphas(U.tolist(), p, float(t))
-        M = np.zeros((n, n + 1))
-        for A in range(n):
-            M[A, A] = alphas[A]
-            M[A, A + 1] = 1.0 - alphas[A + 1]
-        new = KnotVector(np.insert(U, k + 1, t), p)
-        return new, M
-
     def with_inserted(self, values):
         """New knot vector with the given values inserted (no matrix)."""
         U = self.knots
@@ -287,24 +298,10 @@ class KnotVector:
         Bernstein index. Computed once and cached.
         """
         if self._extraction is None:
-            self._extraction = self._compute_extraction()
+            self._extraction = [
+                np.array(C) for C in _bezier_extraction(self.knots.tolist(), self.degree)
+            ]
         return self._extraction
-
-    def _compute_extraction(self):
-        p = self.degree
-        # M accumulates N_original = M @ N_bezier over repeated insertion
-        M = np.eye(self.n)
-        work = self
-        for t, m in zip(self.breakpoints[1:-1], self.multiplicities[1:-1]):
-            for _ in range(p - int(m)):
-                work, step = work.insert(t)
-                M = M @ step
-        ops = []
-        for e in range(self.n_elements):
-            rows = self.element_support(e)
-            cols = np.arange(e * p, e * p + p + 1)
-            ops.append(np.ascontiguousarray(M[np.ix_(rows, cols)]))
-        return ops
 
 
 def univariate_extraction_exact(knots, degree):
@@ -315,34 +312,45 @@ def univariate_extraction_exact(knots, degree):
     for bit-exact output when inputs are rational; the float path lives
     on :meth:`KnotVector.extraction`.
     """
-    p = int(degree)
-    U = [Fraction(u) for u in knots]
-    n = len(U) - p - 1
-    breakpoints = sorted(set(U))
-    mult = {b: U.count(b) for b in breakpoints}
+    return _bezier_extraction([Fraction(u) for u in knots], int(degree))
 
-    M = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    work = list(U)
-    for t in breakpoints[1:-1]:
-        for _ in range(p - mult[t]):
-            _, alphas = _insertion_alphas(work, p, t)
-            m = len(work) - p - 1
-            new = [[Fraction(0)] * (m + 1) for _ in range(n)]
-            for r in range(n):
-                for c in range(m):
-                    if M[r][c]:
-                        new[r][c] += M[r][c] * alphas[c]
-                        new[r][c + 1] += M[r][c] * (1 - alphas[c + 1])
-            M = new
-            work.insert(bisect_right(work, t), t)
 
-    spans = [i for i in range(len(U) - 1) if U[i] != U[i + 1]]
-    ops = []
-    for e, i in enumerate(spans):
-        rows = range(i - p, i + 1)
-        cols = range(e * p, e * p + p + 1)
-        ops.append([[M[r][c] for c in cols] for r in rows])
-    return ops
+def bspline_basis_matrix(knots, p, xs):
+    """Dense B-spline design matrix via the de Boor triangle.
+
+    knots is an open knot vector (floats, nondecreasing), xs a vector of
+    evaluation points inside the parametric domain. Returns shape
+    (len(xs), n) with n = len(knots) - p - 1. Span lookup is half-open
+    with the right domain end closed.
+    """
+    U = np.ascontiguousarray(knots, dtype=np.float64)
+    x = np.ascontiguousarray(xs, dtype=np.float64).ravel()
+    n = U.size - p - 1
+    m = x.size
+    spans = np.searchsorted(U, x, side="right") - 1
+    np.clip(spans, p, n - 1, out=spans)
+
+    # Cox-de Boor recurrence, vectorized over evaluation points. The
+    # denominators never vanish because every looked-up span is nonzero.
+    N = np.zeros((m, p + 1))
+    N[:, 0] = 1.0
+    left = np.empty((m, p + 1))
+    right = np.empty((m, p + 1))
+    for j in range(1, p + 1):
+        left[:, j] = x - U[spans + 1 - j]
+        right[:, j] = U[spans + j] - x
+        saved = np.zeros(m)
+        for r in range(j):
+            tmp = N[:, r] / (right[:, r + 1] + left[:, j - r])
+            N[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, j - r] * tmp
+        N[:, j] = saved
+
+    out = np.zeros((m, n))
+    rows = np.arange(m)
+    for c in range(p + 1):
+        out[rows, spans - p + c] = N[:, c]
+    return out
 
 
 @dataclass(frozen=True)
@@ -583,11 +591,15 @@ class ControlNet:
             points = points[:, None]
         if points.ndim != 2:
             raise ValueError("control points must be a 2-D array")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("control points must be finite")
         self.points = points
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64).ravel()
             if weights.size != points.shape[0]:
                 raise ValueError("weight count does not match control point count")
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights must be finite")
             if np.any(weights <= 0):
                 raise ValueError("weights must be positive")
         self.weights = weights
@@ -628,8 +640,6 @@ def evaluate(space, net, points):
     Points are grouped by containing element and evaluated through the
     element extraction operators, so large batches stay vectorized.
     """
-    from ._accel import bernstein_matrix
-
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != space.parametric_dim:
         raise ValueError("point dimension mismatch")

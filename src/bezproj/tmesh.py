@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import interval_transform
 from .spline_space import KnotVector, parse_number
 
 __all__ = [
@@ -94,6 +95,8 @@ class TMesh:
         G1 = np.asarray(knot_vectors[0], dtype=np.float64)
         G2 = np.asarray(knot_vectors[1], dtype=np.float64)
         for G, p in ((G1, p1), (G2, p2)):
+            if not np.all(np.isfinite(G)):
+                raise ValueError("global knot vectors must be finite")
             if np.any(np.diff(G) < 0):
                 raise ValueError("global knot vectors must be nondecreasing")
             if G.size < 2 * (p + 1):
@@ -184,42 +187,7 @@ class TMesh:
             if d < 2:
                 raise ValueError(f"vertex {v} is dangling (degree {d})")
 
-        # region-grow unit squares into cells; every cell must be a rectangle
-        label = -np.ones((N1 + 1, N2 + 1), dtype=np.int64)
-        cells = []
-        for i0 in range(1, N1):
-            for j0 in range(1, N2):
-                if label[i0, j0] >= 0:
-                    continue
-                cid = len(cells)
-                stack = [(i0, j0)]
-                label[i0, j0] = cid
-                members = []
-                while stack:
-                    i, j = stack.pop()
-                    members.append((i, j))
-                    if i + 1 < N1 and not vwall[i + 1, j] and label[i + 1, j] < 0:
-                        label[i + 1, j] = cid
-                        stack.append((i + 1, j))
-                    if i - 1 >= 1 and not vwall[i, j] and label[i - 1, j] < 0:
-                        label[i - 1, j] = cid
-                        stack.append((i - 1, j))
-                    if j + 1 < N2 and not hwall[i, j + 1] and label[i, j + 1] < 0:
-                        label[i, j + 1] = cid
-                        stack.append((i, j + 1))
-                    if j - 1 >= 1 and not hwall[i, j] and label[i, j - 1] < 0:
-                        label[i, j - 1] = cid
-                        stack.append((i, j - 1))
-                xs = [m[0] for m in members]
-                ys = [m[1] for m in members]
-                i1, i2 = min(xs), max(xs) + 1
-                j1, j2 = min(ys), max(ys) + 1
-                if len(members) != (i2 - i1) * (j2 - j1):
-                    raise ValueError(
-                        "mesh cells do not form a rectangular partition"
-                    )
-                cells.append((i1, i2, j1, j2))
-        self._cells = cells
+        self._cells = _rectangles(vwall, hwall, "mesh cells do not form a rectangular partition")
 
     def cells(self):
         """Index-space rectangles (i1, i2, j1, j2) of the partition."""
@@ -478,7 +446,6 @@ class TMesh:
             return self._bezier
         if not self.is_analysis_suitable():
             raise ValueError("mesh is not analysis-suitable")
-        N1, N2 = self.N
         vwall = self._vwall.copy()
         hwall = self._hwall.copy()
         for ext in self.extensions():
@@ -488,38 +455,7 @@ class TMesh:
             else:
                 hwall[x1:x2, y1] = True
 
-        label = -np.ones((N1 + 1, N2 + 1), dtype=np.int64)
-        rects = []
-        for i0 in range(1, N1):
-            for j0 in range(1, N2):
-                if label[i0, j0] >= 0:
-                    continue
-                cid = len(rects)
-                stack = [(i0, j0)]
-                label[i0, j0] = cid
-                members = []
-                while stack:
-                    i, j = stack.pop()
-                    members.append((i, j))
-                    if i + 1 < N1 and not vwall[i + 1, j] and label[i + 1, j] < 0:
-                        label[i + 1, j] = cid
-                        stack.append((i + 1, j))
-                    if i - 1 >= 1 and not vwall[i, j] and label[i - 1, j] < 0:
-                        label[i - 1, j] = cid
-                        stack.append((i - 1, j))
-                    if j + 1 < N2 and not hwall[i, j + 1] and label[i, j + 1] < 0:
-                        label[i, j + 1] = cid
-                        stack.append((i, j + 1))
-                    if j - 1 >= 1 and not hwall[i, j] and label[i, j - 1] < 0:
-                        label[i, j - 1] = cid
-                        stack.append((i, j - 1))
-                xs = [m[0] for m in members]
-                ys = [m[1] for m in members]
-                i1, i2 = min(xs), max(xs) + 1
-                j1, j2 = min(ys), max(ys) + 1
-                if len(members) != (i2 - i1) * (j2 - j1):
-                    raise ValueError("extended mesh is not a rectangular partition")
-                rects.append((i1, i2, j1, j2))
+        rects = _rectangles(vwall, hwall, "extended mesh is not a rectangular partition")
 
         G1, G2 = self.knot_vectors
         anchors = self.anchors()
@@ -620,13 +556,59 @@ class TMesh:
         return cls(degrees, knot_vectors, vertices, edges)
 
 
+def _rectangles(vwall, hwall, message):
+    """Region-grow unit index squares into the rectangles between walls.
+
+    vwall[x, y] blocks the crossing between squares (x - 1, y) and
+    (x, y); hwall[x, y] blocks the one between (x, y - 1) and (x, y).
+    Returns (i1, i2, j1, j2) per region in discovery order and raises
+    ValueError(message) when a region is not a rectangle.
+    """
+    N1, N2 = vwall.shape[0] - 2, vwall.shape[1] - 2
+    label = -np.ones((N1 + 1, N2 + 1), dtype=np.int64)
+    rects = []
+    for i0 in range(1, N1):
+        for j0 in range(1, N2):
+            if label[i0, j0] >= 0:
+                continue
+            rid = len(rects)
+            stack = [(i0, j0)]
+            label[i0, j0] = rid
+            members = []
+            while stack:
+                i, j = stack.pop()
+                members.append((i, j))
+                if i + 1 < N1 and not vwall[i + 1, j] and label[i + 1, j] < 0:
+                    label[i + 1, j] = rid
+                    stack.append((i + 1, j))
+                if i - 1 >= 1 and not vwall[i, j] and label[i - 1, j] < 0:
+                    label[i - 1, j] = rid
+                    stack.append((i - 1, j))
+                if j + 1 < N2 and not hwall[i, j + 1] and label[i, j + 1] < 0:
+                    label[i, j + 1] = rid
+                    stack.append((i, j + 1))
+                if j - 1 >= 1 and not hwall[i, j] and label[i, j - 1] < 0:
+                    label[i, j - 1] = rid
+                    stack.append((i, j - 1))
+            xs = [m[0] for m in members]
+            ys = [m[1] for m in members]
+            i1, i2 = min(xs), max(xs) + 1
+            j1, j2 = min(ys), max(ys) + 1
+            if len(members) != (i2 - i1) * (j2 - j1):
+                raise ValueError(message)
+            rects.append((i1, i2, j1, j2))
+    return rects
+
+
 def _local_function_bernstein_row(g, p, a, b):
     """Bernstein coefficients on [a, b] of the local-knot-vector function.
 
     g has p+2 entries; the function is the single B-spline they define.
-    [a, b] must be one polynomial piece of it. Implemented by embedding
-    g in a padded open knot vector (the function is its basis function
-    of index p) and inserting a and b to full multiplicity.
+    [a, b] must lie inside one polynomial piece of it. Implemented by
+    embedding g in a padded open knot vector (the function is its basis
+    function of index pad_lo), taking that function's row of the
+    extraction operator on the span containing [a, b], and restricting
+    the row from the span to [a, b].
     """
     g = np.asarray(g, dtype=np.float64)
     span = g[-1] - g[0]
@@ -640,24 +622,18 @@ def _local_function_bernstein_row(g, p, a, b):
     pad_hi = max(p + 1 - m_hi, 0)
     pad = np.concatenate([[g[0]] * pad_lo, g, [g[-1]] * pad_hi])
     kv = KnotVector(pad, p)
-    target = pad_lo
-    M = np.eye(kv.n)
-    for t in (a, b):
-        lo, hi = kv.domain
-        if t <= lo or t >= hi:
-            continue
-        have = int(np.sum(np.abs(kv.knots - t) <= 1e-12 * (hi - lo)))
-        for _ in range(p - have):
-            kv, S = kv.insert(t)
-            M = M @ S
     e = kv.element_index(0.5 * (a + b))
     ea, eb = kv.element_bounds(e)
-    scale = kv.domain[1] - kv.domain[0]
-    if abs(ea - a) > 1e-10 * scale or abs(eb - b) > 1e-10 * scale:
+    tol = 1e-10 * (kv.domain[1] - kv.domain[0])
+    if a < ea - tol or b > eb + tol:
         raise ValueError(
             "the requested interval is not a polynomial piece of the local function"
         )
-    return M[target, kv.element_support(e)]
+    row = kv.extraction()[e][pad_lo - kv.element_support(e)[0]]
+    # window [a, b] in the biunit coordinate of the span [ea, eb]
+    wa = (2 * a - ea - eb) / (eb - ea)
+    wb = (2 * b - ea - eb) / (eb - ea)
+    return interval_transform(p, wa, wb) @ row
 
 
 def read_tmesh_json(source):

@@ -1,52 +1,23 @@
-"""The compiled kernels and the pure-Python fallback must agree exactly
-with each other and, independently, with scipy."""
-
-import json
-import os
-import subprocess
-import sys
+"""The numpy evaluation kernels must agree with independent references
+(closed-form Bernstein values and scipy's B-spline design matrix)."""
 
 import numpy as np
 
-from bezproj import _accel, _kernels_py
+from bezproj.bernstein import bernstein_matrix
+from bezproj.spline_space import bspline_basis_matrix
 from oracles import bernstein_design_ref, bspline_design, random_open_kv
-
-
-def test_compiled_extension_is_active():
-    # the build ships a compiled core; the env knob forces the fallback
-    assert _accel.COMPILED or os.environ.get("BEZPROJ_PURE_PYTHON") == "1"
 
 
 def test_bernstein_matrix_matches_reference(rng):
     for p in range(1, 7):
         xi = rng.uniform(-1, 1, size=23)
-        assert np.allclose(
-            _accel.bernstein_matrix(p, xi), bernstein_design_ref(p, xi), atol=1e-14
-        )
+        assert np.allclose(bernstein_matrix(p, xi), bernstein_design_ref(p, xi), atol=1e-14)
 
 
 def test_bernstein_matrix_allows_points_outside_biunit(rng):
     xi = np.array([-2.5, 1.75, 3.0])
-    got = _accel.bernstein_matrix(3, xi)
+    got = bernstein_matrix(3, xi)
     assert np.allclose(got, bernstein_design_ref(3, xi), atol=1e-11)
-
-
-def test_fallback_agrees_with_active_kernels(rng):
-    for p in (1, 3, 5):
-        xi = rng.uniform(-1.5, 1.5, size=11)
-        assert np.allclose(
-            _accel.bernstein_matrix(p, xi),
-            _kernels_py.bernstein_matrix(p, xi),
-            atol=1e-14,
-        )
-    for p in (1, 2, 3):
-        kv = random_open_kv(rng, p)
-        xs = rng.uniform(kv[0], kv[-1], size=31)
-        assert np.allclose(
-            _accel.bspline_basis_matrix(np.asarray(kv, dtype=float), p, xs),
-            _kernels_py.bspline_basis_matrix(np.asarray(kv, dtype=float), p, xs),
-            atol=1e-14,
-        )
 
 
 def test_bspline_basis_matrix_matches_scipy(rng):
@@ -56,38 +27,7 @@ def test_bspline_basis_matrix_matches_scipy(rng):
             xs = np.concatenate(
                 [rng.uniform(kv[0], kv[-1], size=40), [kv[0], kv[-1]]]
             )
-            got = _accel.bspline_basis_matrix(np.asarray(kv, dtype=float), p, xs)
+            got = bspline_basis_matrix(np.asarray(kv, dtype=float), p, xs)
             ref = bspline_design(kv, p, xs)
             assert np.allclose(got, ref, atol=1e-12)
             assert np.allclose(got.sum(axis=1), 1, atol=1e-12)
-
-
-def test_pure_python_mode_via_subprocess(tmp_path):
-    """BEZPROJ_PURE_PYTHON=1 must switch the backend without changing
-    any numbers."""
-    script = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "from bezproj import _accel\n"
-        "xi = np.linspace(-1, 1, 9)\n"
-        "out = {'compiled': bool(_accel.COMPILED),\n"
-        "       'bern': _accel.bernstein_matrix(4, xi).tolist(),\n"
-        "       'bsp': _accel.bspline_basis_matrix(\n"
-        "           np.array([0., 0., 0., .3, .7, 1., 1., 1.]), 2,\n"
-        "           np.linspace(0, 1, 11)).tolist()}\n"
-        "json.dump(out, sys.stdout)\n"
-    )
-    env = dict(os.environ, BEZPROJ_PURE_PYTHON="1")
-    res = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
-    assert payload["compiled"] is False
-
-    xi = np.linspace(-1, 1, 9)
-    assert np.allclose(payload["bern"], _accel.bernstein_matrix(4, xi), atol=1e-15)
-    ref = _accel.bspline_basis_matrix(
-        np.array([0.0, 0.0, 0.0, 0.3, 0.7, 1.0, 1.0, 1.0]), 2, np.linspace(0, 1, 11)
-    )
-    assert np.allclose(payload["bsp"], ref, atol=1e-15)

@@ -168,6 +168,9 @@ def test_projection_weight_validation():
         bezier_project(lambda p: p[:, 0], sp, weights=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         bezier_project(lambda p: p[:, 0], sp, weights=np.ones(5))
+    for project in (bezier_project, global_l2_project):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            project(lambda p: p[:, 0], sp, weights=np.array([1.0, np.nan]))
 
 
 def test_projection_near_global_on_sine():

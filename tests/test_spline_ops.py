@@ -244,7 +244,7 @@ def test_large_to_small_restriction_is_exact(rng):
         xs = np.linspace(a, b, 15)[:, None]
         # evaluate the local polynomial through the target extraction
         C = tgt.extraction_operator(te).C
-        from bezproj._accel import bernstein_matrix
+        from bezproj.bernstein import bernstein_matrix
 
         xi = tgt.element(te).map_to_biunit(xs)[:, 0]
         vals = bernstein_matrix(2, xi) @ (C.T @ lam)

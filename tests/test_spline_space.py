@@ -39,6 +39,9 @@ def test_knot_vector_validation():
         KnotVector([0, 0, 1, 0.5, 1, 1], 1)  # decreasing
     with pytest.raises(ValueError):
         KnotVector([0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1], 2)  # interior mult > p
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="knots must be finite"):
+            KnotVector([0, 0, bad, 1, 1], 1)
 
 
 def test_knot_vector_counts():
@@ -83,31 +86,6 @@ def test_local_knots_slice():
     assert np.allclose(kv.local_knots(0), [0, 0, 0, 1])
     assert np.allclose(kv.local_knots(2), [0, 1, 2, 3])
     assert np.allclose(kv.local_knots(5), [3, 4, 4, 4])
-
-
-def test_insert_refines_basis(rng):
-    # N_old = M @ N_new as functions, checked on a dense grid
-    for p in (1, 2, 3):
-        knots = random_open_kv(rng, p)
-        kv = KnotVector(knots, p)
-        t = float(rng.uniform(*kv.domain))
-        new, M = kv.insert(t)
-        assert new.n == kv.n + 1
-        assert M.shape == (kv.n, new.n)
-        xs = np.linspace(*kv.domain, 111)
-        D_old = bspline_design(kv.knots, p, xs)
-        D_new = bspline_design(new.knots, p, xs)
-        assert np.allclose(D_old, D_new @ M.T, atol=1e-11)
-
-
-def test_insert_at_existing_knot_raises_at_full_multiplicity():
-    kv = KnotVector([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)
-    with pytest.raises(ValueError):
-        kv.insert(0.5)
-    # below full multiplicity it is fine
-    kv2 = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    new, _ = kv2.insert(0.5)
-    assert new.n == kv2.n + 1
 
 
 def test_with_inserted_and_removed_roundtrip():
@@ -358,6 +336,15 @@ def test_control_net_rejects_bad_weights(rng):
         ControlNet(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         ControlNet(np.zeros((3, 2)), np.ones(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ControlNet(np.zeros((3, 2)), np.array([1.0, bad, 1.0]))
+
+
+def test_control_net_rejects_non_finite_points():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="control points must be finite"):
+            ControlNet(np.array([[0.0, 0.0], [bad, 1.0]]))
 
 
 # ---------------------------------------------------------------- file format
@@ -403,3 +390,25 @@ def test_spline_json_rational_strings(tmp_path):
     assert not net.is_rational
     d = spline_to_dict(sp, net)
     assert d["degrees"] == [2]
+
+
+def test_spline_json_rejects_non_finite_entries():
+    def data(**changes):
+        out = {
+            "parametric_dim": 1,
+            "physical_dim": 1,
+            "degrees": [1],
+            "knot_vectors": [[0, 0, 0.5, 1, 1]],
+            "control_points": [[0.0], [1.0], [2.0]],
+            "weights": [1, 1, 1],
+        }
+        out.update(changes)
+        return out
+
+    nan = float("nan")
+    with pytest.raises(ValueError, match="knots must be finite"):
+        read_spline_json(data(knot_vectors=[[0, 0, nan, 1, 1]]))
+    with pytest.raises(ValueError, match="control points must be finite"):
+        read_spline_json(data(control_points=[[0.0], [nan], [2.0]]))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        read_spline_json(data(weights=[1, nan, 1]))

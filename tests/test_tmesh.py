@@ -193,7 +193,7 @@ def test_bezier_elements_partition_and_extraction(fixtures_dir):
 def test_extraction_matches_scipy_blending_functions(fixtures_dir):
     """Every blending function, evaluated through the extraction rows,
     equals the tensor B-spline built from its own local knot vectors."""
-    from bezproj._accel import bernstein_matrix
+    from bezproj.bernstein import bernstein_matrix
 
     mesh = _load(fixtures_dir, "tmesh_ext_right")
     p1, p2 = mesh.degrees
@@ -304,3 +304,5 @@ def test_tmesh_validation():
         )
     with pytest.raises(ValueError):
         TMesh((0, 2), [kv, kv], [(1, 1)], [])  # degree must be >= 1
+    with pytest.raises(ValueError, match="global knot vectors must be finite"):
+        TMesh.tensor((2, 2), [[0, 0, 0, np.nan, 2, 2, 2], kv])
