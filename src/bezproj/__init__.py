@@ -16,7 +16,6 @@ from .bernstein import (
     gramian_inverse_multi,
     gramian_multi,
     interval_transform,
-    interval_transform_inverse,
     reduction_matrix,
 )
 from .benchmark import BenchmarkConfig, quarter_cylinder, run_convergence, uniform_space
@@ -80,7 +79,6 @@ __all__ = [
     "gramian_multi",
     "gramian_inverse_multi",
     "interval_transform",
-    "interval_transform_inverse",
     "elevation_matrix",
     "reduction_matrix",
     # tensor

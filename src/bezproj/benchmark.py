@@ -16,7 +16,8 @@ rungs reuse the exactly refined geometry weights, so the projected
 space is the rational space of the refined geometry.
 """
 
-from dataclasses import dataclass
+import ast
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,9 +56,41 @@ _EXPR_NAMESPACE = {
 }
 
 
+# Syntax an expression target may use: arithmetic, comparisons, calls.
+_EXPR_NODES = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call, ast.Name,
+    ast.Load, ast.Attribute, ast.Constant, ast.operator, ast.unaryop, ast.cmpop,
+)
+
+
+def _check_expression(expr):
+    """Parse expr, admitting only whitelisted syntax, the names of
+    _EXPR_NAMESPACE and x, public numpy names read off np, and numbers."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"target expression {expr!r} does not parse: {exc.msg}") from None
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            bad = f"{type(node).__name__} syntax"
+        elif isinstance(node, ast.Name) and node.id not in {*_EXPR_NAMESPACE, "x"}:
+            bad = f"name {node.id!r}"
+        elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id == "np"
+            and not node.attr.startswith("_") and hasattr(np, node.attr)
+        ):
+            bad = f"attribute {node.attr!r}"
+        elif isinstance(node, ast.Constant) and not isinstance(node.value, (int, float, complex)):
+            bad = f"constant {node.value!r}"
+        else:
+            continue
+        raise ValueError(f"target expression {expr!r} uses disallowed {bad}")
+    return tree
+
+
 def expression_target(expr):
     """Univariate target from an expression in x, e.g. "sin(2*pi*x)*x"."""
-    code = compile(expr, "<target>", "eval")
+    code = compile(_check_expression(expr), "<target>", "eval")
 
     def f(pts):
         ns = dict(_EXPR_NAMESPACE, x=pts[:, 0])
@@ -91,14 +124,7 @@ class BenchmarkConfig:
             raise ValueError(f"unknown projector {self.projector!r}")
 
     def run(self):
-        return run_convergence(
-            target=self.target,
-            degrees=self.degrees,
-            levels=self.levels,
-            weighting=self.weighting,
-            projector=self.projector,
-            quad_order=self.quad_order,
-        )
+        return run_convergence(**asdict(self))
 
 
 def uniform_space(degree, n_elements, lo=0.0, hi=1.0):

@@ -29,7 +29,6 @@ __all__ = [
     "gramian_multi",
     "gramian_inverse_multi",
     "interval_transform",
-    "interval_transform_inverse",
     "elevation_matrix",
     "reduction_matrix",
 ]
@@ -106,11 +105,7 @@ def eval_basis_multi(degrees, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (len(degrees),):
         raise ValueError("point dimension does not match number of degrees")
-    factors = [eval_basis(p, x) for p, x in zip(degrees, xi)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(f, out)
-    return out
+    return reversed_kron([eval_basis(p, x) for p, x in zip(degrees, xi)])
 
 
 def bernstein_integral(p, a=-1.0, b=1.0):
@@ -202,22 +197,6 @@ def interval_transform(p, a, b):
                 s += _basis_value(j, i, b) * _basis_value(p - j, k - i, a)
             A[j, k] = s
     return A
-
-
-def interval_transform_inverse(p, a, b):
-    """Inverse change-of-interval transform.
-
-    ``interval_transform_inverse(p, ra, rb)`` inverts
-    ``interval_transform(p, a, b)`` when (ra, rb) is the image of [-1, 1]
-    under the inverse of the affine map that sends [a, b] to [-1, 1]:
-
-        ra = (-2 - a - b) / (b - a),   rb = (2 - a - b) / (b - a).
-
-    The kernel is identical to :func:`interval_transform`; only the
-    interpretation of the arguments differs. Callers that hold the
-    forward window (a, b) should convert with the formulas above.
-    """
-    return interval_transform(p, a, b)
 
 
 def elevation_matrix(p, q):

@@ -28,6 +28,7 @@ from .spline_space import (
     univariate_extraction_exact,
     write_spline_json,
 )
+from .tensor import reversed_kron
 from .tmesh import read_tmesh_json
 
 _WEIGHTING = {
@@ -158,16 +159,6 @@ def _format_matrix(rows):
     return "\n".join("  [" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
-def _fraction_kron(B, A):
-    """Kronecker product of Fraction matrices, matching np.kron(B, A)."""
-    mA, nA = len(A), len(A[0])
-    return [
-        [B[ib][jb] * A[ia][ja] for jb in range(len(B[0])) for ja in range(nA)]
-        for ib in range(len(B))
-        for ia in range(mA)
-    ]
-
-
 def _fraction_inverse(A):
     n = len(A)
     M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
@@ -203,13 +194,11 @@ def cmd_extract(in_path, element):
         )
         spans = space.unravel_element(element)
         if exact:
-            factors = []
-            for G, p, k in zip(raw["knot_vectors"], raw["degrees"], spans):
-                ops = univariate_extraction_exact([Fraction(u) for u in G], int(p))
-                factors.append(ops[k])
-            C = factors[0]
-            for F in factors[1:]:
-                C = _fraction_kron(F, C)
+            factors = [
+                univariate_extraction_exact([Fraction(u) for u in G], int(p))[k]
+                for G, p, k in zip(raw["knot_vectors"], raw["degrees"], spans)
+            ]
+            C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
             R = _fraction_inverse(C)
         else:
             op = space.extraction_operator(element)

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bernstein
-from .spline_space import ControlNet, evaluate, evaluate_derivative
-from .tensor import reversed_kron
+from .spline_space import ControlNet, _checked_weights, evaluate_derivative
+from .tensor import _apply_along, reversed_kron
 
 __all__ = [
     "TargetFunction",
@@ -71,25 +71,13 @@ class TargetFunction:
             out = out[:, None]
         if out.shape[0] != pts.shape[0]:
             raise ValueError("target function returned a wrong number of values")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("target function returned non-finite values")
         return out
 
 
 def _as_target(f):
     return f if isinstance(f, TargetFunction) else TargetFunction(f)
-
-
-def _as_weights(weights, space):
-    """Control weights of a rational space as a checked vector, or None."""
-    if weights is None:
-        return None
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if weights.size != space.n_funcs:
-        raise ValueError("weight count does not match space dimension")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    return weights
 
 
 def _quad_orders(space, quad_order, f_degree=None, rational=False):
@@ -112,24 +100,30 @@ def _quad_orders(space, quad_order, f_degree=None, rational=False):
     return orders
 
 
-def _tensor_rule(degrees, orders):
-    """Tensor Gauss rule on [-1,1]^d with the matching Bernstein design.
+def _target_on_grid(f, space, orders, breaks=None):
+    """One call of f on the Gauss points of all cells, as a grid.
 
-    Returns (points, weights, design): points (m, d) with the first
-    direction cycling fastest, design (m, prod(p_i + 1)) ordered like
-    the tensor Bernstein basis.
+    The cells lie between breaks (per direction; the space's breakpoints
+    by default), orders[d] points each. Also returns per direction the
+    rule (Gauss nodes, weights, Bernstein design at the nodes).
     """
-    nodes, wts, designs = [], [], []
-    for p, q in zip(degrees, orders):
+    if breaks is None:
+        breaks = [kv.breakpoints for kv in space.knot_vectors]
+    coords, rules = [], []
+    for bp, p, q in zip(breaks, space.degrees, orders):
         x, w = leggauss(q)
-        nodes.append(x)
-        wts.append(w)
-        designs.append(bernstein.bernstein_matrix(p, x))
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([m.ravel(order="F") for m in mesh], axis=1)
-    weights = reversed_kron(wts)
-    design = reversed_kron(designs)
-    return pts, weights, design
+        a, b = np.asarray(bp[:-1])[:, None], np.asarray(bp[1:])[:, None]
+        coords.append((0.5 * (a + b) + 0.5 * (b - a) * x).ravel())
+        rules.append((x, w, bernstein.bernstein_matrix(p, x)))
+    mesh = np.meshgrid(*coords[::-1], indexing="ij")
+    points = np.stack([g.ravel() for g in mesh[::-1]], axis=1)
+    return f(points).reshape(mesh[0].shape + (-1,)), rules
+
+
+def _local_fit(p, rule):
+    """Bernstein L2 fit from values at Gauss nodes: G^{-1} B^T diag(w)."""
+    _, w, B = rule
+    return bernstein.gramian_inverse(p) @ (B.T * w)
 
 
 def local_bernstein_projection(f, space, element, quad_order=None):
@@ -140,11 +134,11 @@ def local_bernstein_projection(f, space, element, quad_order=None):
     """
     f = _as_target(f)
     orders = _quad_orders(space, quad_order, f_degree=f.degree)
-    xi, wq, design = _tensor_rule(space.degrees, orders)
     el = space.element(element) if np.isscalar(element) else element
-    vals = f(el.map_from_biunit(xi))
-    b = design.T @ (wq[:, None] * vals)
-    return bernstein.gramian_inverse_multi(space.degrees) @ b
+    X, rules = _target_on_grid(f, space, orders, breaks=el.bounds)
+    for d, (p, rule) in enumerate(zip(space.degrees, rules)):
+        X = _apply_along(X, d, _local_fit(p, rule)[None])
+    return X.reshape(-1, X.shape[-1])
 
 
 def local_spline_coefficients(space, element, beta):
@@ -153,11 +147,30 @@ def local_spline_coefficients(space, element, beta):
     return R.T @ beta
 
 
+def _direction_weights(kv, mode):
+    """One direction's factor of the smoothing weights, (n_elements, p+1).
+
+    Row sums, element measures, support counts and so the per-function
+    normalization all factor over directions in every mode.
+    """
+    if mode not in ("approximate", "exact", "uniform"):
+        raise ValueError(f"unknown smoothing mode {mode!r}")
+    if mode == "uniform":
+        num = np.ones((kv.n_elements, kv.degree + 1))
+    else:
+        num = kv.extraction().sum(axis=2)
+        if mode == "exact":
+            num = num * np.diff(kv.breakpoints)[:, None]
+    denom = np.zeros(kv.n)
+    np.add.at(denom, kv.supports(), num)
+    return num / denom[kv.supports()]
+
+
 def smoothing_weight_table(space, mode="approximate"):
     """Convex smoothing weights for every (function, element) pair.
 
-    Returns a list with one (n_local,) array per element, aligned with
-    the element's support ordering. Per function the weights over its
+    Returns an (n_elements, n_local) array whose row e is aligned with
+    element e's support ordering. Per function the weights over its
     support elements sum to one.
 
     Modes:
@@ -170,22 +183,11 @@ def smoothing_weight_table(space, mode="approximate"):
         volume-weighted variant of "approximate"; no quadrature needed.
       uniform: plain averaging over the support elements.
     """
-    if mode not in ("approximate", "exact", "uniform"):
-        raise ValueError(f"unknown smoothing mode {mode!r}")
-    nums = []
-    denom = np.zeros(space.n_funcs)
-    for e in range(space.n_elements):
-        el = space.element(e)
-        if mode == "uniform":
-            num = np.ones(el.support.size)
-        else:
-            C = space.extraction_operator(e).C
-            num = C.sum(axis=1)
-            if mode == "exact":
-                num = num * el.measure
-        denom[el.support] += num
-        nums.append(num)
-    return [num / denom[space.element(e).support] for e, num in enumerate(nums)]
+    table = np.ones((1, 1))
+    for kv in space.knot_vectors:
+        w = _direction_weights(kv, mode)
+        table = np.einsum("ei,fj->feji", table, w).reshape(len(table) * len(w), -1)
+    return table
 
 
 def smoothing_weights(space, A, mode="approximate"):
@@ -207,37 +209,41 @@ class ProjectionReport:
     weight_mode: str = "approximate"
 
 
+def _spline_on_grid(space, H, rules):
+    """Spline values on the quadrature grid, one direction at a time:
+    gather each element's coefficients, apply C^T, then the design."""
+    X = H.reshape(space.shape[::-1] + (-1,))
+    for d, (kv, (_, _, B)) in enumerate(zip(space.knot_vectors, rules)):
+        ops = np.einsum("qb,eab->eqa", B, kv.extraction())
+        X = _apply_along(X, d, ops, gather=kv.supports())
+    return X
+
+
 def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order=None):
     """Project a target function onto a spline space without a global solve.
 
     weights, if given, are the positive control weights of the rational
     space; the projection then runs homogeneously on w(s) * f(s) and the
     resulting coefficients are divided by the control weights.
+
+    The target is called once on the Gauss points of all elements; then,
+    one direction at a time for all elements: the local fit
+    G^{-1} B^T diag(w_q), R^T, the smoothing weight and the scatter-add.
     """
     f = _as_target(f)
-    weights = _as_weights(weights, space)
-
-    table = smoothing_weight_table(space, weight_mode)
+    weights = _checked_weights(weights, space.n_funcs, "space dimension")
     orders = _quad_orders(
         space, quad_order, f_degree=f.degree, rational=weights is not None
     )
-    xi, wq, design = _tensor_rule(space.degrees, orders)
-    Gi = bernstein.gramian_inverse_multi(space.degrees)
-
-    coeffs = None
-    for e in range(space.n_elements):
-        el = space.element(e)
-        vals = f(el.map_from_biunit(xi))
-        if weights is not None:
-            # weight function at the quadrature points, via extraction
-            C = space.extraction_operator(e).C
-            wvals = (design @ C.T) @ weights[el.support]
-            vals = wvals[:, None] * vals
-        if coeffs is None:
-            coeffs = np.zeros((space.n_funcs, vals.shape[1]))
-        beta = Gi @ (design.T @ (wq[:, None] * vals))
-        lam = local_spline_coefficients(space, e, beta)
-        coeffs[el.support] += table[e][:, None] * lam
+    X, rules = _target_on_grid(f, space, orders)
+    if weights is not None:
+        X = _spline_on_grid(space, weights[:, None], rules) * X
+    for d, (kv, rule) in enumerate(zip(space.knot_vectors, rules)):
+        fit = _local_fit(kv.degree, rule)
+        blend = _direction_weights(kv, weight_mode)
+        ops = blend[:, :, None] * np.einsum("eba,bq->eaq", kv.reconstruction(), fit)
+        X = _apply_along(X, d, ops, scatter=kv.supports(), n_out=kv.n)
+    coeffs = X.reshape(space.n_funcs, -1)
 
     if weights is not None:
         out = ControlNet(coeffs / weights[:, None], weights)
@@ -250,44 +256,34 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     )
 
 
-def _rational_design(space, e, design_bern, weights):
-    """Design matrix of the local rational basis at element quad points."""
-    C = space.extraction_operator(e).C
-    sup = space.element(e).support
-    N = design_bern @ C.T
-    Nw = N * weights[sup][None, :]
-    return Nw / Nw.sum(axis=1, keepdims=True)
-
-
 def global_l2_project(f, space, weights=None, quad_order=None):
     """Globally assembled L2 projection, the reference the local
     projector is measured against. Returns a ControlNet."""
     f = _as_target(f)
-    weights = _as_weights(weights, space)
+    weights = _checked_weights(weights, space.n_funcs, "space dimension")
     orders = _quad_orders(
         space, quad_order, f_degree=f.degree, rational=weights is not None
     )
-    xi, wq, design = _tensor_rule(space.degrees, orders)
+    X, rules = _target_on_grid(f, space, orders)
+    wq = reversed_kron([w for _, w, _ in rules])
+    design = reversed_kron([B for _, _, B in rules])
 
     n = space.n_funcs
     M = np.zeros((n, n))
-    rhs = None
-    for e in range(space.n_elements):
-        el = space.element(e)
+    rhs = np.zeros((n, X.shape[-1]))
+    for el in space.elements():
         scale = el.measure / 2 ** space.parametric_dim
-        if weights is None:
-            N = design @ space.extraction_operator(e).C.T
-        else:
-            N = _rational_design(space, e, design, weights)
-        vals = f(el.map_from_biunit(xi))
-        if rhs is None:
-            rhs = np.zeros((n, vals.shape[1]))
-        sup = el.support
+        N = design @ space.extraction_operator(el.index).C.T
+        if weights is not None:
+            # local rational basis
+            Nw = N * weights[el.support][None, :]
+            N = Nw / Nw.sum(axis=1, keepdims=True)
+        cells = tuple(slice(k * q, (k + 1) * q) for k, q in zip(el.spans, orders))
+        vals = X[cells[::-1]].reshape(-1, X.shape[-1])
         wN = wq[:, None] * N
-        M[np.ix_(sup, sup)] += scale * (N.T @ wN)
-        rhs[sup] += scale * (wN.T @ vals)
-    coeffs = np.linalg.solve(M, rhs)
-    return ControlNet(coeffs, weights)
+        M[np.ix_(el.support, el.support)] += scale * (N.T @ wN)
+        rhs[el.support] += scale * (wN.T @ vals)
+    return ControlNet(np.linalg.solve(M, rhs), weights)
 
 
 def l2_error(f, space, net, quad_order=None, relative=False):
@@ -302,21 +298,19 @@ def l2_error(f, space, net, quad_order=None, relative=False):
             orders = tuple(p + 4 for p in space.degrees)
     else:
         orders = _quad_orders(space, quad_order)
-    xi, wq, design = _tensor_rule(space.degrees, orders)
-    H = net.homogeneous()
+    vals, rules = _target_on_grid(f, space, orders)
+    S = _spline_on_grid(space, net.homogeneous(), rules)
+    if net.is_rational:
+        S = S[..., :-1] / S[..., -1:]
 
-    err2 = 0.0
-    ref2 = 0.0
-    for e in range(space.n_elements):
-        el = space.element(e)
-        scale = el.measure / 2 ** space.parametric_dim
-        vals = f(el.map_from_biunit(xi))
-        N = design @ space.extraction_operator(e).C.T
-        S = N @ H[el.support]
-        if net.is_rational:
-            S = S[:, :-1] / S[:, -1:]
-        err2 += scale * float(wq @ np.sum((vals - S) ** 2, axis=1))
-        ref2 += scale * float(wq @ np.sum(vals**2, axis=1))
+    # quadrature weight of each grid point: Gauss weight times the half
+    # element length, multiplied over the directions
+    wgrid = np.ones(())
+    for kv, (_, wq, _) in zip(space.knot_vectors, rules):
+        half = 0.5 * np.diff(kv.breakpoints)
+        wgrid = np.multiply.outer((half[:, None] * wq).ravel(), wgrid)
+    err2 = float(np.sum(wgrid * np.sum((vals - S) ** 2, axis=-1)))
+    ref2 = float(np.sum(wgrid * np.sum(vals**2, axis=-1)))
     err = np.sqrt(err2)
     if relative:
         return err / np.sqrt(ref2)

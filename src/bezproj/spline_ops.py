@@ -1,37 +1,36 @@
 """Quadrature-free refinement, coarsening, and reparameterization.
 
-Every operation here is a two-stage pipeline. First a *plan* is built:
-for each element of the target space, a list of (source element,
-matrix) pairs such that the target element's Bernstein coefficients are
-the sum of the matrices applied to the source elements' Bernstein
-coefficients. Then the plan is applied to a control net: source
-coefficients are pulled to Bernstein form through extraction, pushed
-through the pair matrices, reconstructed on the target space, and, when
-the operation is not exact, blended with one final smoothing pass.
+Every operation is a two-stage pipeline. First a *plan* is built: per
+parametric direction, a span pairing of (target span, source span,
+matrix) entries, such that a target span's Bernstein coefficients are
+the sum of the matrices applied to those of its source spans. Then the
+plan runs on a control net one direction at a time, for all elements
+at once: pull to Bernstein form (C^T), map the spans, reconstruct
+(R^T) and blend with the target's smoothing weights. Exact plans blend
+too; their element values agree, so the convex blend returns them.
 
-The pair matrices come from one generic kernel. With O the overlap of a
-source element s and a target element t (per direction), q the target
-degree, and G the Bernstein Gramian:
+The span matrices come from one kernel. With O the overlap of source
+span s and target span t, q the target degree and G the Gramian:
 
     F = phi * G^{-1} A^T G T D
 
-where D is the degree elevation/reduction coefficient map (identity if
-degrees match), T rebases source coefficients to the overlap window in
-the source's local coordinates (identity if O = s), A expresses the
-overlap window in the target's local coordinates, and phi = |O| / |t|.
-When O = t this collapses to F = T D, a plain restriction. All factors
-are per-direction, so F assembles as a reversed Kronecker product.
+where D is the degree elevation/reduction map (identity if degrees
+match), T rebases source coefficients to O in the source's local
+coordinates (identity if O = s), A expresses O in the target's local
+coordinates, and phi = |O| / |t|. When O = t this is F = T D, a plain
+restriction. An element pair's matrix is the reversed Kronecker
+product of its span matrices: :attr:`OpPlan.pairs` builds those for
+inspection, and no operation forms them.
 
-Plans are composable: matrices chain element-by-element, which fuses a
-pipeline of operations into one, with a single smoothing pass at the
-very end if any stage was inexact.
-
-Rational nets ride along homogeneously; weights transform with the
-coefficients and are divided out at the end.
+Plans compose direction by direction into one plan with a single
+smoothing pass. Rational nets ride along homogeneously; weights
+transform with the coefficients and are divided out at the end.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,12 +41,13 @@ from .bernstein import (
     interval_transform,
     reduction_matrix,
 )
-from .projection import smoothing_weight_table
-from .spline_space import ControlNet, KnotVector, SplineSpace
-from .tensor import reversed_kron
+from .projection import _direction_weights
+from .spline_space import ControlNet, SplineSpace
+from .tensor import _apply_along, reversed_kron
 
 __all__ = [
     "PairTransform",
+    "SpanPairing",
     "OpPlan",
     "apply_plan",
     "compose",
@@ -76,20 +76,37 @@ _TOL = 1e-12
 
 @dataclass
 class PairTransform:
-    """One (source element -> target element) Bernstein-level transform."""
+    """One (source element -> target element) Bernstein-level transform,
+    kept as its per-direction span matrices."""
 
     source: int
+    factors: tuple
+
+    @property
+    def matrix(self):
+        """The transform, as the reversed Kronecker product of the factors."""
+        return reversed_kron(self.factors)
+
+
+class SpanPairing(NamedTuple):
+    """One direction of a plan, sorted by target then source span: entry
+    i adds matrix[i] (q+1, p+1) times the Bernstein coefficients of span
+    source[i] to those of span target[i]."""
+
+    target: np.ndarray
+    source: np.ndarray
     matrix: np.ndarray
 
 
 @dataclass
 class OpPlan:
-    """Element-level description of one operation (or a fused pipeline)."""
+    """Description of one operation (or a fused pipeline), one span
+    pairing per parametric direction."""
 
     name: str
     source: SplineSpace
     target: SplineSpace
-    pairs: list
+    pairings: tuple
     exact: bool
 
     def __repr__(self):
@@ -97,6 +114,28 @@ class OpPlan:
             f"OpPlan({self.name!r}, {self.source.n_elements} -> "
             f"{self.target.n_elements} elements, exact={self.exact})"
         )
+
+    @cached_property
+    def pairs(self):
+        """Per target element, its list of PairTransforms: a read-only
+        view, built on first access and used by no operation."""
+        cuts = [
+            np.searchsorted(P.target, np.arange(kv.n_elements + 1))
+            for P, kv in zip(self.pairings, self.target.knot_vectors)
+        ]
+        out = []
+        for e in range(self.target.n_elements):
+            spans = self.target.unravel_element(e)
+            ranges = [range(c[k], c[k + 1]) for c, k in zip(cuts, spans)]
+            entries = []
+            for idx in itertools.product(*ranges):
+                picks = list(zip(self.pairings, idx))
+                entries.append(PairTransform(
+                    source=self.source.ravel_element([P.source[i] for P, i in picks]),
+                    factors=tuple(P.matrix[i] for P, i in picks),
+                ))
+            out.append(entries)
+        return out
 
 
 def _to_local(iv, lo, hi):
@@ -140,26 +179,27 @@ def _dim_factor(src_iv, tgt_iv, p_src, p_tgt):
 
 
 def _dim_pairing(kv_src, kv_tgt, p_src, p_tgt):
-    """Per target span: [(source span, factor)], with coverage validated."""
-    out = []
+    """Span pairing of one direction, with coverage validated. Each
+    target span visits only the source spans that overlap it."""
+    bs, bt = kv_src.breakpoints, kv_tgt.breakpoints
+    first = np.searchsorted(bs[1:], bt[:-1], side="right")
+    stop = np.searchsorted(bs[:-1], bt[1:], side="left")
+    entries = []
     for k in range(kv_tgt.n_elements):
         t_iv = kv_tgt.element_bounds(k)
-        entries = []
         cover = 0.0
-        for j in range(kv_src.n_elements):
+        for j in range(first[k], stop[k]):
             got = _dim_factor(kv_src.element_bounds(j), t_iv, p_src, p_tgt)
-            if got is None:
-                continue
-            F, phi = got
-            entries.append((j, F))
-            cover += phi
+            if got is not None:
+                entries.append((k, j, got[0]))
+                cover += got[1]
         if abs(cover - 1.0) > 1e-10:
             raise ValueError(
                 f"source elements cover {cover:.15g} of a target span; "
                 "the spaces do not tile the same domain"
             )
-        out.append(entries)
-    return out
+    targets, sources, mats = zip(*entries)
+    return SpanPairing(np.array(targets), np.array(sources), np.array(mats))
 
 
 def _build_plan(name, source, target, exact):
@@ -171,63 +211,58 @@ def _build_plan(name, source, target, exact):
             and abs(kvs.domain[1] - kvt.domain[1]) <= _TOL
         ):
             raise ValueError("source and target parametric domains differ")
-    per_dim = [
+    pairings = tuple(
         _dim_pairing(kvs, kvt, kvs.degree, kvt.degree)
         for kvs, kvt in zip(source.knot_vectors, target.knot_vectors)
-    ]
-    pairs = []
-    for e in range(target.n_elements):
-        tspans = target.unravel_element(e)
-        entries = []
-        for combo in itertools.product(
-            *[per_dim[d][k] for d, k in enumerate(tspans)]
-        ):
-            src = source.ravel_element([j for j, _ in combo])
-            M = reversed_kron([F for _, F in combo])
-            entries.append(PairTransform(source=src, matrix=M))
-        pairs.append(entries)
-    return OpPlan(name=name, source=source, target=target, pairs=pairs, exact=exact)
+    )
+    return OpPlan(name=name, source=source, target=target, pairings=pairings, exact=exact)
 
 
 def apply_plan(plan, net, weight_mode="approximate"):
     """Run a plan on a control net; returns the target net.
 
-    Exact plans write element-local results directly (they agree on
-    shared functions); inexact plans blend them with one smoothing pass
-    over the target space using the given weighting mode.
+    Per direction, for all span pairs at once: pull the source
+    coefficients to Bernstein form (C^T), map them with the span matrix,
+    reconstruct (R^T), weight with the target's smoothing weights of
+    the given mode, and scatter-add into the target coefficients.
     """
     source, target = plan.source, plan.target
     if net.n != source.n_funcs:
         raise ValueError("control net does not match the plan's source space")
-    H = net.homogeneous()
+    X = net.homogeneous().reshape(source.shape[::-1] + (-1,))
+    for d, (kvs, kvt, P) in enumerate(
+        zip(source.knot_vectors, target.knot_vectors, plan.pairings)
+    ):
+        pull = kvs.extraction()[P.source].transpose(0, 2, 1)
+        push = kvt.reconstruction()[P.target].transpose(0, 2, 1)
+        blend = _direction_weights(kvt, weight_mode)[P.target, :, None]
+        X = _apply_along(
+            X, d, blend * (push @ P.matrix @ pull),
+            gather=kvs.supports()[P.source], scatter=kvt.supports()[P.target], n_out=kvt.n,
+        )
+    return ControlNet.from_homogeneous(X.reshape(target.n_funcs, -1), net.is_rational)
 
-    src_Q = [
-        source.extraction_operator(e).C.T @ H[source.element(e).support]
-        for e in range(source.n_elements)
-    ]
 
-    out = np.zeros((target.n_funcs, H.shape[1]))
-    table = None if plan.exact else smoothing_weight_table(target, weight_mode)
-    for e in range(target.n_elements):
-        Qbar = None
-        for pair in plan.pairs[e]:
-            term = pair.matrix @ src_Q[pair.source]
-            Qbar = term if Qbar is None else Qbar + term
-        lam = target.reconstruction_operator(e).T @ Qbar
-        sup = target.element(e).support
-        if plan.exact:
-            out[sup] = lam
-        else:
-            out[sup] += table[e][:, None] * lam
-    return ControlNet.from_homogeneous(out, net.is_rational)
+def _compose_pairings(first, then):
+    """Span pairing of `then` after `first`: sum over the middle spans."""
+    lo = np.searchsorted(first.target, then.source, side="left")
+    counts = np.searchsorted(first.target, then.source, side="right") - lo
+    i2 = np.repeat(np.arange(then.source.size), counts)
+    i1 = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    tgt, src = then.target[i2], first.source[i1]
+    keys, inverse = np.unique(np.stack([tgt, src], axis=1), axis=0, return_inverse=True)
+    mats = np.zeros((keys.shape[0],) + then.matrix.shape[1:2] + first.matrix.shape[2:])
+    np.add.at(mats, inverse.ravel(), then.matrix[i2] @ first.matrix[i1])
+    return SpanPairing(keys[:, 0], keys[:, 1], mats)
 
 
 def compose(*plans):
     """Fuse a chain of plans into one plan from first source to last target.
 
-    Matrices multiply element-by-element, so applying the fused plan
-    involves no intermediate reconstruction and at most one smoothing
-    pass. A chain of exact plans stays exact.
+    Span matrices multiply direction by direction; the middle elements
+    form a tensor grid, so the sum over them of Kronecker products is
+    the Kronecker product of per-direction sums. The fused plan runs
+    with one smoothing pass. A chain of exact plans stays exact.
     """
     if not plans:
         raise ValueError("need at least one plan")
@@ -237,24 +272,13 @@ def compose(*plans):
             raise ValueError(
                 f"cannot chain {fused.name!r} into {nxt.name!r}: spaces differ"
             )
-        pairs = []
-        for e in range(nxt.target.n_elements):
-            acc = {}
-            for p2 in nxt.pairs[e]:
-                for p1 in fused.pairs[p2.source]:
-                    M = p2.matrix @ p1.matrix
-                    if p1.source in acc:
-                        acc[p1.source] = acc[p1.source] + M
-                    else:
-                        acc[p1.source] = M
-            pairs.append(
-                [PairTransform(source=s, matrix=m) for s, m in sorted(acc.items())]
-            )
         fused = OpPlan(
             name=f"{fused.name}+{nxt.name}",
             source=fused.source,
             target=nxt.target,
-            pairs=pairs,
+            pairings=tuple(
+                _compose_pairings(a, b) for a, b in zip(fused.pairings, nxt.pairings)
+            ),
             exact=fused.exact and nxt.exact,
         )
     return fused
@@ -280,15 +304,11 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
     for te in target_elements:
         tel = target_space.element(te)
         factors = []
-        for d, ((sa, sb), (ta, tb)) in enumerate(zip(el.bounds, tel.bounds)):
-            if ta < sa - _TOL or tb > sb + _TOL:
+        for p, s_iv, t_iv in zip(space.degrees, el.bounds, tel.bounds):
+            if t_iv[0] < s_iv[0] - _TOL or t_iv[1] > s_iv[1] + _TOL:
                 raise ValueError("target element not contained in source element")
-            if abs(ta - sa) <= _TOL and abs(tb - sb) <= _TOL:
-                factors.append(np.eye(space.degrees[d] + 1))
-            else:
-                factors.append(
-                    interval_transform(space.degrees[d], *_to_local((sa, sb), ta, tb))
-                )
+            # the overlap is the target span: phi = 1 and F = T
+            factors.append(_dim_factor(s_iv, t_iv, p, p)[0])
         Qt = reversed_kron(factors) @ Q
         out[te] = target_space.reconstruction_operator(te).T @ Qt
     return out
@@ -370,8 +390,7 @@ def plan_h_refine(space, splits=None):
             if np.any(np.abs(kv.breakpoints - t) <= _TOL * (kv.domain[1] - kv.domain[0])):
                 raise ValueError(f"split point {t} is already a breakpoint")
         kvs.append(kv.with_inserted(pts) if pts.size else kv)
-    target = SplineSpace(kvs)
-    return _build_plan("h-refine", space, target, exact=True)
+    return _build_plan("h-refine", space, SplineSpace(kvs), exact=True)
 
 
 def plan_h_coarsen(space, remove):
@@ -393,8 +412,7 @@ def plan_h_coarsen(space, remove):
             mult = int(out.multiplicities[idx[0]])
             out = out.with_removed([t] * mult)
         kvs.append(out)
-    target = SplineSpace(kvs)
-    return _build_plan("h-coarsen", space, target, exact=False)
+    return _build_plan("h-coarsen", space, SplineSpace(kvs), exact=False)
 
 
 def plan_p_elevate(space, inc=1):
@@ -409,8 +427,7 @@ def plan_p_elevate(space, inc=1):
         kv.elevated(int(i)) if int(i) > 0 else kv
         for kv, i in zip(space.knot_vectors, incs)
     ]
-    target = SplineSpace(kvs)
-    return _build_plan("p-elevate", space, target, exact=True)
+    return _build_plan("p-elevate", space, SplineSpace(kvs), exact=True)
 
 
 def plan_p_reduce(space, dec=1):
@@ -425,8 +442,7 @@ def plan_p_reduce(space, dec=1):
         kv.reduced(int(d)) if int(d) > 0 else kv
         for kv, d in zip(space.knot_vectors, decs)
     ]
-    target = SplineSpace(kvs)
-    return _build_plan("p-reduce", space, target, exact=False)
+    return _build_plan("p-reduce", space, SplineSpace(kvs), exact=False)
 
 
 def plan_k_roughen(space, values=None, inc=1):
@@ -440,8 +456,7 @@ def plan_k_roughen(space, values=None, inc=1):
             kvs.append(kv)
             continue
         kvs.append(kv.roughened(vals, inc))
-    target = SplineSpace(kvs)
-    return _build_plan("k-roughen", space, target, exact=True)
+    return _build_plan("k-roughen", space, SplineSpace(kvs), exact=True)
 
 
 def plan_k_smooth(space, values=None, dec=1):
@@ -459,8 +474,7 @@ def plan_k_smooth(space, values=None, dec=1):
         changed = True
     if not changed:
         raise ValueError("no interior knot has multiplicity to spare")
-    target = SplineSpace(kvs)
-    return _build_plan("k-smooth", space, target, exact=False)
+    return _build_plan("k-smooth", space, SplineSpace(kvs), exact=False)
 
 
 def plan_reparameterize(space, new_interior):
@@ -470,8 +484,7 @@ def plan_reparameterize(space, new_interior):
         kv if vals is None else kv.reparameterized(vals)
         for kv, vals in zip(space.knot_vectors, new_interior)
     ]
-    target = SplineSpace(kvs)
-    return _build_plan("reparameterize", space, target, exact=False)
+    return _build_plan("reparameterize", space, SplineSpace(kvs), exact=False)
 
 
 def _is_superspace(source, target):

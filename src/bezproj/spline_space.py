@@ -20,6 +20,7 @@ fastest, matching :func:`bezproj.tensor.reversed_kron`.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,6 +143,8 @@ class KnotVector:
         self.breakpoints = breakpoints
         self.multiplicities = counts
         self._extraction = None
+        self._reconstruction = None
+        self._supports = None
 
     @property
     def n(self):
@@ -190,9 +193,18 @@ class KnotVector:
 
     def element_support(self, e):
         """Zero-based indices of the p+1 functions supported on element e."""
-        a, _ = self.element_bounds(e)
-        i = int(np.searchsorted(self.knots, a, side="right")) - 1
-        return np.arange(i - self.degree, i + 1)
+        if not 0 <= e < self.n_elements:
+            raise IndexError(f"element {e} outside 0..{self.n_elements - 1}")
+        return self.supports()[e]
+
+    def supports(self):
+        """Indices of the p+1 functions supported on each element, as one
+        (n_elements, p+1) array of ascending rows. Computed once and cached."""
+        if self._supports is None:
+            last = np.searchsorted(self.knots, self.breakpoints[:-1], side="right") - 1
+            first = last - self.degree
+            self._supports = first[:, None] + np.arange(self.degree + 1)
+        return self._supports
 
     def function_support(self, A):
         """Indices of the elements on which function A is nonzero."""
@@ -256,19 +268,14 @@ class KnotVector:
 
     def roughened(self, values, inc=1):
         """Raise the multiplicity of listed interior breakpoints by inc."""
-        out = self
         for t in values:
             if not np.any(np.isclose(self.breakpoints[1:-1], t, rtol=0, atol=_SNAP_TOL)):
                 raise ValueError(f"{t} is not an interior breakpoint")
-            out = out.with_inserted([t] * inc)
-        return out
+        return self.with_inserted(np.repeat(values, inc))
 
     def smoothed(self, values, dec=1):
         """Lower the multiplicity of listed interior breakpoints by dec."""
-        out = self
-        for t in values:
-            out = out.with_removed([t] * dec)
-        return out
+        return self.with_removed(np.repeat(values, dec))
 
     def reparameterized(self, new_interior):
         """Move interior breakpoints, keeping count and multiplicities."""
@@ -293,15 +300,19 @@ class KnotVector:
     def extraction(self):
         """Per-element Bernstein extraction operators.
 
-        Returns a list of (p+1, p+1) matrices, one per element, rows
-        ordered by ascending function index, columns by ascending
-        Bernstein index. Computed once and cached.
+        Returns one (n_elements, p+1, p+1) array; entry e is element e's
+        operator, rows ordered by ascending function index, columns by
+        ascending Bernstein index. Computed once and cached.
         """
         if self._extraction is None:
-            self._extraction = [
-                np.array(C) for C in _bezier_extraction(self.knots.tolist(), self.degree)
-            ]
+            self._extraction = np.array(_bezier_extraction(self.knots.tolist(), self.degree))
         return self._extraction
+
+    def reconstruction(self):
+        """Inverses of the extraction operators, stacked the same way."""
+        if self._reconstruction is None:
+            self._reconstruction = np.linalg.inv(self.extraction())
+        return self._reconstruction
 
 
 def univariate_extraction_exact(knots, degree):
@@ -364,26 +375,17 @@ class Element:
 
     @property
     def measure(self):
-        out = 1.0
-        for a, b in self.bounds:
-            out *= b - a
-        return out
+        return math.prod(b - a for a, b in self.bounds)
 
     def map_from_biunit(self, xi):
         """Affine map from [-1, 1]^d to the element, applied row-wise."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-        out = np.empty_like(xi)
-        for d, (a, b) in enumerate(self.bounds):
-            out[:, d] = 0.5 * (a + b) + 0.5 * (b - a) * xi[:, d]
-        return out
+        a, b = np.array(self.bounds).T
+        return 0.5 * (a + b) + 0.5 * (b - a) * np.atleast_2d(np.asarray(xi, dtype=np.float64))
 
     def map_to_biunit(self, s):
         """Inverse of :meth:`map_from_biunit`."""
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        out = np.empty_like(s)
-        for d, (a, b) in enumerate(self.bounds):
-            out[:, d] = (2.0 * s[:, d] - a - b) / (b - a)
-        return out
+        a, b = np.array(self.bounds).T
+        return (2.0 * np.atleast_2d(np.asarray(s, dtype=np.float64)) - a - b) / (b - a)
 
 
 @dataclass(frozen=True)
@@ -394,18 +396,45 @@ class ElementOperators:
     factors: tuple
 
 
+def _ravel(per_dim, shape):
+    """Global index from per-direction indices, first direction fastest.
+
+    The per-direction indices may be broadcastable arrays.
+    """
+    a = 0
+    for n, i in zip(reversed(shape), reversed(list(per_dim))):
+        a = a * n + i
+    return a
+
+
+def _unravel(a, shape, what):
+    """Per-direction indices of global index a (inverse of _ravel)."""
+    out = []
+    for n in shape:
+        a, r = divmod(a, n)
+        out.append(r)
+    if a:
+        raise IndexError(f"{what} index out of range")
+    return tuple(out)
+
+
+def _grid_indices(per_dim, shape):
+    """Global indices of the tensor grid of per-direction index lists,
+    first direction fastest."""
+    grids = np.meshgrid(*per_dim[::-1], indexing="ij")[::-1]
+    return _ravel(grids, shape).ravel()
+
+
 class SplineSpace:
     """Tensor product of univariate open-knot-vector spaces."""
 
     def __init__(self, knot_vectors):
-        kvs = []
-        for kv in knot_vectors:
-            if not isinstance(kv, KnotVector):
-                raise TypeError("SplineSpace expects KnotVector instances")
-            kvs.append(kv)
+        kvs = tuple(knot_vectors)
+        if not all(isinstance(kv, KnotVector) for kv in kvs):
+            raise TypeError("SplineSpace expects KnotVector instances")
         if not kvs:
             raise ValueError("need at least one knot vector")
-        self.knot_vectors = tuple(kvs)
+        self.knot_vectors = kvs
         self._elements = None
 
     @property
@@ -423,10 +452,7 @@ class SplineSpace:
 
     @property
     def n_funcs(self):
-        out = 1
-        for n in self.shape:
-            out *= n
-        return out
+        return math.prod(self.shape)
 
     @property
     def element_shape(self):
@@ -434,10 +460,7 @@ class SplineSpace:
 
     @property
     def n_elements(self):
-        out = 1
-        for n in self.element_shape:
-            out *= n
-        return out
+        return math.prod(self.element_shape)
 
     def __repr__(self):
         return f"SplineSpace(degrees={self.degrees}, shape={self.shape})"
@@ -449,26 +472,13 @@ class SplineSpace:
 
     def ravel_func(self, per_dim):
         """Global function index from per-direction indices (zero-based)."""
-        a = 0
-        for nd, idx in zip(reversed(self.shape), reversed(list(per_dim))):
-            a = a * nd + idx
-        return a
+        return _ravel(per_dim, self.shape)
 
     def ravel_element(self, per_dim):
-        a = 0
-        for nd, idx in zip(reversed(self.element_shape), reversed(list(per_dim))):
-            a = a * nd + idx
-        return a
+        return _ravel(per_dim, self.element_shape)
 
     def unravel_element(self, e):
-        out = []
-        for nd in self.element_shape:
-            e, r = divmod(e, nd)
-            out.append(r)
-        out_t = tuple(out)
-        if e:
-            raise IndexError("element index out of range")
-        return out_t
+        return _unravel(e, self.element_shape, "element")
 
     def elements(self):
         """All elements, first parametric direction cycling fastest."""
@@ -488,16 +498,8 @@ class SplineSpace:
         bounds = tuple(
             kv.element_bounds(k) for kv, k in zip(self.knot_vectors, spans)
         )
-        support = None
-        for d, (kv, k) in enumerate(zip(self.knot_vectors, spans)):
-            win = kv.element_support(k)
-            if support is None:
-                support = win
-            else:
-                stride = 1
-                for nd in self.shape[:d]:
-                    stride *= nd
-                support = (stride * win[:, None] + support[None, :]).ravel()
+        windows = [kv.supports()[k] for kv, k in zip(self.knot_vectors, spans)]
+        support = _grid_indices(windows, self.shape)
         return Element(index=e, spans=spans, bounds=bounds, support=support)
 
     def extraction_operator(self, e):
@@ -514,9 +516,10 @@ class SplineSpace:
 
     def reconstruction_operator(self, e):
         """Inverse extraction operator of element e."""
-        ops = self.extraction_operator(e)
-        inv_factors = tuple(np.linalg.inv(F) for F in ops.factors)
-        return reversed_kron(inv_factors)
+        spans = self.unravel_element(e)
+        return reversed_kron(
+            [kv.reconstruction()[k] for kv, k in zip(self.knot_vectors, spans)]
+        )
 
     def element_containing(self, s):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -544,34 +547,14 @@ class SplineSpace:
 
     def local_knot_vector(self, A, d):
         """Local knot vector of global function A in direction d."""
-        per_dim = []
-        rem = A
-        for nd in self.shape:
-            rem, r = divmod(rem, nd)
-            per_dim.append(r)
-        if rem:
-            raise IndexError("function index out of range")
+        per_dim = _unravel(A, self.shape, "function")
         return self.knot_vectors[d].local_knots(per_dim[d])
 
     def function_elements(self, A):
         """Indices of the elements in the support of global function A."""
-        per_dim = []
-        rem = A
-        for nd in self.shape:
-            rem, r = divmod(rem, nd)
-            per_dim.append(r)
-        if rem:
-            raise IndexError("function index out of range")
-        grids = [
-            kv.function_support(i) for kv, i in zip(self.knot_vectors, per_dim)
-        ]
-        out = grids[0]
-        for d in range(1, len(grids)):
-            stride = 1
-            for nd in self.element_shape[:d]:
-                stride *= nd
-            out = (stride * grids[d][:, None] + out[None, :]).ravel()
-        return out
+        per_dim = _unravel(A, self.shape, "function")
+        grids = [kv.function_support(i) for kv, i in zip(self.knot_vectors, per_dim)]
+        return _grid_indices(grids, self.element_shape)
 
     def local_index_of(self, e, A):
         """Position of global function A inside element e's support."""
@@ -580,6 +563,21 @@ class SplineSpace:
         if hits.size == 0:
             raise ValueError(f"function {A} not supported on element {e}")
         return int(hits[0])
+
+
+def _checked_weights(weights, n, what):
+    """weights as a vector of n finite positive floats (what names n),
+    or None for None."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=np.float64).ravel()
+    if weights.size != n:
+        raise ValueError(f"weight count does not match {what}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+    return weights
 
 
 class ControlNet:
@@ -594,15 +592,7 @@ class ControlNet:
         if not np.all(np.isfinite(points)):
             raise ValueError("control points must be finite")
         self.points = points
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64).ravel()
-            if weights.size != points.shape[0]:
-                raise ValueError("weight count does not match control point count")
-            if not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite")
-            if np.any(weights <= 0):
-                raise ValueError("weights must be positive")
-        self.weights = weights
+        self.weights = _checked_weights(weights, points.shape[0], "control point count")
 
     @property
     def n(self):
@@ -637,17 +627,22 @@ def evaluate(space, net, points):
     """Evaluate the spline (rational if weighted) at parametric points.
 
     points is (m, d) or a single point; returns (m, physical_dim).
-    Points are grouped by containing element and evaluated through the
-    element extraction operators, so large batches stay vectorized.
+    Per direction every point looks up its element and the values of
+    the p+1 functions supported there; the tensor-product values then
+    weight one gather of the control net.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != space.parametric_dim:
         raise ValueError("point dimension mismatch")
     if net.n != space.n_funcs:
         raise ValueError("control net size does not match space dimension")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
     H = net.homogeneous()
 
-    e_ids = np.zeros(pts.shape[0], dtype=np.int64)
+    m = pts.shape[0]
+    rows = np.zeros((m, 1), dtype=np.int64)
+    vals = np.ones((m, 1))
     stride = 1
     for d, kv in enumerate(space.knot_vectors):
         a, b = kv.domain
@@ -656,24 +651,13 @@ def evaluate(space, net, points):
             raise ValueError("evaluation point outside the parametric domain")
         s = np.searchsorted(kv.breakpoints, x, side="right") - 1
         np.clip(s, 0, kv.n_elements - 1, out=s)
-        e_ids += stride * s
-        stride *= kv.n_elements
-
-    out = np.empty((pts.shape[0], H.shape[1]))
-    for e in np.unique(e_ids):
-        mask = e_ids == e
-        el = space.element(int(e))
-        xi = el.map_to_biunit(pts[mask])
-        rows = None
-        for d, p in enumerate(space.degrees):
-            rd = bernstein_matrix(p, xi[:, d])
-            if rows is None:
-                rows = rd
-            else:
-                m = rows.shape[0]
-                rows = np.einsum("kj,ki->kji", rd, rows).reshape(m, -1)
-        C = space.extraction_operator(int(e)).C
-        out[mask] = rows @ (C.T @ H[el.support])
+        lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
+        xi = (2.0 * x - lo - hi) / (hi - lo)
+        N = np.einsum("mab,mb->ma", kv.extraction()[s], bernstein_matrix(kv.degree, xi))
+        rows = (stride * kv.supports()[s][:, :, None] + rows[:, None, :]).reshape(m, -1)
+        vals = (N[:, :, None] * vals[:, None, :]).reshape(m, -1)
+        stride *= kv.n
+    out = np.einsum("mi,mik->mk", vals, H[rows])
     if net.is_rational:
         return out[:, :-1] / out[:, -1:]
     return out

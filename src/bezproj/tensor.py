@@ -9,18 +9,18 @@ univariate indices (i, j) gets the one-based linear index
 and the matching matrix assembly is the reversed Kronecker product,
 kron(A_d, ..., kron(A_2, A_1)). Storage stays zero-based; only the
 index maps speak one-based, mirroring the usual spline literature.
+
+A *grid* holds k values per tensor index, direction d on axis -2 - d,
+so ``grid.reshape(-1, k)`` lists rows in the global ordering. Tensor
+operators act on a grid one direction at a time (:func:`_apply_along`),
+never as assembled Kronecker matrices.
 """
 
 from functools import reduce
 
 import numpy as np
 
-__all__ = ["kron", "reversed_kron", "multi_index_2d", "multi_index_3d", "unravel_2d"]
-
-
-def kron(A, B):
-    """Kronecker product, thin wrapper kept for symmetry with reversed_kron."""
-    return np.kron(A, B)
+__all__ = ["reversed_kron", "multi_index_2d", "multi_index_3d"]
 
 
 def reversed_kron(factors):
@@ -59,9 +59,24 @@ def multi_index_3d(i, j, k, p1, p2):
     return (p1 + 1) * (p2 + 1) * (k - 1) + (p1 + 1) * (j - 1) + i
 
 
-def unravel_2d(a, p1):
-    """Inverse of multi_index_2d: one-based linear index back to (i, j)."""
-    if a < 1:
-        raise ValueError(f"linear index a={a} must be >= 1")
-    j, i0 = divmod(a - 1, p1 + 1)
-    return i0 + 1, j + 1
+def _apply_along(X, d, ops, gather=None, scatter=None, n_out=None):
+    """Apply per-element operators along direction d of a grid.
+
+    ops is (E, r, c): element e maps c input entries to r outputs.
+    gather (E, c) indexes each element's input window on direction d's
+    axis; without it the axis is read as E consecutive blocks of c.
+    scatter (E, r) adds each element's outputs into an axis of length
+    n_out; without it the outputs lay out as E consecutive blocks of r.
+    """
+    axis = X.ndim - 2 - d
+    Xm = np.moveaxis(X, axis, 0)
+    rest = Xm.shape[1:]
+    E, r, c = ops.shape
+    Xg = Xm[gather] if gather is not None else Xm.reshape((E, c) + rest)
+    Y = np.einsum("erc,ec...->er...", ops, Xg)
+    if scatter is None:
+        out = Y.reshape((E * r,) + rest)
+    else:
+        out = np.zeros((n_out,) + rest)
+        np.add.at(out, scatter, Y)
+    return np.moveaxis(out, 0, axis)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bezproj.benchmark import CSV_HEADER
+from bezproj.benchmark import CSV_HEADER, expression_target
 from bezproj.cli import main
 from bezproj.spline_space import (
     ControlNet,
@@ -289,6 +289,43 @@ def test_convergence_expression_target(runner):
     rows = [ln.split(",") for ln in result.output.strip().splitlines()[1:]]
     # quadratic target is reproduced to rounding on every rung
     assert all(float(r[3]) < 1e-13 for r in rows)
+
+
+def test_expression_target_allows_numpy_functions():
+    f = expression_target("np.sin(2*pi*x) + exp(-x**2) * abs(x - 0.5) / 3")
+    x = np.linspace(0, 1, 5)
+    ref = np.sin(2 * np.pi * x) + np.exp(-(x**2)) * np.abs(x - 0.5) / 3
+    assert np.allclose(f(x[:, None])[:, 0], ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "().__class__.__base__.__subclasses__().__len__() + 0*x",
+        "x.__class__",
+        "np._core",
+        "np.sin(x).real",
+        "open('f') + x",
+        "np.save('f', x)",
+        "__import__('os')",
+        "y + x",
+        "[t for t in x]",
+        "lambda: x",
+    ],
+)
+def test_expression_target_rejects_escapes(expr):
+    with pytest.raises(ValueError, match="target expression"):
+        expression_target(expr)
+
+
+def test_convergence_rejects_unsafe_expression(runner):
+    result = runner.invoke(
+        main,
+        ["convergence", "--target", "().__class__.__base__.__subclasses__().__len__() + 0*x",
+         "--degrees", "2", "--levels", "2", "--projector", "bezier"],
+    )
+    assert result.exit_code == 1
+    assert "target expression" in result.output
 
 
 def test_convergence_out_file(runner, tmp_path):

@@ -212,6 +212,16 @@ def test_target_function_validates_output_shape():
         TargetFunction(lambda pts: pts, degree=-1)
 
 
+def test_target_function_rejects_non_finite_values():
+    sp = _space([0, 0, 0, 0.5, 1, 1, 1], 2)
+    for bad in (np.nan, np.inf):
+        f = TargetFunction(lambda pts, bad=bad: np.where(pts[:, 0] > 0.7, bad, 1.0))
+        with pytest.raises(ValueError, match="target function returned non-finite values"):
+            f(np.array([[0.2], [0.9]]))
+        with pytest.raises(ValueError, match="target function returned non-finite values"):
+            bezier_project(f, sp)
+
+
 # ------------------------------------------------------- global reference
 
 

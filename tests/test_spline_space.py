@@ -289,6 +289,21 @@ def test_evaluate_tensor_surface(rng):
     assert np.allclose(got, ref, atol=1e-12)
 
 
+def test_evaluate_rejects_non_finite_points():
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    net = ControlNet(np.arange(4.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            evaluate(sp, net, [[bad], [0.25]])
+
+
+def test_evaluate_rejects_points_outside_domain():
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    net = ControlNet(np.arange(4.0))
+    with pytest.raises(ValueError, match="outside the parametric domain"):
+        evaluate(sp, net, [[1.5]])
+
+
 def test_evaluate_derivative_matches_finite_differences(rng):
     kv = KnotVector([0, 0, 0, 0.4, 0.8, 1, 1, 1], 2)
     sp = SplineSpace([kv])
@@ -412,3 +427,15 @@ def test_spline_json_rejects_non_finite_entries():
         read_spline_json(data(control_points=[[0.0], [nan], [2.0]]))
     with pytest.raises(ValueError, match="weights must be finite"):
         read_spline_json(data(weights=[1, nan, 1]))
+
+
+def test_knot_vector_caches_stacked_operators(rng):
+    for p in (1, 2, 3):
+        kv = KnotVector(random_open_kv(rng, p), p)
+        C, R, S = kv.extraction(), kv.reconstruction(), kv.supports()
+        assert C.shape == R.shape == (kv.n_elements, p + 1, p + 1)
+        assert S.shape == (kv.n_elements, p + 1)
+        assert kv.extraction() is C and kv.reconstruction() is R and kv.supports() is S
+        assert np.allclose(C @ R, np.eye(p + 1), atol=1e-10)
+        for e in range(kv.n_elements):
+            assert np.array_equal(S[e], kv.element_support(e))

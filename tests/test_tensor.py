@@ -4,12 +4,6 @@ import pytest
 from bezproj import tensor
 
 
-def test_kron_matches_numpy(rng):
-    A = rng.normal(size=(2, 3))
-    B = rng.normal(size=(4, 2))
-    assert np.allclose(tensor.kron(A, B), np.kron(A, B))
-
-
 def test_reversed_kron_puts_first_factor_fastest(rng):
     A = rng.normal(size=(2, 3))
     B = rng.normal(size=(4, 2))
@@ -48,18 +42,33 @@ def test_multi_index_3d_one_based_layout():
     assert tensor.multi_index_3d(1, 1, 2, p1, p2) == 7
 
 
-def test_unravel_2d_roundtrip():
-    p1, p2 = 3, 2
-    for j in range(1, p2 + 2):
-        for i in range(1, p1 + 2):
-            n = tensor.multi_index_2d(i, j, p1)
-            assert tensor.unravel_2d(n, p1) == (i, j)
-
-
 def test_multi_index_range_checks():
     with pytest.raises(ValueError):
         tensor.multi_index_2d(0, 1, 3)
     with pytest.raises(ValueError):
         tensor.multi_index_2d(5, 1, 3)
-    with pytest.raises(ValueError):
-        tensor.unravel_2d(0, 3)
+
+
+def _assembled(ops, gather, scatter, n_in, n_out):
+    """Dense matrix of one direction's gather, per-element map, scatter-add."""
+    L = np.zeros((n_out, n_in))
+    for M, g, s in zip(ops, gather, scatter):
+        L[np.ix_(s, g)] += M
+    return L
+
+
+def test_apply_along_matches_assembled_kronecker(rng):
+    # direction 0: overlapping windows of 3 out of 6, scattered into 5;
+    # direction 1: consecutive blocks of 2 in, consecutive blocks of 3 out
+    ops0 = rng.normal(size=(4, 2, 3))
+    gather0 = np.arange(4)[:, None] + np.arange(3)
+    scatter0 = np.array([[0, 1], [1, 2], [2, 3], [3, 4]])
+    ops1 = rng.normal(size=(2, 3, 2))
+    X = rng.normal(size=(4, 6, 2))  # (direction 1, direction 0, components)
+    Y = tensor._apply_along(X, 0, ops0, gather=gather0, scatter=scatter0, n_out=5)
+    Y = tensor._apply_along(Y, 1, ops1)
+    assert Y.shape == (6, 5, 2)
+    L0 = _assembled(ops0, gather0, scatter0, 6, 5)
+    L1 = _assembled(ops1, np.arange(4).reshape(2, 2), np.arange(6).reshape(2, 3), 4, 6)
+    expect = tensor.reversed_kron([L0, L1]) @ X.reshape(-1, 2)
+    assert np.allclose(Y.reshape(-1, 2), expect, atol=1e-13)
