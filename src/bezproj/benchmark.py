@@ -94,7 +94,12 @@ def expression_target(expr):
 
     def f(pts):
         ns = dict(_EXPR_NAMESPACE, x=pts[:, 0])
-        return np.asarray(eval(code, {"__builtins__": {}}, ns), dtype=np.float64)
+        try:
+            return np.asarray(eval(code, {"__builtins__": {}}, ns), dtype=np.float64)
+        except (ArithmeticError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"target expression {expr!r} failed to evaluate: {type(exc).__name__}: {exc}"
+            ) from exc
 
     return TargetFunction(f)
 

@@ -173,7 +173,7 @@ def gramian_inverse_multi(degrees):
 
 
 def interval_transform(p, a, b):
-    """Change-of-interval matrix A for the degree-p Bernstein basis.
+    """Change-of-interval matrices A for the degree-p Bernstein basis.
 
     Let c be the coefficients of a polynomial on [-1, 1]. Then ``A @ c``
     gives the coefficients of the same polynomial expressed in the local
@@ -181,22 +181,35 @@ def interval_transform(p, a, b):
     to [-1, 1]. The window may extend outside the biunit interval, in
     which case the transform extrapolates the polynomial.
 
+    a and b may be arrays of window ends (broadcast together): the result
+    then stacks one matrix per window, shape ``a.shape + (p+1, p+1)``,
+    computed in one array pass. Scalar a and b give one matrix.
+
     Row 0 of A evaluates the basis at a, row p evaluates it at b, and
-    every row sums to one.
+    every row sums to one: A[j, k] = sum_i B^j_i(b) B^{p-j}_{k-i}(a).
     """
     _check_degree(p)
     _condition_guard(p)
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got window [{a}, {b}]")
-    A = np.zeros((p + 1, p + 1))
-    for j in range(p + 1):
-        for k in range(p + 1):
-            s = 0.0
-            for i in range(max(0, j + k - p), min(j, k) + 1):
-                s += _basis_value(j, i, b) * _basis_value(p - j, k - i, a)
-            A[j, k] = s
-    return A
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    bad = np.flatnonzero(~(a < b))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"need a < b, got window [{float(a.flat[i])}, {float(b.flat[i])}]")
+    e = np.arange(p + 1)
+
+    def terms(x, deg):
+        """terms(x, deg)[n, j, i] = B^{deg[j]}_i(x[n]), zero for i > deg[j]."""
+        lo = ((1.0 - x.ravel()) / 2.0)[:, None] ** e
+        hi = ((1.0 + x.ravel()) / 2.0)[:, None] ** e
+        binom = np.array([[comb(int(d), k) for k in range(p + 1)] for d in deg], dtype=np.float64)
+        return binom * lo[:, np.clip(deg[:, None] - e, 0, p)] * hi[:, None, :]
+
+    X = terms(b, e)  # B^j_i(b)
+    Y = terms(a, p - e)  # B^{p-j}_m(a)
+    A = np.zeros(X.shape)
+    for s in range(p + 1):
+        A[:, :, s:] += X[:, :, s, None] * Y[:, :, : p + 1 - s]
+    return A.reshape(a.shape + (p + 1, p + 1))
 
 
 def elevation_matrix(p, q):

@@ -14,6 +14,7 @@ strings like "3/8".
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import click
@@ -54,6 +55,17 @@ def main():
 
 def _fail(exc):
     raise click.ClickException(str(exc))
+
+
+def _echo(message, nl=True):
+    """click.echo to the current sys.stdout.
+
+    Without a file, click.echo caches a text wrapper per stdout object,
+    and for an in-memory stream that wrapper is the stream itself, which
+    the cache then keeps alive: every in-process call that captures
+    stdout (tests, embedding, benchmarks) would keep its whole output.
+    """
+    click.echo(message, file=sys.stdout, nl=nl)
 
 
 def _parse_values(text):
@@ -146,11 +158,11 @@ def cmd_op(name, in_path, out_path, knots, degree, weighting):
         write_spline_json(out_path, plan.target, out_net)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    click.echo(f"{name}: {space.n_elements} -> {plan.target.n_elements} elements")
-    click.echo(f"exact: {'yes' if plan.exact else 'no'}")
+    _echo(f"{name}: {space.n_elements} -> {plan.target.n_elements} elements")
+    _echo(f"exact: {'yes' if plan.exact else 'no'}")
     if not plan.exact:
-        click.echo(f"L2 change: {_l2_change(space, net, plan.target, out_net):.6e}")
-    click.echo(f"wrote {out_path}")
+        _echo(f"L2 change: {_l2_change(space, net, plan.target, out_net):.6e}")
+    _echo(f"wrote {out_path}")
 
 
 def _format_matrix(rows):
@@ -199,7 +211,10 @@ def cmd_extract(in_path, element):
                 for G, p, k in zip(raw["knot_vectors"], raw["degrees"], spans)
             ]
             C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
-            R = _fraction_inverse(C)
+            # C is a Kronecker product, so R is that of the factor inverses
+            R = reversed_kron(
+                [np.array(_fraction_inverse(F), dtype=object) for F in factors]
+            ).tolist()
         else:
             op = space.extraction_operator(element)
             factors = [F.tolist() for F in op.factors]
@@ -209,12 +224,12 @@ def cmd_extract(in_path, element):
         _fail(exc)
     if len(factors) > 1:
         for d, F in enumerate(factors):
-            click.echo(f"C factor, direction {d}:")
-            click.echo(_format_matrix(F))
-    click.echo("C:")
-    click.echo(_format_matrix(C))
-    click.echo("R:")
-    click.echo(_format_matrix(R))
+            _echo(f"C factor, direction {d}:")
+            _echo(_format_matrix(F))
+    _echo("C:")
+    _echo(_format_matrix(C))
+    _echo("R:")
+    _echo(_format_matrix(R))
 
 
 @main.command("convergence")
@@ -244,11 +259,11 @@ def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, o
         _fail(exc)
     text = benchmark.rows_to_csv(rows)
     if out_path is None:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-        click.echo(f"wrote {len(rows)} rows to {out_path}")
+        _echo(f"wrote {len(rows)} rows to {out_path}")
 
 
 @main.command("lift-normals")
@@ -267,8 +282,8 @@ def cmd_lift_normals(in_path, out_path, weighting):
         out_path, space, net, extra={"normal_vectors": vecs.points.tolist()}
     )
     mags = np.linalg.norm(vecs.points, axis=1)
-    click.echo(f"control vector magnitudes: {mags.min():.6f} .. {mags.max():.6f}")
-    click.echo(f"wrote {out_path}")
+    _echo(f"control vector magnitudes: {mags.min():.6f} .. {mags.max():.6f}")
+    _echo(f"wrote {out_path}")
 
 
 @main.group()
@@ -285,9 +300,9 @@ def cmd_check_as(in_path):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     bad = mesh.analysis_violations()
-    click.echo(f"analysis-suitable: {'yes' if not bad else 'no'}")
+    _echo(f"analysis-suitable: {'yes' if not bad else 'no'}")
     for ev, eh in bad:
-        click.echo(
+        _echo(
             f"  extension of junction {ev.junction} intersects "
             f"extension of junction {eh.junction}"
         )
@@ -305,7 +320,7 @@ def cmd_anchors(in_path):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     for k, a in enumerate(anchors):
-        click.echo(f"{k}: {a.kind} x={list(a.x_span)} y={list(a.y_span)}")
+        _echo(f"{k}: {a.kind} x={list(a.x_span)} y={list(a.y_span)}")
 
 
 @tmesh.command("local-kv")
@@ -322,10 +337,10 @@ def cmd_local_kv(in_path, anchor):
         g1, g2 = mesh.local_knot_vectors(anchors[anchor])
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    click.echo(f"indices 1: {list(idx1)}")
-    click.echo(f"indices 2: {list(idx2)}")
-    click.echo(f"knots 1: {g1.tolist()}")
-    click.echo(f"knots 2: {g2.tolist()}")
+    _echo(f"indices 1: {list(idx1)}")
+    _echo(f"indices 2: {list(idx2)}")
+    _echo(f"knots 1: {g1.tolist()}")
+    _echo(f"knots 2: {g2.tolist()}")
 
 
 @tmesh.command("extract")
@@ -342,12 +357,12 @@ def cmd_tmesh_extract(in_path, element):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     el = els[element]
-    click.echo(f"bounds: {el.bounds[0]} x {el.bounds[1]}")
-    click.echo(f"anchors: {list(el.anchors)}")
-    click.echo("C:")
-    click.echo(_format_matrix(np.round(C, 14).tolist()))
-    click.echo("R:")
-    click.echo(_format_matrix(np.round(R, 14).tolist()))
+    _echo(f"bounds: {el.bounds[0]} x {el.bounds[1]}")
+    _echo(f"anchors: {list(el.anchors)}")
+    _echo("C:")
+    _echo(_format_matrix(np.round(C, 14).tolist()))
+    _echo("R:")
+    _echo(_format_matrix(np.round(R, 14).tolist()))
 
 
 if __name__ == "__main__":

@@ -138,68 +138,70 @@ class OpPlan:
         return out
 
 
-def _to_local(iv, lo, hi):
-    """Window [lo, hi] in the biunit coordinates of interval iv."""
-    a, b = iv
+def _to_local(a, b, lo, hi):
+    """Windows [lo, hi] in the biunit coordinates of intervals [a, b]."""
     return (2.0 * lo - a - b) / (b - a), (2.0 * hi - a - b) / (b - a)
 
 
-def _dim_factor(src_iv, tgt_iv, p_src, p_tgt):
-    """Per-direction pair factor, or None if the intervals do not overlap."""
-    lo = max(src_iv[0], tgt_iv[0])
-    hi = min(src_iv[1], tgt_iv[1])
-    scale = max(tgt_iv[1] - tgt_iv[0], src_iv[1] - src_iv[0])
-    if hi - lo <= _TOL * scale:
-        return None
+def _span_factors(src, tgt, p_src, p_tgt):
+    """Span matrices of paired source and target spans, in one array pass.
 
-    if p_tgt > p_src:
-        D = elevation_matrix(p_src, p_tgt).T
-    elif p_tgt < p_src:
-        D = reduction_matrix(p_src, p_tgt).T
-    else:
-        D = None
+    src and tgt are (n, 2) arrays of span bounds. Returns (keep, F, phi):
+    the mask of the pairs whose spans overlap, and for those pairs the
+    (q+1, p+1) matrices F and the shares phi of the target span covered
+    by the overlap. An overlap within _TOL of a span counts as equal to
+    it, so a target span equal to its source span gets the identity.
+    """
+    lo = np.maximum(src[:, 0], tgt[:, 0])
+    hi = np.minimum(src[:, 1], tgt[:, 1])
+    scale = np.maximum(tgt[:, 1] - tgt[:, 0], src[:, 1] - src[:, 0])
+    keep = hi - lo > _TOL * scale
+    src, tgt, lo, hi, tol = src[keep], tgt[keep], lo[keep], hi[keep], _TOL * scale[keep]
     q = p_tgt
 
-    if abs(lo - src_iv[0]) <= _TOL * scale and abs(hi - src_iv[1]) <= _TOL * scale:
-        T = None
-    else:
-        T = interval_transform(q, *_to_local(src_iv, lo, hi))
+    def cut(iv):
+        """Pairs whose overlap is a proper part of span iv."""
+        return (np.abs(lo - iv[:, 0]) > tol) | (np.abs(hi - iv[:, 1]) > tol)
 
-    phi = (hi - lo) / (tgt_iv[1] - tgt_iv[0])
-    if abs(lo - tgt_iv[0]) <= _TOL * scale and abs(hi - tgt_iv[1]) <= _TOL * scale:
-        F = np.eye(q + 1)
-    else:
-        A = interval_transform(q, *_to_local(tgt_iv, lo, hi))
-        F = gramian_inverse(q) @ A.T @ gramian(q)
-    if T is not None:
-        F = F @ T
-    if D is not None:
-        F = F @ D
-    return phi * F, phi
+    F = np.tile(np.eye(q + 1), (lo.size, 1, 1))
+    t = cut(tgt)
+    if t.any():
+        A = interval_transform(q, *_to_local(tgt[t, 0], tgt[t, 1], lo[t], hi[t]))
+        F[t] = gramian_inverse(q) @ A.transpose(0, 2, 1) @ gramian(q)
+    s = cut(src)
+    if s.any():
+        F[s] = F[s] @ interval_transform(q, *_to_local(src[s, 0], src[s, 1], lo[s], hi[s]))
+    if p_tgt > p_src:
+        F = F @ elevation_matrix(p_src, p_tgt).T
+    elif p_tgt < p_src:
+        F = F @ reduction_matrix(p_src, p_tgt).T
+    phi = (hi - lo) / (tgt[:, 1] - tgt[:, 0])
+    return keep, phi[:, None, None] * F, phi
 
 
 def _dim_pairing(kv_src, kv_tgt, p_src, p_tgt):
     """Span pairing of one direction, with coverage validated. Each
-    target span visits only the source spans that overlap it."""
+    target span meets only the source spans that overlap it, and all
+    pairs are transformed in one array pass."""
     bs, bt = kv_src.breakpoints, kv_tgt.breakpoints
     first = np.searchsorted(bs[1:], bt[:-1], side="right")
-    stop = np.searchsorted(bs[:-1], bt[1:], side="left")
-    entries = []
-    for k in range(kv_tgt.n_elements):
-        t_iv = kv_tgt.element_bounds(k)
-        cover = 0.0
-        for j in range(first[k], stop[k]):
-            got = _dim_factor(kv_src.element_bounds(j), t_iv, p_src, p_tgt)
-            if got is not None:
-                entries.append((k, j, got[0]))
-                cover += got[1]
-        if abs(cover - 1.0) > 1e-10:
-            raise ValueError(
-                f"source elements cover {cover:.15g} of a target span; "
-                "the spaces do not tile the same domain"
-            )
-    targets, sources, mats = zip(*entries)
-    return SpanPairing(np.array(targets), np.array(sources), np.array(mats))
+    counts = np.maximum(np.searchsorted(bs[:-1], bt[1:], side="left") - first, 0)
+    tgt = np.repeat(np.arange(kv_tgt.n_elements), counts)
+    src = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    keep, F, phi = _span_factors(
+        np.stack([bs[src], bs[src + 1]], axis=1),
+        np.stack([bt[tgt], bt[tgt + 1]], axis=1),
+        p_src, p_tgt,
+    )
+    tgt, src = tgt[keep], src[keep]
+    cover = np.bincount(tgt, weights=phi, minlength=kv_tgt.n_elements)
+    bad = np.flatnonzero(np.abs(cover - 1.0) > 1e-10)
+    if bad.size:
+        raise ValueError(
+            f"source elements cover {cover[bad[0]]:.15g} of a target span; "
+            "the spaces do not tile the same domain"
+        )
+    return SpanPairing(tgt, src, F)
 
 
 def _build_plan(name, source, target, exact):
@@ -300,18 +302,19 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
     coeffs = np.asarray(coeffs, dtype=np.float64)
     el = space.element(element)
     Q = space.extraction_operator(element).C.T @ coeffs[el.support]
-    out = {}
-    for te in target_elements:
-        tel = target_space.element(te)
-        factors = []
-        for p, s_iv, t_iv in zip(space.degrees, el.bounds, tel.bounds):
-            if t_iv[0] < s_iv[0] - _TOL or t_iv[1] > s_iv[1] + _TOL:
-                raise ValueError("target element not contained in source element")
-            # the overlap is the target span: phi = 1 and F = T
-            factors.append(_dim_factor(s_iv, t_iv, p, p)[0])
-        Qt = reversed_kron(factors) @ Q
-        out[te] = target_space.reconstruction_operator(te).T @ Qt
-    return out
+    tels = [target_space.element(te) for te in target_elements]
+    factors = []
+    for d, (p, s_iv) in enumerate(zip(space.degrees, el.bounds)):
+        t = np.array([tel.bounds[d] for tel in tels]).reshape(-1, 2)
+        if np.any(t[:, 0] < s_iv[0] - _TOL) or np.any(t[:, 1] > s_iv[1] + _TOL):
+            raise ValueError("target element not contained in source element")
+        # the overlap is the target span: phi = 1 and F = T
+        factors.append(_span_factors(np.broadcast_to(s_iv, t.shape), t, p, p)[1])
+    return {
+        te: target_space.reconstruction_operator(te).T
+        @ (reversed_kron([F[i] for F in factors]) @ Q)
+        for i, te in enumerate(target_elements)
+    }
 
 
 def multi_to_one(space, elements, target_space, target_element, coeffs):
@@ -326,26 +329,23 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
         raise ValueError("source and target degrees must match")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     tel = target_space.element(target_element)
-    degrees = target_space.degrees
-    Qbar = None
-    cover = 0.0
-    for se in elements:
-        el = space.element(se)
-        Q = space.extraction_operator(se).C.T @ coeffs[el.support]
-        factors = []
-        phi = 1.0
-        for d, ((sa, sb), (ta, tb)) in enumerate(zip(el.bounds, tel.bounds)):
-            got = _dim_factor((sa, sb), (ta, tb), degrees[d], degrees[d])
-            if got is None:
-                raise ValueError("source element does not overlap the target element")
-            F, phi_d = got
-            factors.append(F)
-            phi *= phi_d
-        term = reversed_kron(factors) @ Q
-        Qbar = term if Qbar is None else Qbar + term
-        cover += phi
-    if abs(cover - 1.0) > 1e-10:
+    els = [space.element(se) for se in elements]
+    factors = []
+    phi = np.ones(len(els))
+    for d, (p, t_iv) in enumerate(zip(target_space.degrees, tel.bounds)):
+        s = np.array([el.bounds[d] for el in els]).reshape(-1, 2)
+        keep, F, phi_d = _span_factors(s, np.broadcast_to(t_iv, s.shape), p, p)
+        if not keep.all():
+            raise ValueError("source element does not overlap the target element")
+        factors.append(F)
+        phi = phi * phi_d
+    if abs(phi.sum() - 1.0) > 1e-10:
         raise ValueError("source elements do not tile the target element")
+    Qbar = sum(
+        reversed_kron([F[i] for F in factors])
+        @ (space.extraction_operator(el.index).C.T @ coeffs[el.support])
+        for i, el in enumerate(els)
+    )
     return target_space.reconstruction_operator(target_element).T @ Qbar
 
 

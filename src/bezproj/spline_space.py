@@ -222,14 +222,14 @@ class KnotVector:
         return np.array(self.knots[A : A + self.degree + 2])
 
     def with_inserted(self, values):
-        """New knot vector with the given values inserted (no matrix)."""
-        U = self.knots
+        """New knot vector with the given values inserted (no matrix),
+        all in one sorted merge."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        a, b = self.domain
         for t in values:
-            a, b = self.domain
             if not a < t < b:
                 raise ValueError(f"insertion point {t} not strictly inside ({a}, {b})")
-            U = np.insert(U, np.searchsorted(U, t, side="right"), t)
-        return KnotVector(U, self.degree)
+        return KnotVector(np.sort(np.concatenate([self.knots, values])), self.degree)
 
     def with_removed(self, values):
         """New knot vector with one copy of each listed value removed."""
@@ -680,10 +680,16 @@ def evaluate_derivative(space, net, points):
     # hodograph: degree p-1 on the interior knots
     denom = U[p + 1 : p + n] - U[1:n]
     Q = p * (H[1:] - H[:-1]) / denom[:, None]
-    dkv = KnotVector(U[1:-1], p - 1)
 
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    dH = evaluate(SplineSpace([dkv]), ControlNet(Q), pts)
+    if p > 1:
+        dH = evaluate(SplineSpace([KnotVector(U[1:-1], p - 1)]), ControlNet(Q), pts)
+    else:
+        # a polyline's hodograph is piecewise constant: Q[e] is the slope
+        # of element e (right-continuous at breakpoints, like evaluate)
+        evaluate(space, net, pts)  # validates the points
+        s = np.searchsorted(kv.breakpoints, pts[:, 0], side="right") - 1
+        dH = Q[np.clip(s, 0, kv.n_elements - 1)]
     if not net.is_rational:
         return dH
     val_h = evaluate(SplineSpace([kv]), ControlNet(H), pts)

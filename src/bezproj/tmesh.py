@@ -137,6 +137,7 @@ class TMesh:
         self._anchor_knots = {}
         self._extensions = None
         self._bezier = None
+        self._operators = None
 
     # -- structure ---------------------------------------------------------
 
@@ -170,6 +171,8 @@ class TMesh:
                     )
         self._vwall = vwall
         self._hwall = hwall
+        self._v_merged = _merged_by_coordinate(self.v_edges)
+        self._h_merged = _merged_by_coordinate(self.h_edges)
 
         if not (vwall[1, 1:N2].all() and vwall[N1, 1:N2].all()):
             raise ValueError("index-domain boundary is not fully covered by edges")
@@ -195,24 +198,11 @@ class TMesh:
 
     def _v_entities_at(self, x):
         """Merged vertical-edge intervals at index x."""
-        ivs = sorted((y1, y2) for xx, y1, y2 in self.v_edges if xx == x)
-        merged = []
-        for y1, y2 in ivs:
-            if merged and y1 <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], y2))
-            else:
-                merged.append((y1, y2))
-        return merged
+        return self._v_merged.get(x, [])
 
     def _h_entities_at(self, y):
-        ivs = sorted((x1, x2) for yy, x1, x2 in self.h_edges if yy == y)
-        merged = []
-        for x1, x2 in ivs:
-            if merged and x1 <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], x2))
-            else:
-                merged.append((x1, x2))
-        return merged
+        """Merged horizontal-edge intervals at index y."""
+        return self._h_merged.get(y, [])
 
     # -- anchors -----------------------------------------------------------
 
@@ -496,28 +486,63 @@ class TMesh:
         Row k of C holds the Bernstein coefficients of the k-th
         overlapping anchor's function on the element; anchors follow the
         mesh-wide ordering. For an analysis-suitable mesh C is square
-        and R = C^{-1}.
+        and R = C^{-1}. The operators of all elements are computed on
+        the first call and cached, read-only.
         """
         els = self.bezier_elements()
         if not 0 <= e < len(els):
             raise IndexError(f"element {e} outside 0..{len(els) - 1}")
-        el = els[e]
-        p1, p2 = self.degrees
-        (a1, b1), (a2, b2) = el.bounds
+        if self._operators is None:
+            self._operators = self._element_operators()
+        C, R, errors = self._operators
+        if e in errors:
+            raise ValueError(errors[e])
+        return C[e], R[e]
+
+    def _element_operators(self):
+        """Stacked C and R of every Bezier element, and the message of
+        the error each malformed element raises.
+
+        Per direction, each distinct (local knot vector, element
+        interval) row is computed once, and all of them are restricted
+        to their intervals with one batched window transform. A row of
+        C is the Kronecker product of the anchor's two rows.
+        """
+        els = self.bezier_elements()
         anchors = self.anchors()
-        rows = []
-        for k in el.anchors:
-            g1, g2 = self.local_knot_vectors(anchors[k])
-            r1 = _local_function_bernstein_row(g1, p1, a1, b1)
-            r2 = _local_function_bernstein_row(g2, p2, a2, b2)
-            rows.append(np.kron(r2, r1))
-        C = np.vstack(rows) if rows else np.zeros((0, (p1 + 1) * (p2 + 1)))
-        if C.shape[0] != (p1 + 1) * (p2 + 1):
-            raise ValueError(
-                f"element {e} supports {C.shape[0]} functions, expected "
-                f"{(p1 + 1) * (p2 + 1)}; mesh is malformed"
+        n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
+        pairs = [(el, k) for el in els for k in el.anchors]
+        knots = [self.local_knot_vectors(a) for a in anchors]
+        (rows1, at1, bad1), (rows2, at2, bad2) = (
+            _bernstein_rows(p, [(tuple(knots[k][d]), el.bounds[d]) for el, k in pairs])
+            for d, p in enumerate(self.degrees)
+        )
+        errors, good, sel, start = {}, [], [], 0
+        for el in els:
+            stop = start + len(el.anchors)
+            msg = next(
+                (bad[i] for i in range(start, stop) for bad in (bad1, bad2) if i in bad), None
             )
-        return C, np.linalg.inv(C)
+            if msg is None and stop - start != n:
+                msg = (
+                    f"element {el.index} supports {stop - start} functions, "
+                    f"expected {n}; mesh is malformed"
+                )
+            if msg is None:
+                good.append(el.index)
+                sel.extend(range(start, stop))
+            else:
+                errors[el.index] = msg
+            start = stop
+        C = np.zeros((len(els), n, n))
+        R = np.zeros((len(els), n, n))
+        if good:
+            r1, r2 = rows1[at1[sel]], rows2[at2[sel]]
+            C[good] = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
+            R[good] = np.linalg.inv(C[good])
+        C.flags.writeable = False
+        R.flags.writeable = False
+        return C, R, errors
 
     def is_nested(self, other):
         """True if every function of this mesh lives in `other`'s space.
@@ -554,6 +579,18 @@ class TMesh:
             for i in range(1, N1):
                 edges.append((i, j, i + 1, j))
         return cls(degrees, knot_vectors, vertices, edges)
+
+
+def _merged_by_coordinate(edges):
+    """{coordinate: merged (lo, hi) intervals} of (coordinate, lo, hi) edges."""
+    out = {}
+    for c, lo, hi in sorted(edges):
+        ivs = out.setdefault(c, [])
+        if ivs and lo <= ivs[-1][1]:
+            ivs[-1] = (ivs[-1][0], max(ivs[-1][1], hi))
+        else:
+            ivs.append((lo, hi))
+    return out
 
 
 def _rectangles(vwall, hwall, message):
@@ -600,40 +637,67 @@ def _rectangles(vwall, hwall, message):
     return rects
 
 
-def _local_function_bernstein_row(g, p, a, b):
-    """Bernstein coefficients on [a, b] of the local-knot-vector function.
+def _padded(g, p):
+    """Open knot vector in which the local function of the p+2 knots g
+    is the basis function of index pad_lo; returns (knot vector, pad_lo).
 
-    g has p+2 entries; the function is the single B-spline they define.
-    [a, b] must lie inside one polynomial piece of it. Implemented by
-    embedding g in a padded open knot vector (the function is its basis
-    function of index pad_lo), taking that function's row of the
-    extraction operator on the span containing [a, b], and restricting
-    the row from the span to [a, b].
+    Each end is padded up to multiplicity p+1.
     """
     g = np.asarray(g, dtype=np.float64)
     span = g[-1] - g[0]
     if span <= 0:
         raise ValueError("local knot vector has empty support")
-    # pad each end up to multiplicity p+1; the local function is then the
-    # basis function whose p+2 defining knots are exactly g
     m_lo = int(np.sum(np.abs(g - g[0]) <= 1e-12 * span))
     m_hi = int(np.sum(np.abs(g - g[-1]) <= 1e-12 * span))
     pad_lo = max(p + 1 - m_lo, 0)
     pad_hi = max(p + 1 - m_hi, 0)
     pad = np.concatenate([[g[0]] * pad_lo, g, [g[-1]] * pad_hi])
-    kv = KnotVector(pad, p)
-    e = kv.element_index(0.5 * (a + b))
-    ea, eb = kv.element_bounds(e)
-    tol = 1e-10 * (kv.domain[1] - kv.domain[0])
-    if a < ea - tol or b > eb + tol:
-        raise ValueError(
-            "the requested interval is not a polynomial piece of the local function"
-        )
-    row = kv.extraction()[e][pad_lo - kv.element_support(e)[0]]
-    # window [a, b] in the biunit coordinate of the span [ea, eb]
-    wa = (2 * a - ea - eb) / (eb - ea)
-    wb = (2 * b - ea - eb) / (eb - ea)
-    return interval_transform(p, wa, wb) @ row
+    return KnotVector(pad, p), pad_lo
+
+
+def _bernstein_rows(p, keys):
+    """Bernstein coefficients of local-knot-vector functions on intervals.
+
+    keys lists (g, (a, b)) pairs: g a tuple of p+2 local knots, [a, b]
+    an interval that must lie inside one polynomial piece of g's
+    function. Each distinct g gets one padded knot vector and each
+    distinct key one row: the function's row of that knot vector's
+    extraction operator on the span containing [a, b], restricted from
+    the span to [a, b]. All rows are restricted by one batched window
+    transform. Returns the (m, p+1) rows, the row index of each key (-1
+    where the key fails) and {key position: message of the ValueError
+    it raises}.
+    """
+    padded, at, failed, found = {}, {}, {}, []
+    for key in dict.fromkeys(keys):
+        g, (a, b) = key
+        try:
+            if g not in padded:
+                padded[g] = _padded(g, p)
+            kv, pad_lo = padded[g]
+            e = kv.element_index(0.5 * (a + b))
+            ea, eb = kv.element_bounds(e)
+            tol = 1e-10 * (kv.domain[1] - kv.domain[0])
+            if a < ea - tol or b > eb + tol:
+                raise ValueError(
+                    "the requested interval is not a polynomial piece of the local function"
+                )
+        except ValueError as exc:
+            failed[key] = str(exc)
+            continue
+        at[key] = len(found)
+        # window [a, b] in the biunit coordinate of the span [ea, eb]
+        found.append((
+            kv.extraction()[e][pad_lo - kv.supports()[e][0]],
+            (2 * a - ea - eb) / (eb - ea),
+            (2 * b - ea - eb) / (eb - ea),
+        ))
+    rows = np.zeros((0, p + 1))
+    if found:
+        row, wa, wb = (np.array(x) for x in zip(*found))
+        rows = np.einsum("nij,nj->ni", interval_transform(p, wa, wb), row)
+    pos = np.array([at.get(key, -1) for key in keys], dtype=np.int64)
+    return rows, pos, {i: failed[key] for i, key in enumerate(keys) if key in failed}
 
 
 def read_tmesh_json(source):

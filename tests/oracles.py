@@ -1,9 +1,14 @@
 """Independent reference implementations used by the test suite.
 
-Everything here is built from scipy and brute-force Gauss quadrature so
-that agreement with the package is meaningful: no code below calls into
-bezproj except for trivially safe containers.
+Everything above the "slow references" heading is built from scipy and
+brute-force Gauss quadrature so that agreement with the package is
+meaningful: none of it calls into bezproj except for trivially safe
+containers. The slow references below it keep the scalar, one-window-
+at-a-time paths that the package replaced with batched ones; the
+batched paths must agree with them.
 """
+
+from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -157,3 +162,125 @@ def random_open_kv(rng, p, n_breaks=None, max_mult=None, lo=0.0, hi=1.0):
         knots.extend([float(t)] * int(rng.integers(1, max_mult + 1)))
     knots.extend([hi] * (p + 1))
     return knots
+
+
+# ---------------------------------------------------------------------------
+# slow references: scalar window transforms, span pairs and T-mesh rows
+
+
+def interval_transform_ref(p, a, b):
+    """Window transform of the degree-p Bernstein basis, one window, as a
+    scalar triple loop: A[j, k] = sum_i B^j_i(b) B^{p-j}_{k-i}(a)."""
+
+    def basis(q, i, x):
+        return comb(q, i) * ((1.0 - x) / 2.0) ** (q - i) * ((1.0 + x) / 2.0) ** i
+
+    a, b = float(a), float(b)
+    A = np.zeros((p + 1, p + 1))
+    for j in range(p + 1):
+        for k in range(p + 1):
+            s = 0.0
+            for i in range(max(0, j + k - p), min(j, k) + 1):
+                s += basis(j, i, b) * basis(p - j, k - i, a)
+            A[j, k] = s
+    return A
+
+
+def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt, tol=1e-12):
+    """One span pair's matrix F and share phi, or None without overlap
+    (the per-pair kernel described in bezproj.spline_ops)."""
+    from bezproj.bernstein import elevation_matrix, gramian, gramian_inverse, reduction_matrix
+
+    def to_local(iv, lo, hi):
+        a, b = iv
+        return (2.0 * lo - a - b) / (b - a), (2.0 * hi - a - b) / (b - a)
+
+    lo = max(src_iv[0], tgt_iv[0])
+    hi = min(src_iv[1], tgt_iv[1])
+    scale = max(tgt_iv[1] - tgt_iv[0], src_iv[1] - src_iv[0])
+    if hi - lo <= tol * scale:
+        return None
+    if p_tgt > p_src:
+        D = elevation_matrix(p_src, p_tgt).T
+    elif p_tgt < p_src:
+        D = reduction_matrix(p_src, p_tgt).T
+    else:
+        D = None
+    q = p_tgt
+    if abs(lo - src_iv[0]) <= tol * scale and abs(hi - src_iv[1]) <= tol * scale:
+        T = None
+    else:
+        T = interval_transform_ref(q, *to_local(src_iv, lo, hi))
+    phi = (hi - lo) / (tgt_iv[1] - tgt_iv[0])
+    if abs(lo - tgt_iv[0]) <= tol * scale and abs(hi - tgt_iv[1]) <= tol * scale:
+        F = np.eye(q + 1)
+    else:
+        A = interval_transform_ref(q, *to_local(tgt_iv, lo, hi))
+        F = gramian_inverse(q) @ A.T @ gramian(q)
+    if T is not None:
+        F = F @ T
+    if D is not None:
+        F = F @ D
+    return phi * F, phi
+
+
+def dim_pairing_ref(kv_src, kv_tgt):
+    """(targets, sources, matrices) of one direction: every source span
+    against every target span, sorted by target then source."""
+    targets, sources, mats = [], [], []
+    for k in range(kv_tgt.n_elements):
+        for j in range(kv_src.n_elements):
+            got = dim_factor_ref(
+                kv_src.element_bounds(j), kv_tgt.element_bounds(k), kv_src.degree, kv_tgt.degree
+            )
+            if got is not None:
+                targets.append(k)
+                sources.append(j)
+                mats.append(got[0])
+    return np.array(targets), np.array(sources), np.array(mats)
+
+
+def local_function_bernstein_row_ref(g, p, a, b):
+    """Bernstein coefficients on [a, b] of the local-knot-vector function.
+
+    g has p+2 entries. The function is embedded in a padded open knot
+    vector (it is that vector's basis function of index pad_lo), its row
+    of the extraction operator on the span containing [a, b] is taken,
+    and the row is restricted from the span to [a, b].
+    """
+    from bezproj.spline_space import KnotVector
+
+    g = np.asarray(g, dtype=np.float64)
+    span = g[-1] - g[0]
+    if span <= 0:
+        raise ValueError("local knot vector has empty support")
+    m_lo = int(np.sum(np.abs(g - g[0]) <= 1e-12 * span))
+    m_hi = int(np.sum(np.abs(g - g[-1]) <= 1e-12 * span))
+    pad_lo = max(p + 1 - m_lo, 0)
+    pad_hi = max(p + 1 - m_hi, 0)
+    kv = KnotVector(np.concatenate([[g[0]] * pad_lo, g, [g[-1]] * pad_hi]), p)
+    e = kv.element_index(0.5 * (a + b))
+    ea, eb = kv.element_bounds(e)
+    tol = 1e-10 * (kv.domain[1] - kv.domain[0])
+    if a < ea - tol or b > eb + tol:
+        raise ValueError("the requested interval is not a polynomial piece of the local function")
+    row = kv.extraction()[e][pad_lo - kv.element_support(e)[0]]
+    wa = (2 * a - ea - eb) / (eb - ea)
+    wb = (2 * b - ea - eb) / (eb - ea)
+    return interval_transform_ref(p, wa, wb) @ row
+
+
+def tmesh_extraction_ref(mesh, e):
+    """(C, R) of T-mesh element e, one anchor and direction at a time."""
+    el = mesh.bezier_elements()[e]
+    p1, p2 = mesh.degrees
+    (a1, b1), (a2, b2) = el.bounds
+    anchors = mesh.anchors()
+    rows = []
+    for k in el.anchors:
+        g1, g2 = mesh.local_knot_vectors(anchors[k])
+        r1 = local_function_bernstein_row_ref(g1, p1, a1, b1)
+        r2 = local_function_bernstein_row_ref(g2, p2, a2, b2)
+        rows.append(np.kron(r2, r1))
+    C = np.vstack(rows)
+    return C, np.linalg.inv(C)

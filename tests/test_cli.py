@@ -1,5 +1,9 @@
+import gc
+import io
 import json
 import os
+import weakref
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -237,6 +241,22 @@ def test_extract_decimal_fallback(runner, tmp_path):
     assert "/" not in result.output.split("C:")[1]
 
 
+def test_in_process_extract_frees_captured_output(tmp_path):
+    src = tmp_path / "curve.json"
+    _quadratic_curve(src)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main.main(
+            args=["extract", "--in", str(src), "--element", "0"],
+            prog_name="bezproj", standalone_mode=False,
+        )
+    assert "R:" in buf.getvalue()
+    captured = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert captured() is None
+
+
 def test_extract_element_out_of_range(runner, tmp_path):
     src = tmp_path / "curve.json"
     _quadratic_curve(src)
@@ -326,6 +346,16 @@ def test_convergence_rejects_unsafe_expression(runner):
     )
     assert result.exit_code == 1
     assert "target expression" in result.output
+
+
+def test_convergence_reports_expression_evaluation_errors(runner):
+    result = runner.invoke(
+        main, ["convergence", "--target", "x(1)", "--levels", "2", "--projector", "bezier"]
+    )
+    assert result.exit_code == 1
+    assert "Error: target expression 'x(1)' failed to evaluate: TypeError" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_convergence_out_file(runner, tmp_path):

@@ -96,6 +96,22 @@ def test_with_inserted_and_removed_roundtrip():
     assert back == kv
 
 
+def test_with_inserted_merges_like_sequential_insertion(rng):
+    kv = KnotVector([0, 0, 0, 0.3, 0.6, 1, 1, 1], 2)
+    values = np.r_[rng.uniform(0.05, 0.95, 6), 0.3, 0.45, 0.45]
+    rng.shuffle(values)
+    U = kv.knots
+    for t in values:
+        U = np.insert(U, np.searchsorted(U, t, side="right"), t)
+    merged = kv.with_inserted(values)
+    assert np.array_equal(merged.knots, U)
+    assert merged == KnotVector(U, 2)
+    assert kv.with_inserted([]) == kv
+    for bad in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match=f"insertion point {bad} not strictly inside"):
+            kv.with_inserted([0.5, bad, 0.7])
+
+
 def test_structural_variants():
     kv = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
     up = kv.elevated()
@@ -326,6 +342,31 @@ def test_evaluate_derivative_exact_for_line():
     d = evaluate_derivative(sp, net, ts)
     # direction stays proportional to (1, 2)
     assert np.allclose(d[:, 1] / d[:, 0], 2.0, atol=1e-12)
+
+
+def test_evaluate_derivative_of_polyline_is_its_slopes():
+    kv = KnotVector([0, 0, 0.25, 1, 1], 1)
+    sp = SplineSpace([kv])
+    pts = np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 0.5]])
+    ts = np.array([0.0, 0.1, 0.25, 0.6, 1.0])[:, None]
+    d = evaluate_derivative(sp, ControlNet(pts), ts)
+    slopes = np.diff(pts, axis=0) / np.diff(kv.breakpoints)[:, None]
+    # right-continuous at the breakpoint, like evaluate
+    assert np.array_equal(d, slopes[[0, 0, 1, 1, 1]])
+    with pytest.raises(ValueError, match="outside the parametric domain"):
+        evaluate_derivative(sp, ControlNet(pts), [[1.5]])
+
+
+def test_lift_normals_of_polyline():
+    from bezproj.projection import lift_normals
+
+    sp = SplineSpace([KnotVector([0, 0, 0.25, 1, 1], 1)])
+    straight = ControlNet(np.array([[0.0, 0.0], [1.0, 2.0], [4.0, 8.0]]))
+    unit = np.array([-2.0, 1.0]) / np.sqrt(5.0)
+    assert np.allclose(lift_normals(sp, straight).points, unit, rtol=0, atol=1e-14)
+    bent = ControlNet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+    lifted = lift_normals(sp, bent).points
+    assert lifted.shape == (3, 2) and np.all(np.isfinite(lifted))
 
 
 # ---------------------------------------------------------------- ControlNet
