@@ -14,7 +14,6 @@ from .bernstein import (
     gramian,
     gramian_inverse,
     gramian_inverse_multi,
-    gramian_multi,
     interval_transform,
     reduction_matrix,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "eval_basis_multi",
     "gramian",
     "gramian_inverse",
-    "gramian_multi",
     "gramian_inverse_multi",
     "interval_transform",
     "elevation_matrix",

@@ -26,7 +26,6 @@ __all__ = [
     "bernstein_integral",
     "gramian",
     "gramian_inverse",
-    "gramian_multi",
     "gramian_inverse_multi",
     "interval_transform",
     "elevation_matrix",
@@ -160,11 +159,6 @@ def gramian_inverse(p):
             Gi[j, k] = val
             Gi[k, j] = val
     return Gi
-
-
-def gramian_multi(degrees):
-    """Tensor-product Gramian, reversed Kronecker product of the factors."""
-    return reversed_kron([gramian(p) for p in degrees])
 
 
 def gramian_inverse_multi(degrees):

@@ -16,6 +16,7 @@ strings like "3/8".
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import click
 import numpy as np
@@ -23,10 +24,10 @@ import numpy as np
 from . import benchmark, spline_ops
 from .projection import TargetFunction, l2_error, lift_normals
 from .spline_space import (
+    _bezier_extraction,
     evaluate,
     parse_number,
     read_spline_json,
-    univariate_extraction_exact,
     write_spline_json,
 )
 from .tensor import reversed_kron
@@ -207,7 +208,7 @@ def cmd_extract(in_path, element):
         spans = space.unravel_element(element)
         if exact:
             factors = [
-                univariate_extraction_exact([Fraction(u) for u in G], int(p))[k]
+                next(islice(_bezier_extraction([Fraction(u) for u in G], int(p)), k, None))
                 for G, p, k in zip(raw["knot_vectors"], raw["degrees"], spans)
             ]
             C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()

@@ -42,7 +42,7 @@ from .bernstein import (
     reduction_matrix,
 )
 from .projection import _direction_weights
-from .spline_space import ControlNet, SplineSpace
+from .spline_space import ControlNet, KnotVector, SplineSpace
 from .tensor import _apply_along, reversed_kron
 
 __all__ = [
@@ -351,13 +351,18 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
 
 # ---------------------------------------------------------------------------
 # plan builders
+#
+# A knot vector is its breakpoints, their multiplicities and its degree.
+# Every builder edits those three per direction; the target knot vector
+# is np.repeat(breakpoints, multiplicities), so multiplicity 0 drops one.
 
 
-def _per_dim_arg(space, arg, what):
-    """Normalize a per-direction argument given as dict, list, or None."""
+def _per_dim_arg(space, arg, what, scalars=False):
+    """Normalize a per-direction argument given as dict, list, or None.
+    Entries are value lists, or with scalars numbers (one for all)."""
     d = space.parametric_dim
-    if arg is None:
-        return [None] * d
+    if arg is None or (scalars and np.isscalar(arg)):
+        return [arg] * d
     if isinstance(arg, dict):
         out = [None] * d
         for k, v in arg.items():
@@ -366,11 +371,49 @@ def _per_dim_arg(space, arg, what):
             out[int(k)] = v
         return out
     arg = list(arg)
-    if d == 1 and arg and np.isscalar(arg[0]):
+    if not scalars and d == 1 and arg and np.isscalar(arg[0]):
         return [arg]
     if len(arg) != d:
         raise ValueError(f"{what}: expected one entry per direction")
     return arg
+
+
+def _breakpoint_index(kv, values):
+    """Index of the breakpoint of kv within _TOL of the domain span of
+    each value (the lower one if two are), or -1."""
+    bp, t = kv.breakpoints, np.asarray(values, dtype=np.float64).ravel()
+    i = np.clip(np.searchsorted(bp, t), 1, bp.size - 1)
+    near = np.abs(bp[[i - 1, i]] - t) <= _TOL * (bp[-1] - bp[0])
+    return np.where(near[0], i - 1, np.where(near[1], i, -1))
+
+
+def _repeat_rank(idx):
+    """How many earlier entries of idx equal each entry."""
+    order = np.argsort(idx, kind="stable")
+    rank = np.empty_like(idx)
+    rank[order] = np.arange(idx.size) - np.searchsorted(idx[order], idx[order])
+    return rank
+
+
+def _reject(values, reason, *messages):
+    """Raise messages[r - 1] for the first value whose reason r is not 0."""
+    bad = np.flatnonzero(reason)
+    if bad.size:
+        raise ValueError(messages[int(reason[bad[0]]) - 1].format(list(values)[bad[0]]))
+
+
+def _edit_plan(name, space, args, edit, exact):
+    """Plan to the space whose direction d has the (breakpoints,
+    multiplicities, degree) that edit(knot_vector, args[d]) returns. A
+    direction left as it was keeps its knot vector, extraction cached."""
+    kvs = []
+    for kv, arg in zip(space.knot_vectors, args):
+        bp, mult, p = edit(kv, arg)
+        order = np.argsort(bp, kind="stable")
+        knots = np.repeat(bp[order], mult[order])
+        same = p == kv.degree and np.array_equal(knots, kv.knots)
+        kvs.append(kv if same else KnotVector(knots, p))
+    return _build_plan(name, space, SplineSpace(kvs), exact)
 
 
 def plan_h_refine(space, splits=None):
@@ -379,40 +422,49 @@ def plan_h_refine(space, splits=None):
     splits maps direction -> new breakpoint values (strictly inside
     existing spans). None bisects every span in every direction.
     """
-    splits = _per_dim_arg(space, splits, "splits")
-    kvs = []
-    for kv, pts in zip(space.knot_vectors, splits):
-        if pts is None:
-            bp = kv.breakpoints
-            pts = (bp[:-1] + bp[1:]) / 2.0
-        pts = np.asarray(pts, dtype=np.float64).ravel()
-        for t in pts:
-            if np.any(np.abs(kv.breakpoints - t) <= _TOL * (kv.domain[1] - kv.domain[0])):
-                raise ValueError(f"split point {t} is already a breakpoint")
-        kvs.append(kv.with_inserted(pts) if pts.size else kv)
-    return _build_plan("h-refine", space, SplineSpace(kvs), exact=True)
+
+    def edit(kv, pts):
+        bp, (a, b) = kv.breakpoints, kv.domain
+        pts = np.asarray((bp[:-1] + bp[1:]) / 2.0 if pts is None else pts, dtype=np.float64).ravel()
+        inside = (a < pts) & (pts < b)
+        hit = inside & (_breakpoint_index(kv, pts) >= 0)
+        _reject(pts, hit, "split point {} is already a breakpoint")
+        _reject(pts, ~inside, f"insertion point {{}} not strictly inside ({a}, {b})")
+        return np.r_[bp, pts], np.r_[kv.multiplicities, np.ones(pts.size, int)], kv.degree
+
+    return _edit_plan("h-refine", space, _per_dim_arg(space, splits, "splits"), edit, exact=True)
 
 
 def plan_h_coarsen(space, remove):
     """Remove interior breakpoints (all copies); inexact."""
-    remove = _per_dim_arg(space, remove, "remove")
-    kvs = []
-    for kv, vals in zip(space.knot_vectors, remove):
-        if vals is None:
-            kvs.append(kv)
-            continue
-        out = kv
-        for t in vals:
-            idx = np.nonzero(
-                np.abs(out.breakpoints - t)
-                <= _TOL * (out.domain[1] - out.domain[0])
-            )[0]
-            if idx.size == 0:
-                raise ValueError(f"{t} is not a breakpoint")
-            mult = int(out.multiplicities[idx[0]])
-            out = out.with_removed([t] * mult)
-        kvs.append(out)
-    return _build_plan("h-coarsen", space, SplineSpace(kvs), exact=False)
+
+    def edit(kv, vals):
+        mult = kv.multiplicities.copy()
+        if vals is not None:
+            i = _breakpoint_index(kv, vals)
+            missing = (i < 0) | (_repeat_rank(i) > 0)
+            end = (i == 0) | (i == kv.n_elements)
+            _reject(vals, np.select([missing, end], [1, 2]),
+                    "{} is not a breakpoint", "no removable interior knot at {}")
+            mult[i] = 0
+        return kv.breakpoints, mult, kv.degree
+
+    return _edit_plan("h-coarsen", space, _per_dim_arg(space, remove, "remove"), edit, exact=False)
+
+
+def _degree_plan(name, space, steps, what, sign, exact):
+    """Change the degree and every multiplicity by sign * steps."""
+    steps = [0 if s is None else int(s) for s in _per_dim_arg(space, steps, what, scalars=True)]
+    if min(steps) < 0:
+        kind = "elevation increments" if sign > 0 else "reduction decrements"
+        raise ValueError(f"{kind} must be >= 0")
+
+    def edit(kv, s):
+        if kv.degree + sign * s < 1:
+            raise ValueError(f"cannot reduce degree {kv.degree} by {s}")
+        return kv.breakpoints, np.maximum(kv.multiplicities + sign * s, 0), kv.degree + sign * s
+
+    return _edit_plan(name, space, steps, edit, exact)
 
 
 def plan_p_elevate(space, inc=1):
@@ -420,106 +472,101 @@ def plan_p_elevate(space, inc=1):
 
     A per-dimension increment of 0 leaves that direction unchanged.
     """
-    incs = inc if not np.isscalar(inc) else [inc] * space.parametric_dim
-    if any(int(i) < 0 for i in incs):
-        raise ValueError("elevation increments must be >= 0")
-    kvs = [
-        kv.elevated(int(i)) if int(i) > 0 else kv
-        for kv, i in zip(space.knot_vectors, incs)
-    ]
-    return _build_plan("p-elevate", space, SplineSpace(kvs), exact=True)
+    return _degree_plan("p-elevate", space, inc, "inc", 1, exact=True)
 
 
 def plan_p_reduce(space, dec=1):
     """Lower degree and every knot multiplicity together; inexact.
 
-    A per-dimension decrement of 0 leaves that direction unchanged.
+    Breakpoints whose multiplicity drops to zero disappear; the
+    continuity class at every surviving breakpoint is preserved. A
+    per-dimension decrement of 0 leaves that direction unchanged.
     """
-    decs = dec if not np.isscalar(dec) else [dec] * space.parametric_dim
-    if any(int(d) < 0 for d in decs):
-        raise ValueError("reduction decrements must be >= 0")
-    kvs = [
-        kv.reduced(int(d)) if int(d) > 0 else kv
-        for kv, d in zip(space.knot_vectors, decs)
-    ]
-    return _build_plan("p-reduce", space, SplineSpace(kvs), exact=False)
+    return _degree_plan("p-reduce", space, dec, "dec", -1, exact=False)
 
 
 def plan_k_roughen(space, values=None, inc=1):
-    """Raise interior knot multiplicities, lowering continuity; exact."""
-    values = _per_dim_arg(space, values, "values")
-    kvs = []
-    for kv, vals in zip(space.knot_vectors, values):
-        if vals is None:
-            vals = kv.breakpoints[1:-1]
-        if len(vals) == 0:
-            kvs.append(kv)
-            continue
-        kvs.append(kv.roughened(vals, inc))
-    return _build_plan("k-roughen", space, SplineSpace(kvs), exact=True)
+    """Raise interior knot multiplicities, lowering continuity; exact.
+
+    A value listed twice is raised twice.
+    """
+    if inc < 0:
+        raise ValueError("roughening increment must be >= 0")
+
+    def edit(kv, vals):
+        i = np.arange(1, kv.n_elements) if vals is None else _breakpoint_index(kv, vals)
+        _reject(vals, (i <= 0) | (i == kv.n_elements), "{} is not an interior breakpoint")
+        mult = kv.multiplicities.copy()
+        np.add.at(mult, i, inc)
+        return kv.breakpoints, mult, kv.degree
+
+    return _edit_plan("k-roughen", space, _per_dim_arg(space, values, "values"), edit, exact=True)
 
 
 def plan_k_smooth(space, values=None, dec=1):
-    """Lower interior knot multiplicities, raising continuity; inexact."""
-    values = _per_dim_arg(space, values, "values")
-    kvs = []
-    changed = False
-    for kv, vals in zip(space.knot_vectors, values):
-        if vals is None:
-            vals = kv.breakpoints[1:-1][kv.multiplicities[1:-1] > dec]
-        if len(vals) == 0:
-            kvs.append(kv)
-            continue
-        kvs.append(kv.smoothed(vals, dec))
-        changed = True
-    if not changed:
+    """Lower interior knot multiplicities, raising continuity; inexact.
+
+    A value listed twice is lowered twice; None lowers every interior
+    knot whose multiplicity exceeds dec.
+    """
+    if dec < 0:
+        raise ValueError("smoothing decrement must be >= 0")
+    values = [
+        kv.breakpoints[1:-1][kv.multiplicities[1:-1] > dec] if vals is None else vals
+        for kv, vals in zip(space.knot_vectors, _per_dim_arg(space, values, "values"))
+    ]
+    if all(len(vals) == 0 for vals in values):
         raise ValueError("no interior knot has multiplicity to spare")
-    return _build_plan("k-smooth", space, SplineSpace(kvs), exact=False)
+
+    def edit(kv, vals):
+        i = _breakpoint_index(kv, vals)
+        mult = kv.multiplicities.copy()
+        spent = dec * (_repeat_rank(i) + 1) > mult[i]
+        _reject(vals, (i <= 0) | (i == kv.n_elements) | spent, "no removable interior knot at {}")
+        np.add.at(mult, i, -dec)
+        return kv.breakpoints, mult, kv.degree
+
+    return _edit_plan("k-smooth", space, values, edit, exact=False)
 
 
 def plan_reparameterize(space, new_interior):
     """Move interior breakpoints, keeping counts and multiplicities; inexact."""
-    new_interior = _per_dim_arg(space, new_interior, "new_interior")
-    kvs = [
-        kv if vals is None else kv.reparameterized(vals)
-        for kv, vals in zip(space.knot_vectors, new_interior)
-    ]
-    return _build_plan("reparameterize", space, SplineSpace(kvs), exact=False)
 
+    def edit(kv, vals):
+        bp, (a, b) = kv.breakpoints.copy(), kv.domain
+        if vals is not None:
+            new = np.asarray(vals, dtype=np.float64).ravel()
+            if new.size != bp.size - 2:
+                raise ValueError(f"expected {bp.size - 2} interior breakpoints, got {new.size}")
+            if new.size and not (np.all(np.diff(new) > 0) and new[0] > a and new[-1] < b):
+                raise ValueError(
+                    "new interior breakpoints must be strictly increasing inside the domain"
+                )
+            bp[1:-1] = new
+        return bp, kv.multiplicities, kv.degree
 
-def _is_superspace(source, target):
-    """True if every source function is exactly representable on target."""
-    for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
-        if kvt.degree < kvs.degree:
-            return False
-        scale = kvs.domain[1] - kvs.domain[0]
-        for t, m in zip(kvs.breakpoints[1:-1], kvs.multiplicities[1:-1]):
-            hit = np.nonzero(np.abs(kvt.breakpoints - t) <= _TOL * scale)[0]
-            if hit.size == 0:
-                return False
-            mt = int(kvt.multiplicities[hit[0]])
-            # continuity on target must not exceed continuity on source
-            if kvt.degree - mt > kvs.degree - int(m):
-                return False
-        # target may add breakpoints only if source has none there; any
-        # extra breakpoint still contains the source piecewise structure
-    return True
+    args = _per_dim_arg(space, new_interior, "new_interior")
+    return _edit_plan("reparameterize", space, args, edit, exact=False)
 
 
 def plan_generic(source, target):
     """Plan between spaces sharing breakpoints, degrees free to differ.
 
     Used for degree and continuity changes where elements coincide
-    geometrically. Exact iff the target contains the source space.
+    geometrically. Exact iff the target contains the source space: in
+    every direction its degree is no lower and its continuity at no
+    breakpoint higher.
     """
+    exact = True
     for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
-        if kvs.n_elements != kvt.n_elements or not np.allclose(
-            kvs.breakpoints, kvt.breakpoints, rtol=0, atol=_TOL
+        if kvs.n_elements != kvt.n_elements or np.any(
+            _breakpoint_index(kvt, kvs.breakpoints) != np.arange(kvs.n_elements + 1)
         ):
             raise ValueError("generic projection needs matching breakpoints")
-    return _build_plan(
-        "generic", source, target, exact=_is_superspace(source, target)
-    )
+        exact = exact and kvt.degree >= kvs.degree and bool(np.all(
+            kvt.degree - kvt.multiplicities <= kvs.degree - kvs.multiplicities
+        ))
+    return _build_plan("generic", source, target, exact=exact)
 
 
 def project_generic(source, target, net, weight_mode="approximate"):

@@ -59,9 +59,9 @@ def _bezier_extraction(U, p):
 
     U is a sequence of numbers of one type; only + - * / are applied,
     so float knots give float operators and Fraction knots give exact
-    ones. Returns one (p+1) x (p+1) nested list per nonzero span, rows
-    ordered by ascending function index, columns by ascending Bernstein
-    index.
+    ones. Yields one (p+1) x (p+1) nested list per nonzero span, in span
+    order, rows by ascending function index, columns by ascending
+    Bernstein index; a caller that needs one span stops the sweep there.
     """
     zero = U[0] - U[0]
     one = zero + 1
@@ -70,7 +70,6 @@ def _bezier_extraction(U, p):
         return [[one if i == j else zero for j in range(p + 1)] for i in range(p + 1)]
 
     m = len(U)
-    ops = []
     C = identity()
     a, b = p, p + 1
     while b < m - 1:
@@ -92,10 +91,9 @@ def _bezier_extraction(U, p):
                 save = r - j
                 for t in range(j + 1):
                     nxt[save + t][save] = C[p - j + t][p]
-        ops.append(C)
+        yield C
         C = nxt
         a, b = b, b + 1
-    return ops
 
 
 class KnotVector:
@@ -221,82 +219,6 @@ class KnotVector:
             raise IndexError(f"function {A} outside 0..{self.n - 1}")
         return np.array(self.knots[A : A + self.degree + 2])
 
-    def with_inserted(self, values):
-        """New knot vector with the given values inserted (no matrix),
-        all in one sorted merge."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        a, b = self.domain
-        for t in values:
-            if not a < t < b:
-                raise ValueError(f"insertion point {t} not strictly inside ({a}, {b})")
-        return KnotVector(np.sort(np.concatenate([self.knots, values])), self.degree)
-
-    def with_removed(self, values):
-        """New knot vector with one copy of each listed value removed."""
-        U = self.knots.tolist()
-        tol = _SNAP_TOL * (self.knots[-1] - self.knots[0])
-        for t in values:
-            matches = [i for i, u in enumerate(U) if abs(u - t) <= tol]
-            interior = [i for i in matches if self.degree < i < len(U) - self.degree - 1]
-            if not interior:
-                raise ValueError(f"no removable interior knot at {t}")
-            del U[interior[0]]
-        return KnotVector(U, self.degree)
-
-    def elevated(self, inc=1):
-        """Degree-elevated companion: degree + inc, every multiplicity + inc."""
-        if inc < 1:
-            raise ValueError("elevation increment must be >= 1")
-        knots = np.repeat(self.breakpoints, self.multiplicities + inc)
-        return KnotVector(knots, self.degree + inc)
-
-    def reduced(self, dec=1):
-        """Degree-reduced companion: degree - dec, every multiplicity - dec.
-
-        Breakpoints whose multiplicity drops to zero disappear; the
-        continuity class at every surviving breakpoint is preserved.
-        """
-        if dec < 1:
-            raise ValueError("reduction decrement must be >= 1")
-        if self.degree - dec < 1:
-            raise ValueError(f"cannot reduce degree {self.degree} by {dec}")
-        mult = self.multiplicities - dec
-        keep = mult > 0
-        keep[0] = keep[-1] = True
-        knots = np.repeat(self.breakpoints[keep], mult[keep])
-        return KnotVector(knots, self.degree - dec)
-
-    def roughened(self, values, inc=1):
-        """Raise the multiplicity of listed interior breakpoints by inc."""
-        for t in values:
-            if not np.any(np.isclose(self.breakpoints[1:-1], t, rtol=0, atol=_SNAP_TOL)):
-                raise ValueError(f"{t} is not an interior breakpoint")
-        return self.with_inserted(np.repeat(values, inc))
-
-    def smoothed(self, values, dec=1):
-        """Lower the multiplicity of listed interior breakpoints by dec."""
-        return self.with_removed(np.repeat(values, dec))
-
-    def reparameterized(self, new_interior):
-        """Move interior breakpoints, keeping count and multiplicities."""
-        new_interior = np.asarray(new_interior, dtype=np.float64)
-        old_interior = self.breakpoints[1:-1]
-        if new_interior.size != old_interior.size:
-            raise ValueError(
-                f"expected {old_interior.size} interior breakpoints, got {new_interior.size}"
-            )
-        a, b = self.domain
-        if new_interior.size and not (
-            np.all(np.diff(new_interior) > 0)
-            and new_interior[0] > a
-            and new_interior[-1] < b
-        ):
-            raise ValueError("new interior breakpoints must be strictly increasing inside the domain")
-        mult = self.multiplicities.copy()
-        bp = self.breakpoints.copy()
-        bp[1:-1] = new_interior
-        return KnotVector(np.repeat(bp, mult), self.degree)
-
     def extraction(self):
         """Per-element Bernstein extraction operators.
 
@@ -305,7 +227,7 @@ class KnotVector:
         ascending Bernstein index. Computed once and cached.
         """
         if self._extraction is None:
-            self._extraction = np.array(_bezier_extraction(self.knots.tolist(), self.degree))
+            self._extraction = np.array(list(_bezier_extraction(self.knots.tolist(), self.degree)))
         return self._extraction
 
     def reconstruction(self):
@@ -323,7 +245,7 @@ def univariate_extraction_exact(knots, degree):
     for bit-exact output when inputs are rational; the float path lives
     on :meth:`KnotVector.extraction`.
     """
-    return _bezier_extraction([Fraction(u) for u in knots], int(degree))
+    return list(_bezier_extraction([Fraction(u) for u in knots], int(degree)))
 
 
 def bspline_basis_matrix(knots, p, xs):
@@ -657,7 +579,7 @@ def evaluate(space, net, points):
         rows = (stride * kv.supports()[s][:, :, None] + rows[:, None, :]).reshape(m, -1)
         vals = (N[:, :, None] * vals[:, None, :]).reshape(m, -1)
         stride *= kv.n
-    out = np.einsum("mi,mik->mk", vals, H[rows])
+    out = np.einsum("mi,mik->mk", vals, np.take(H, rows, axis=0))
     if net.is_rational:
         return out[:, :-1] / out[:, -1:]
     return out

@@ -284,3 +284,92 @@ def tmesh_extraction_ref(mesh, e):
         rows.append(np.kron(r2, r1))
     C = np.vstack(rows)
     return C, np.linalg.inv(C)
+
+
+# ---------------------------------------------------------------------------
+# slow references: knot-vector edits, one knot at a time
+#
+# The edit methods KnotVector had before every plan builder edited
+# (breakpoints, multiplicities, degree) arrays. They insert and remove
+# knot values through sorted merges and list scans; the plan builders'
+# target knot vectors must equal theirs.
+
+
+def _kv(knots, degree):
+    from bezproj.spline_space import KnotVector
+
+    return KnotVector(knots, degree)
+
+
+def _snap_tol(kv):
+    return 1e-12 * (kv.knots[-1] - kv.knots[0])
+
+
+def with_inserted_ref(kv, values):
+    """kv with the given values inserted, in one sorted merge."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    a, b = kv.domain
+    for t in values:
+        if not a < t < b:
+            raise ValueError(f"insertion point {t} not strictly inside ({a}, {b})")
+    return _kv(np.sort(np.concatenate([kv.knots, values])), kv.degree)
+
+
+def with_removed_ref(kv, values):
+    """kv with one copy of each listed value removed."""
+    U = kv.knots.tolist()
+    tol = _snap_tol(kv)
+    for t in values:
+        matches = [i for i, u in enumerate(U) if abs(u - t) <= tol]
+        interior = [i for i in matches if kv.degree < i < len(U) - kv.degree - 1]
+        if not interior:
+            raise ValueError(f"no removable interior knot at {t}")
+        del U[interior[0]]
+    return _kv(U, kv.degree)
+
+
+def elevated_ref(kv, inc=1):
+    """Degree + inc, every multiplicity + inc."""
+    return _kv(np.repeat(kv.breakpoints, kv.multiplicities + inc), kv.degree + inc)
+
+
+def reduced_ref(kv, dec=1):
+    """Degree - dec, every multiplicity - dec; breakpoints left with no
+    copies disappear."""
+    if kv.degree - dec < 1:
+        raise ValueError(f"cannot reduce degree {kv.degree} by {dec}")
+    mult = kv.multiplicities - dec
+    keep = mult > 0
+    return _kv(np.repeat(kv.breakpoints[keep], mult[keep]), kv.degree - dec)
+
+
+def roughened_ref(kv, values, inc=1):
+    """Insert inc more copies of each listed interior breakpoint. A value
+    matches a breakpoint within 1e-12 of the domain span."""
+    for t in values:
+        if not np.any(np.abs(kv.breakpoints[1:-1] - t) <= _snap_tol(kv)):
+            raise ValueError(f"{t} is not an interior breakpoint")
+    return with_inserted_ref(kv, np.repeat(values, inc))
+
+
+def smoothed_ref(kv, values, dec=1):
+    """Remove dec copies of each listed interior breakpoint."""
+    return with_removed_ref(kv, np.repeat(values, dec))
+
+
+def reparameterized_ref(kv, new_interior):
+    """Move the interior breakpoints, keeping their multiplicities."""
+    new_interior = np.asarray(new_interior, dtype=np.float64)
+    old_interior = kv.breakpoints[1:-1]
+    if new_interior.size != old_interior.size:
+        raise ValueError(
+            f"expected {old_interior.size} interior breakpoints, got {new_interior.size}"
+        )
+    a, b = kv.domain
+    if new_interior.size and not (
+        np.all(np.diff(new_interior) > 0) and new_interior[0] > a and new_interior[-1] < b
+    ):
+        raise ValueError("new interior breakpoints must be strictly increasing inside the domain")
+    bp = kv.breakpoints.copy()
+    bp[1:-1] = new_interior
+    return _kv(np.repeat(bp, kv.multiplicities), kv.degree)

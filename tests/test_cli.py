@@ -4,6 +4,7 @@ import json
 import os
 import weakref
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from bezproj.spline_space import (
     SplineSpace,
     evaluate,
     read_spline_json,
+    univariate_extraction_exact,
     write_spline_json,
 )
+from bezproj.tensor import reversed_kron
 from bezproj.tmesh import read_tmesh_json
 
 
@@ -230,6 +233,36 @@ def test_extract_tensor_prints_factors(runner, tmp_path):
     assert "C factor, direction 1:" in result.output
     C = _parse_matrix(result.output, "C:")
     assert len(C) == 6 and len(C[0]) == 6
+
+
+def test_extract_exact_tensor_first_middle_and_last_element(runner, tmp_path):
+    """The exact sweep stops at the requested span: the printed factors
+    and C of the first, a middle and the last element match the full
+    exact extraction."""
+    knots = [["0", "0", "0", "1/4", "1/2", "3/4", "1", "1", "1"], [0, 0, 0, 0, 1, 3, 3, 3, 3]]
+    degrees = [2, 3]
+    src = tmp_path / "surf_exact.json"
+    src.write_text(json.dumps({
+        "parametric_dim": 2,
+        "physical_dim": 1,
+        "degrees": degrees,
+        "knot_vectors": knots,
+        "control_points": [[0.0]] * (6 * 5),
+    }))
+    full = [
+        univariate_extraction_exact([Fraction(u) for u in G], p)
+        for G, p in zip(knots, degrees)
+    ]
+    assert [len(ops) for ops in full] == [4, 2]
+    for element, spans in ((0, (0, 0)), (5, (1, 1)), (7, (3, 1))):
+        result = runner.invoke(main, ["extract", "--in", str(src), "--element", str(element)])
+        assert result.exit_code == 0, result.output
+        factors = [ops[k] for ops, k in zip(full, spans)]
+        for d, F in enumerate(factors):
+            printed = _parse_matrix(result.output, f"C factor, direction {d}:")
+            assert printed == [[str(x) for x in row] for row in F]
+        C = reversed_kron([np.array(F, dtype=object) for F in factors])
+        assert _parse_matrix(result.output, "C:") == [[str(x) for x in row] for row in C]
 
 
 def test_extract_decimal_fallback(runner, tmp_path):

@@ -1,0 +1,19 @@
+"""Every exported name resolves."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import bezproj
+
+MODULES = ["bezproj"] + [
+    f"bezproj.{m.name}" for m in pkgutil.iter_modules(bezproj.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

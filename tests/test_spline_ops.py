@@ -15,8 +15,11 @@ from bezproj.spline_ops import (
     plan_generic,
     plan_h_coarsen,
     plan_h_refine,
+    plan_k_roughen,
     plan_k_smooth,
     plan_p_elevate,
+    plan_p_reduce,
+    plan_reparameterize,
     project_generic,
     reparameterize,
 )
@@ -40,6 +43,75 @@ def _max_deviation(sp_a, net_a, sp_b, net_b, n=100):
 
 
 # ------------------------------------------------------- refinement family
+
+
+def test_h_refine_and_k_smooth_roundtrip():
+    sp = SplineSpace([KnotVector([0, 0, 0, 1, 1, 1], 2)])
+    fine = plan_h_refine(sp, [0.25, 0.5, 0.5]).target
+    assert list(fine.knot_vectors[0].multiplicities) == [3, 1, 2, 3]
+    back = plan_k_smooth(fine, [0.25, 0.5, 0.5]).target
+    assert back == sp
+
+
+def test_h_refine_and_k_roughen_merge_like_sequential_insertion(rng):
+    kv = KnotVector([0, 0, 0, 0.3, 0.6, 1, 1, 1], 2)
+    sp = SplineSpace([kv])
+    new = np.r_[rng.uniform(0.05, 0.95, 6), 0.45, 0.45]
+    rng.shuffle(new)
+    U = kv.knots
+    for t in np.r_[new, 0.3]:
+        U = np.insert(U, np.searchsorted(U, t, side="right"), t)
+    # new breakpoints come from h-refine, a copy of an existing one from k-roughen
+    merged = plan_k_roughen(plan_h_refine(sp, new).target, [0.3]).target.knot_vectors[0]
+    assert np.array_equal(merged.knots, U)
+    assert merged == KnotVector(U, 2)
+    assert plan_h_refine(sp, {0: []}).target == sp
+    for bad in (0.0, 1.0, 1.5, np.nan):
+        with pytest.raises(ValueError, match=f"insertion point {bad} not strictly inside"):
+            plan_h_refine(sp, [0.5, bad, 0.7])
+
+
+def test_structural_variants():
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)])
+    up = plan_p_elevate(sp).target
+    kv = up.knot_vectors[0]
+    assert kv.degree == 3 and list(kv.multiplicities) == [4, 2, 4]
+    down = plan_p_reduce(up).target
+    assert down == sp
+    rough = plan_k_roughen(sp, [0.4]).target
+    assert list(rough.knot_vectors[0].multiplicities) == [3, 2, 3]
+    smooth = plan_k_smooth(rough, [0.4]).target
+    assert smooth == sp
+    # smoothing a multiplicity-one knot removes it outright
+    assert plan_k_smooth(sp, [0.4]).target.n_elements == 1
+    rep = plan_reparameterize(sp, [0.7]).target.knot_vectors[0]
+    assert np.allclose(rep.breakpoints, [0, 0.7, 1])
+    assert list(rep.multiplicities) == list(sp.knot_vectors[0].multiplicities)
+    with pytest.raises(ValueError, match="expected 1 interior breakpoints, got 2"):
+        plan_reparameterize(sp, [0.2, 0.6])
+
+
+def test_k_roughen_matches_breakpoints_relative_to_the_domain():
+    # 5e-13 is 5e-4 of a 1e-9 domain: no breakpoint is that close
+    tiny = SplineSpace([KnotVector([0, 0, 0, 0.4e-9, 1e-9, 1e-9, 1e-9], 2)])
+    with pytest.raises(ValueError, match="is not an interior breakpoint"):
+        plan_k_roughen(tiny, [0.4e-9 + 5e-13])
+    # 1e-10 is 1e-13 of a 1000-wide domain: the breakpoint at 400
+    wide = SplineSpace([KnotVector([0, 0, 0, 400, 1000, 1000, 1000], 2)])
+    kv = plan_k_roughen(wide, [400 + 1e-10]).target.knot_vectors[0]
+    assert list(kv.breakpoints) == [0, 400, 1000]
+    assert list(kv.multiplicities) == [3, 2, 3]
+
+
+def test_p_elevate_and_reduce_check_one_entry_per_direction():
+    sp = SplineSpace(
+        [KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2), KnotVector([0, 0, 0, 1, 1, 1], 2)]
+    )
+    for plan, arg in ((plan_p_elevate, "inc"), (plan_p_reduce, "dec")):
+        for steps in ([1, 1, 1], [1]):
+            with pytest.raises(ValueError, match=f"{arg}: expected one entry per direction"):
+                plan(sp, steps)
+        assert plan(sp, {1: 1}).target.degrees == (2, 3 if plan is plan_p_elevate else 1)
 
 
 def test_h_refine_preserves_curve(rng):

@@ -88,49 +88,6 @@ def test_local_knots_slice():
     assert np.allclose(kv.local_knots(5), [3, 4, 4, 4])
 
 
-def test_with_inserted_and_removed_roundtrip():
-    kv = KnotVector([0, 0, 0, 1, 1, 1], 2)
-    fine = kv.with_inserted([0.25, 0.5, 0.5])
-    assert list(fine.multiplicities) == [3, 1, 2, 3]
-    back = fine.with_removed([0.25, 0.5, 0.5])
-    assert back == kv
-
-
-def test_with_inserted_merges_like_sequential_insertion(rng):
-    kv = KnotVector([0, 0, 0, 0.3, 0.6, 1, 1, 1], 2)
-    values = np.r_[rng.uniform(0.05, 0.95, 6), 0.3, 0.45, 0.45]
-    rng.shuffle(values)
-    U = kv.knots
-    for t in values:
-        U = np.insert(U, np.searchsorted(U, t, side="right"), t)
-    merged = kv.with_inserted(values)
-    assert np.array_equal(merged.knots, U)
-    assert merged == KnotVector(U, 2)
-    assert kv.with_inserted([]) == kv
-    for bad in (0.0, 1.0, 1.5, np.nan):
-        with pytest.raises(ValueError, match=f"insertion point {bad} not strictly inside"):
-            kv.with_inserted([0.5, bad, 0.7])
-
-
-def test_structural_variants():
-    kv = KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)
-    up = kv.elevated()
-    assert up.degree == 3 and list(up.multiplicities) == [4, 2, 4]
-    down = up.reduced()
-    assert down == kv
-    rough = kv.roughened([0.4])
-    assert list(rough.multiplicities) == [3, 2, 3]
-    smooth = rough.smoothed([0.4])
-    assert smooth == kv
-    # smoothing a multiplicity-one knot removes it outright
-    assert kv.smoothed([0.4]).n_elements == 1
-    rep = kv.reparameterized([0.7])
-    assert np.allclose(rep.breakpoints, [0, 0.7, 1])
-    assert list(rep.multiplicities) == list(kv.multiplicities)
-    with pytest.raises(ValueError):
-        kv.reparameterized([0.2, 0.6])
-
-
 def test_extraction_matches_collocation_oracle(rng):
     for p in (1, 2, 3, 4):
         for _ in range(3):
