@@ -115,16 +115,20 @@ class KnotVector:
             raise ValueError(
                 f"need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}"
             )
-        if np.any(np.diff(knots) < 0):
+        gaps = np.diff(knots)
+        if np.any(gaps < 0):
             raise ValueError("knots must be nondecreasing")
         span = knots[-1] - knots[0]
         if span <= 0:
             raise ValueError("knot vector spans an empty domain")
 
-        # cluster near-equal knots so span logic can use exact equality
-        for i in range(1, knots.size):
-            if knots[i] != knots[i - 1] and knots[i] - knots[i - 1] <= _SNAP_TOL * span:
-                knots[i] = knots[i - 1]
+        # cluster near-equal knots so span logic can use exact equality;
+        # a snapped knot can only move the next gap up, so the loop runs
+        # only when some gap is small to begin with
+        if np.any((gaps > 0) & (gaps <= _SNAP_TOL * span)):
+            for i in range(1, knots.size):
+                if knots[i] != knots[i - 1] and knots[i] - knots[i - 1] <= _SNAP_TOL * span:
+                    knots[i] = knots[i - 1]
 
         if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-p - 1 :] == knots[-1])):
             raise ValueError("knot vector must be open: p+1 repeated end knots")
@@ -638,6 +642,16 @@ def _space_from_dict(data):
     return SplineSpace(kvs)
 
 
+def _read_json(source):
+    """The JSON data of a file path or file object; a dict passes as is."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source) as fh:
+        return json.load(fh)
+
+
 def read_spline_json(source):
     """Read a spline from a JSON file path, file object, or dict.
 
@@ -645,14 +659,7 @@ def read_spline_json(source):
     control_points, and optionally weights. Numeric entries may be
     rational strings like "1/3".
     """
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
-
+    data = _read_json(source)
     space = _space_from_dict(data)
     if int(data["parametric_dim"]) != space.parametric_dim:
         raise ValueError("parametric_dim does not match knot_vectors")

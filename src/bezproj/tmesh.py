@@ -19,6 +19,13 @@ independent, and every Bezier element (cell of the mesh plus the face
 extensions) supports exactly (p1+1)(p2+1) functions, which makes the
 element extraction operators square and invertible.
 
+Every rule reads the same in both parametric directions, so each query
+takes a direction d (0: x, 1: y). The edges of direction d sit at one
+index c in direction d and span [lo, hi] in the other: d = 0 holds the
+vertical edges (x, y1, y2), d = 1 the horizontal ones (y, x1, x2). A
+walk along direction d crosses the edges of direction d; an extension
+walking along it adds an edge of direction 1 - d.
+
 All index geometry is exact integer arithmetic; parametric values enter
 only when mapping elements and local knot vectors through the global
 knot vectors.
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import interval_transform
-from .spline_space import KnotVector, parse_number
+from .spline_space import KnotVector, _read_json, parse_number
 
 __all__ = [
     "TMesh",
@@ -88,13 +95,14 @@ class BezierElement:
 
 class TMesh:
     def __init__(self, degrees, knot_vectors, vertices, edges):
-        p1, p2 = (int(p) for p in degrees)
-        if p1 < 1 or p2 < 1:
+        for name, given in (("degrees", degrees), ("knot vectors", knot_vectors)):
+            if len(given) != 2:
+                raise ValueError(f"expected two {name}, got {len(given)}")
+        self.degrees = tuple(int(p) for p in degrees)
+        if min(self.degrees) < 1:
             raise ValueError("degrees must be >= 1")
-        self.degrees = (p1, p2)
-        G1 = np.asarray(knot_vectors[0], dtype=np.float64)
-        G2 = np.asarray(knot_vectors[1], dtype=np.float64)
-        for G, p in ((G1, p1), (G2, p2)):
+        self.knot_vectors = tuple(np.asarray(G, dtype=np.float64) for G in knot_vectors)
+        for G, p in zip(self.knot_vectors, self.degrees):
             if not np.all(np.isfinite(G)):
                 raise ValueError("global knot vectors must be finite")
             if np.any(np.diff(G) < 0):
@@ -103,34 +111,29 @@ class TMesh:
                 raise ValueError("global knot vector too short for its degree")
             if not (np.all(G[: p + 1] == G[0]) and np.all(G[-p - 1 :] == G[-1])):
                 raise ValueError("global knot vectors must be open")
-        self.knot_vectors = (G1, G2)
-        self.N = (G1.size, G2.size)
+        self.N = tuple(G.size for G in self.knot_vectors)
 
         self.vertices = set()
-        for i, j in vertices:
-            i, j = int(i), int(j)
+        for v in vertices:
+            i, j = _integers(v, 2, "vertex", "two integers")
             if not (1 <= i <= self.N[0] and 1 <= j <= self.N[1]):
                 raise ValueError(f"vertex ({i}, {j}) outside the index domain")
             self.vertices.add((i, j))
 
-        self.v_edges = []  # (x, y1, y2)
-        self.h_edges = []  # (y, x1, x2)
+        self._edges = ([], [])  # per direction d: (c, lo, hi)
         for e in edges:
-            if len(e) == 2:
-                (i1, j1), (i2, j2) = e
-            else:
-                i1, j1, i2, j2 = e
-            i1, j1, i2, j2 = int(i1), int(j1), int(i2), int(j2)
+            i1, j1, i2, j2 = _integers(e, 4, "edge", "two vertices or four integers")
             if (i1, j1) not in self.vertices or (i2, j2) not in self.vertices:
                 raise ValueError(f"edge ({i1},{j1})-({i2},{j2}) endpoint is not a vertex")
             if i1 == i2 and j1 != j2:
-                self.v_edges.append((i1, min(j1, j2), max(j1, j2)))
+                self._edges[0].append((i1, min(j1, j2), max(j1, j2)))
             elif j1 == j2 and i1 != i2:
-                self.h_edges.append((j1, min(i1, i2), max(i1, i2)))
+                self._edges[1].append((j1, min(i1, i2), max(i1, i2)))
             else:
                 raise ValueError(
                     f"edge ({i1},{j1})-({i2},{j2}) must be axis-aligned with nonzero length"
                 )
+        self.v_edges, self.h_edges = self._edges
 
         self._validate()
         self._anchors = None
@@ -142,129 +145,102 @@ class TMesh:
     # -- structure ---------------------------------------------------------
 
     def _validate(self):
-        N1, N2 = self.N
-        vwall = np.zeros((N1 + 2, N2 + 2), dtype=bool)
-        hwall = np.zeros((N1 + 2, N2 + 2), dtype=bool)
-        for x, y1, y2 in self.v_edges:
-            for y in range(y1 + 1, y2):
-                if (x, y) in self.vertices:
-                    raise ValueError(
-                        f"vertex ({x},{y}) lies inside an edge; split edges at vertices"
-                    )
-            if vwall[x, y1:y2].any():
-                raise ValueError(f"overlapping vertical edges at index {x}")
-            vwall[x, y1:y2] = True
-        for y, x1, x2 in self.h_edges:
-            for x in range(x1 + 1, x2):
-                if (x, y) in self.vertices:
-                    raise ValueError(
-                        f"vertex ({x},{y}) lies inside an edge; split edges at vertices"
-                    )
-            if hwall[x1:x2, y].any():
-                raise ValueError(f"overlapping horizontal edges at index {y}")
-            hwall[x1:x2, y] = True
-        for x, y1, y2 in self.v_edges:
-            for y, x1, x2 in self.h_edges:
-                if x1 < x < x2 and y1 < y < y2:
-                    raise ValueError(
-                        f"edges cross at ({x},{y}) without a vertex; split them there"
-                    )
-        self._vwall = vwall
-        self._hwall = hwall
-        self._v_merged = _merged_by_coordinate(self.v_edges)
-        self._h_merged = _merged_by_coordinate(self.h_edges)
+        """Check the edges and build the wall grid and the cells.
 
-        if not (vwall[1, 1:N2].all() and vwall[N1, 1:N2].all()):
-            raise ValueError("index-domain boundary is not fully covered by edges")
-        if not (hwall[1:N1, 1].all() and hwall[1:N1, N2].all()):
-            raise ValueError("index-domain boundary is not fully covered by edges")
-
-        degree = {v: 0 for v in self.vertices}
-        for x, y1, y2 in self.v_edges:
-            degree[(x, y1)] += 1
-            degree[(x, y2)] += 1
-        for y, x1, x2 in self.h_edges:
-            degree[(x1, y)] += 1
-            degree[(x2, y)] += 1
-        for v, d in degree.items():
-            if d < 2:
-                raise ValueError(f"vertex {v} is dangling (degree {d})")
-
-        self._cells = _rectangles(vwall, hwall, "mesh cells do not form a rectangular partition")
+        Grids are indexed [x, y] over 0..N_d + 1: _wall[0][x, y] marks a
+        vertical edge over [y, y + 1] at x and _wall[1][x, y] a horizontal
+        one over [x, x + 1] at y. Each check runs on the unit segments of
+        all edges of one direction at once.
+        """
+        shape = (self.N[0] + 2, self.N[1] + 2)
+        vertex = np.zeros(shape, dtype=bool)
+        vertex[tuple(np.array(list(self.vertices), dtype=np.int64).reshape(-1, 2).T)] = True
+        cover = np.zeros((2,) + shape, dtype=np.int64)
+        interior = np.zeros((2,) + shape, dtype=bool)
+        # ends[a, k][x, y]: an edge leaves vertex (x, y) along direction a,
+        # forwards for k = 0 and backwards for k = 1
+        ends = np.zeros((2, 2) + shape, dtype=bool)
+        for d, word in enumerate(("vertical", "horizontal")):
+            c, lo, hi = np.array(self._edges[d], dtype=np.int64).reshape(-1, 3).T
+            n = hi - lo
+            edge = np.repeat(np.arange(n.size), n)
+            t = lo[edge] + np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)
+            ct = (c[edge], t)  # the unit segments [t, t + 1] of every edge
+            start = t > lo[edge]  # segments that start at an interior point
+            inner = (ct[0][start], t[start])
+            hit = np.flatnonzero(vertex[_xy(d, *inner)])
+            if hit.size:
+                x, y = _xy(d, int(inner[0][hit[0]]), int(inner[1][hit[0]]))
+                raise ValueError(f"vertex ({x},{y}) lies inside an edge; split edges at vertices")
+            interior[d][_xy(d, *inner)] = True
+            np.add.at(cover[d], _xy(d, *ct), 1)
+            over = np.flatnonzero(cover[d][_xy(d, *ct)] > 1)
+            if over.size:
+                raise ValueError(f"overlapping {word} edges at index {ct[0][over[0]]}")
+            for k, end in enumerate((lo, hi)):
+                ends[1 - d, k][_xy(d, c, end)] = True
+        # an edge interior holds no vertex, so two interiors meet only at a crossing
+        cross = np.argwhere(interior[0] & interior[1])
+        if cross.size:
+            x, y = cross[0]
+            raise ValueError(f"edges cross at ({x},{y}) without a vertex; split them there")
+        self._wall = cover > 0
+        self._vertex = vertex
+        self._ends = ends
+        for d, w in enumerate(_by_direction(self._wall)):
+            n = self.N[1 - d]
+            if not (w[1, 1:n].all() and w[self.N[d], 1:n].all()):
+                raise ValueError("index-domain boundary is not fully covered by edges")
+        degree = ends.sum(axis=(0, 1))
+        dangling = np.argwhere(vertex & (degree < 2))
+        if dangling.size:
+            i, j = (int(k) for k in dangling[0])
+            raise ValueError(f"vertex {(i, j)} is dangling (degree {degree[i, j]})")
+        self._cells = _rectangles(self._wall, "mesh cells do not form a rectangular partition")
 
     def cells(self):
         """Index-space rectangles (i1, i2, j1, j2) of the partition."""
         return list(self._cells)
 
-    def _v_entities_at(self, x):
-        """Merged vertical-edge intervals at index x."""
-        return self._v_merged.get(x, [])
-
-    def _h_entities_at(self, y):
-        """Merged horizontal-edge intervals at index y."""
-        return self._h_merged.get(y, [])
+    def _covering(self, d, lo, hi):
+        """Indices c, ascending, at which entities of direction d span the
+        closed band [lo, hi] of the other direction; a point band is also
+        spanned by a vertex."""
+        w = _by_direction(self._wall)[d]
+        if lo < hi:
+            return np.flatnonzero(w[:, lo:hi].all(axis=1)).tolist()
+        point = w[:, lo - 1 : lo + 1].any(axis=1) | self._vertex[_xy(d, slice(None), lo)]
+        return np.flatnonzero(point).tolist()
 
     # -- anchors -----------------------------------------------------------
 
-    def _odd_window(self, d):
-        p, N = self.degrees[d], self.N[d]
-        return range((p + 3) // 2, N - (p + 1) // 2 + 1)
-
-    def _even_band(self, d):
-        p, N = self.degrees[d], self.N[d]
-        return (p // 2 + 1, N - p // 2)
-
     def anchors(self):
-        """All anchors, ordered by (y center, x center)."""
+        """All anchors, ordered by (y center, x center).
+
+        An odd direction places anchors on one index, an even direction
+        on an interval between two; both keep (p + 1) // 2 indices clear
+        of each end of the domain.
+        """
         if self._anchors is not None:
             return self._anchors
-        p1, p2 = self.degrees
-        out = []
-        if p1 % 2 and p2 % 2:
-            w1, w2 = set(self._odd_window(0)), set(self._odd_window(1))
-            for i, j in self.vertices:
-                if i in w1 and j in w2:
-                    out.append(Anchor("vertex", (i, i), (j, j)))
-        elif p1 % 2 == 0 and p2 % 2 == 0:
-            b1, b2 = self._even_band(0), self._even_band(1)
-            for i1, i2, j1, j2 in self._cells:
-                if b1[0] <= i1 and i2 <= b1[1] and b2[0] <= j1 and j2 <= b2[1]:
-                    out.append(Anchor("cell", (i1, i2), (j1, j2)))
-        elif p1 % 2:
-            # odd x even: anchors are vertical edges
-            w1, b2 = set(self._odd_window(0)), self._even_band(1)
-            for x, y1, y2 in self.v_edges:
-                if x in w1 and b2[0] <= y1 and y2 <= b2[1]:
-                    out.append(Anchor("vedge", (x, x), (y1, y2)))
+        odd = [p % 2 for p in self.degrees]
+        if all(odd):
+            kind, spans = "vertex", [((i, i), (j, j)) for i, j in self.vertices]
+        elif not any(odd):
+            kind, spans = "cell", [((i1, i2), (j1, j2)) for i1, i2, j1, j2 in self._cells]
         else:
-            b1, w2 = self._even_band(0), set(self._odd_window(1))
-            for y, x1, x2 in self.h_edges:
-                if y in w2 and b1[0] <= x1 and x2 <= b1[1]:
-                    out.append(Anchor("hedge", (x1, x2), (y, y)))
+            d = odd.index(1)
+            kind = ("vedge", "hedge")[d]
+            spans = [_xy(d, (c, c), (lo, hi)) for c, lo, hi in self._edges[d]]
+        h = [(p + 1) // 2 for p in self.degrees]
+        out = [
+            Anchor(kind, *s)
+            for s in spans
+            if all(h[d] < s[d][0] and s[d][1] <= N - h[d] for d, N in enumerate(self.N))
+        ]
         out.sort(key=lambda a: (a.center[1], a.center[0]))
         self._anchors = out
         return out
-
-    def _covers_vertical(self, x, lo, hi):
-        """Vertical entities at index x span the closed band [lo, hi]."""
-        if lo == hi:
-            if (x, lo) in self.vertices:
-                return True
-            return any(y1 <= lo <= y2 for y1, y2 in self._v_entities_at(x))
-        for y1, y2 in self._v_entities_at(x):
-            if y1 <= lo and hi <= y2:
-                return True
-        return False
-
-    def _covers_horizontal(self, y, lo, hi):
-        if lo == hi:
-            if (lo, y) in self.vertices:
-                return True
-            return any(x1 <= lo <= x2 for x1, x2 in self._h_entities_at(y))
-        for x1, x2 in self._h_entities_at(y):
-            if x1 <= lo and hi <= x2:
-                return True
-        return False
 
     def local_knot_indices(self, anchor):
         """Index vectors (i1, i2) of an anchor's local knot vectors.
@@ -274,38 +250,20 @@ class TMesh:
         entities fully cross the anchor's extent; odd degrees include
         the anchor's own index.
         """
-        p1, p2 = self.degrees
+        spans = (anchor.x_span, anchor.y_span)
         out = []
-        for d in (0, 1):
-            p = (p1, p2)[d]
-            N = self.N[d]
-            if d == 0:
-                span = anchor.x_span
-                band = anchor.y_span
-                covers = lambda i: self._covers_vertical(i, band[0], band[1])
-            else:
-                span = anchor.y_span
-                band = anchor.x_span
-                covers = lambda j: self._covers_horizontal(j, band[0], band[1])
+        for d, p in enumerate(self.degrees):
+            span, band = spans[d], spans[1 - d]
             center = 0.5 * (span[0] + span[1])
             need = (p + 1 + 1) // 2  # ceil((p+1)/2)
-            left = []
-            i = int(np.ceil(center)) - 1
-            while i >= 1 and len(left) < need:
-                if i < center and covers(i):
-                    left.append(i)
-                i -= 1
-            right = []
-            i = int(np.floor(center)) + 1
-            while i <= N and len(right) < need:
-                if i > center and covers(i):
-                    right.append(i)
-                i += 1
+            covering = self._covering(d, *band)
+            left = [i for i in covering if i < center][-need:]
+            right = [i for i in covering if i > center][:need]
             if len(left) < need or len(right) < need:
                 raise ValueError(
                     f"anchor {anchor} finds too few crossed entities in direction {d}"
                 )
-            idx = sorted(left) + ([int(center)] if p % 2 else []) + right
+            idx = left + ([int(center)] if p % 2 else []) + right
             out.append(idx)
         return tuple(out)
 
@@ -313,10 +271,10 @@ class TMesh:
         """Local knot vectors (g1, g2) of an anchor, length p_d + 2 each."""
         key = (anchor.kind, anchor.x_span, anchor.y_span)
         if key not in self._anchor_knots:
-            idx1, idx2 = self.local_knot_indices(anchor)
-            g1 = np.array([self.knot_vectors[0][i - 1] for i in idx1])
-            g2 = np.array([self.knot_vectors[1][j - 1] for j in idx2])
-            self._anchor_knots[key] = (g1, g2)
+            self._anchor_knots[key] = tuple(
+                np.array([G[i - 1] for i in idx])
+                for G, idx in zip(self.knot_vectors, self.local_knot_indices(anchor))
+            )
         return self._anchor_knots[key]
 
     # -- T-junctions and extensions -----------------------------------------
@@ -327,90 +285,44 @@ class TMesh:
         Returns [(vertex, missing_direction)] with the missing direction
         one of 'up', 'down', 'left', 'right'.
         """
-        N1, N2 = self.N
-        up = {(x, y1) for x, y1, y2 in self.v_edges}
-        down = {(x, y2) for x, y1, y2 in self.v_edges}
-        right = {(x1, y) for y, x1, x2 in self.h_edges}
-        left = {(x2, y) for y, x1, x2 in self.h_edges}
+        inner = np.zeros(self._vertex.shape, dtype=bool)
+        inner[2:-2, 2:-2] = True
         out = []
-        for v in sorted(self.vertices):
-            i, j = v
-            if i in (1, N1) or j in (1, N2):
-                continue
-            dirs = {
-                "up": v in up,
-                "down": v in down,
-                "left": v in left,
-                "right": v in right,
-            }
-            if sum(dirs.values()) == 3:
-                missing = next(k for k, have in dirs.items() if not have)
-                out.append((v, missing))
+        for x, y in np.argwhere(inner & (self._ends.sum(axis=(0, 1)) == 3)).tolist():
+            ((a, k),) = np.argwhere(~self._ends[:, :, x, y])
+            out.append(((x, y), _SIDES[a][k]))
         return out
 
-    def _walk(self, i, j, axis, step, count):
-        """Walk from (i, j) counting crossed perpendicular entities.
+    def _walk(self, start, d, step, count):
+        """Walk from start along direction d counting crossed entities.
 
-        axis 'v' walks in y, 'h' walks in x. Returns the coordinate of
-        the count-th crossed entity (vertex or crossing edge); stops at
-        the domain boundary, which is always an entity.
+        Returns the direction-d coordinate of the count-th crossed
+        entity of direction d (vertex or crossing edge); stops at the
+        domain boundary, which is always an entity.
         """
-        hits = 0
-        if axis == "v":
-            y, last = j, j
-            while hits < count:
-                y += step
-                if not 1 <= y <= self.N[1]:
-                    break
-                if (i, y) in self.vertices or self._covers_horizontal(y, i, i):
-                    hits += 1
-                    last = y
-            return last
-        x, last = i, i
-        while hits < count:
-            x += step
-            if not 1 <= x <= self.N[0]:
-                break
-            if (x, j) in self.vertices or self._covers_vertical(x, j, j):
-                hits += 1
-                last = x
-        return last
+        c, t = start[d], start[1 - d]
+        ahead = [k for k in self._covering(d, t, t) if (k - c) * step > 0][::step]
+        return ahead[:count][-1] if ahead and count else c
 
     def extensions(self):
         """Face and edge extensions of every T-junction."""
         if self._extensions is not None:
             return self._extensions
-        p1, p2 = self.degrees
         out = []
-        for (i, j), missing in self.t_junctions():
-            if missing in ("up", "down"):
-                p = p2
-                face_n = (p + 1) // 2
-                edge_n = max((p - 1 + 1) // 2, 0)  # ceil((p-1)/2)
-                step = 1 if missing == "up" else -1
-                yf = self._walk(i, j, "v", step, face_n)
-                ye = self._walk(i, j, "v", -step, edge_n)
-                face = ((i, min(j, yf)), (i, max(j, yf)))
-                edge = ((i, min(j, ye)), (i, max(j, ye)))
-                out.append(Extension((i, j), "v", face, edge))
-            else:
-                p = p1
-                face_n = (p + 1) // 2
-                edge_n = max((p - 1 + 1) // 2, 0)
-                step = 1 if missing == "right" else -1
-                xf = self._walk(i, j, "h", step, face_n)
-                xe = self._walk(i, j, "h", -step, edge_n)
-                face = ((min(i, xf), j), (max(i, xf), j))
-                edge = ((min(i, xe), j), (max(i, xe), j))
-                out.append(Extension((i, j), "h", face, edge))
+        for v, missing in self.t_junctions():
+            d = int(missing in _SIDES[1])
+            step = 1 - 2 * _SIDES[d].index(missing)
+            p = self.degrees[d]
+            # faces cross ceil((p+1)/2) entities, edges ceil((p-1)/2)
+            ends = (self._walk(v, d, step, (p + 1) // 2), self._walk(v, d, -step, p // 2))
+            face, edge = (tuple(_xy(d, c, v[1 - d]) for c in sorted((v[d], e))) for e in ends)
+            out.append(Extension(v, "hv"[d], face, edge))
         self._extensions = out
         return out
 
     def analysis_violations(self):
         """Pairs of perpendicular T-junction extensions that touch."""
-        exts = self.extensions()
-        vs = [e for e in exts if e.orientation == "v"]
-        hs = [e for e in exts if e.orientation == "h"]
+        vs, hs = ([e for e in self.extensions() if e.orientation == o] for o in "vh")
         bad = []
         for ev in vs:
             (vx, vy1), (_, vy2) = ev.full
@@ -436,16 +348,13 @@ class TMesh:
             return self._bezier
         if not self.is_analysis_suitable():
             raise ValueError("mesh is not analysis-suitable")
-        vwall = self._vwall.copy()
-        hwall = self._hwall.copy()
+        wall = self._wall.copy()
         for ext in self.extensions():
-            (x1, y1), (x2, y2) = ext.face
-            if ext.orientation == "v":
-                vwall[x1, y1:y2] = True
-            else:
-                hwall[x1:x2, y1] = True
-
-        rects = _rectangles(vwall, hwall, "extended mesh is not a rectangular partition")
+            # an extension walking along direction d adds an edge of direction 1 - d
+            f = "vh".index(ext.orientation)
+            a, b = ext.face
+            _by_direction(wall)[f][a[f], a[1 - f] : b[1 - f]] = True
+        rects = _rectangles(wall, "extended mesh is not a rectangular partition")
 
         G1, G2 = self.knot_vectors
         anchors = self.anchors()
@@ -557,13 +466,7 @@ class TMesh:
         for Ga, Gb in zip(self.knot_vectors, other.knot_vectors):
             if Ga.size != Gb.size or not np.allclose(Ga, Gb):
                 raise ValueError("meshes have different global knot vectors")
-        if not self.vertices <= other.vertices:
-            return False
-        if (self._vwall & ~other._vwall).any():
-            return False
-        if (self._hwall & ~other._hwall).any():
-            return False
-        return True
+        return self.vertices <= other.vertices and not (self._wall & ~other._wall).any()
 
     @classmethod
     def tensor(cls, degrees, knot_vectors):
@@ -581,26 +484,43 @@ class TMesh:
         return cls(degrees, knot_vectors, vertices, edges)
 
 
-def _merged_by_coordinate(edges):
-    """{coordinate: merged (lo, hi) intervals} of (coordinate, lo, hi) edges."""
-    out = {}
-    for c, lo, hi in sorted(edges):
-        ivs = out.setdefault(c, [])
-        if ivs and lo <= ivs[-1][1]:
-            ivs[-1] = (ivs[-1][0], max(ivs[-1][1], hi))
-        else:
-            ivs.append((lo, hi))
-    return out
+# the sides by which an edge leaves a vertex along each direction:
+# forwards, backwards
+_SIDES = (("right", "left"), ("up", "down"))
 
 
-def _rectangles(vwall, hwall, message):
+def _xy(d, c, t):
+    """The (x, y) pair with c in direction d and t in the other."""
+    return (c, t) if d == 0 else (t, c)
+
+
+def _by_direction(grids):
+    """[c, t] views of a stacked (2, N1 + 2, N2 + 2) pair of [x, y] grids."""
+    return grids[0], grids[1].T
+
+
+def _integers(entry, n, name, expected):
+    """An input vertex (n = 2) or edge (n = 4, possibly as two vertices)
+    as a tuple of ints; ValueError naming the entry otherwise."""
+    try:
+        flat = [x for v in entry for x in v] if n == 4 and len(entry) == 2 else list(entry)
+        ints = [int(x) for x in flat]
+        if len(ints) == n and ints == flat:
+            return tuple(ints)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} {entry!r} must be {expected}")
+
+
+def _rectangles(wall, message):
     """Region-grow unit index squares into the rectangles between walls.
 
-    vwall[x, y] blocks the crossing between squares (x - 1, y) and
-    (x, y); hwall[x, y] blocks the one between (x, y - 1) and (x, y).
+    wall[0][x, y] blocks the crossing between squares (x - 1, y) and
+    (x, y); wall[1][x, y] blocks the one between (x, y - 1) and (x, y).
     Returns (i1, i2, j1, j2) per region in discovery order and raises
     ValueError(message) when a region is not a rectangle.
     """
+    vwall, hwall = wall
     N1, N2 = vwall.shape[0] - 2, vwall.shape[1] - 2
     label = -np.ones((N1 + 1, N2 + 1), dtype=np.int64)
     rects = []
@@ -702,23 +622,13 @@ def _bernstein_rows(p, keys):
 
 def read_tmesh_json(source):
     """Read a T-mesh from a JSON file path, file object, or dict."""
-    if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source) as fh:
-            data = json.load(fh)
-    degrees = [int(p) for p in data["degrees"]]
+    data = _read_json(source)
     kvs = [[parse_number(u) for u in G] for G in data["knot_vectors"]]
-    vertices = [(int(i), int(j)) for i, j in data["vertices"]]
-    edges = [tuple(int(x) for x in e) for e in data["edges"]]
-    return TMesh(degrees, kvs, vertices, edges)
+    return TMesh(data["degrees"], kvs, data["vertices"], data["edges"])
 
 
 def tmesh_to_dict(mesh):
-    edges = [(x, y1, x, y2) for x, y1, y2 in mesh.v_edges]
-    edges += [(x1, y, x2, y) for y, x1, x2 in mesh.h_edges]
+    edges = [_xy(d, c, lo) + _xy(d, c, hi) for d in (0, 1) for c, lo, hi in mesh._edges[d]]
     return {
         "degrees": list(mesh.degrees),
         "knot_vectors": [G.tolist() for G in mesh.knot_vectors],

@@ -53,6 +53,20 @@ def test_knot_vector_counts():
     assert list(kv.multiplicities) == [3, 1, 2, 1, 3]
 
 
+def test_knot_vector_snaps_near_equal_knots():
+    tol = 1e-12  # relative to the domain span, here 1
+    # each knot snaps onto its predecessor as already snapped, so a chain of
+    # gaps of 0.6 tol snaps every other knot
+    chain = [0.5 + k * 0.6 * tol for k in range(4)]
+    kv = KnotVector([0, 0, 0, 0, *chain, 1, 1, 1, 1], 3)
+    assert kv.knots[4:8].tolist() == [chain[0], chain[0], chain[2], chain[2]]
+    assert kv.multiplicities.tolist() == [4, 2, 2, 4]
+    # a gap just under tol snaps, one just over it stays
+    knots = [0, 0, 0, 0.5, 0.5 + 0.99 * tol, 0.75, 0.75 + 1.01 * tol, 1, 1, 1]
+    kv = KnotVector(knots, 2)
+    assert kv.knots[3:7].tolist() == [0.5, 0.5, 0.75, knots[6]]
+
+
 def test_find_span_right_closed():
     kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
     assert kv.element_index(0.0) == 0

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -292,17 +294,215 @@ def test_tmesh_json_roundtrip(tmp_path, fixtures_dir):
     assert json.loads(path.read_text())["degrees"] == list(d["degrees"])
 
 
+def _tensor_lists(N1, N2):
+    """Vertices and unit edges of the full tensor mesh on N1 x N2 indices."""
+    vertices = [(i, j) for i in range(1, N1 + 1) for j in range(1, N2 + 1)]
+    edges = [(i, j, i, j + 1) for i in range(1, N1 + 1) for j in range(1, N2)]
+    edges += [(i, j, i + 1, j) for j in range(1, N2 + 1) for i in range(1, N1)]
+    return vertices, edges
+
+
+def _frame(N, inner_vertices, inner_edges, bottom_cuts=(), right_cuts=()):
+    """Boundary of [1, N]^2, its sides split at the given cuts, plus more."""
+    xs = sorted({1, N, *bottom_cuts})
+    ys = sorted({1, N, *right_cuts})
+    vertices = {(1, 1), (1, N), (N, N), *((x, 1) for x in xs), *((N, y) for y in ys)}
+    edges = [(a, 1, b, 1) for a, b in zip(xs, xs[1:])]
+    edges += [(N, a, N, b) for a, b in zip(ys, ys[1:])]
+    edges += [(1, 1, 1, N), (1, N, N, N)]
+    return sorted(vertices | set(inner_vertices)), edges + list(inner_edges)
+
+
+G7 = [0, 0, 0, 1, 2, 2, 2]
+G14 = [0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7]
+
+
+def _single_fault_meshes():
+    """(message, vertices, edges) of bidegree-2 meshes on G7 x G7, one
+    fault each."""
+    V, E = _tensor_lists(7, 7)
+    inside = [e for e in E if e not in ((4, 2, 4, 3), (4, 3, 4, 4))] + [(4, 2, 4, 4)]
+    crossing = [
+        e for e in E if (e[0], e[1]) != (4, 4) and (e[2], e[3]) != (4, 4)
+    ] + [(4, 3, 4, 5), (3, 4, 5, 4)]
+    frame_v, frame_e = _frame(7, [(3, 3)], [(3, 1, 3, 3)], bottom_cuts=[3])
+    l_v, l_e = _frame(
+        7, [(4, 4)], [(4, 1, 4, 4), (4, 4, 7, 4)], bottom_cuts=[4], right_cuts=[4]
+    )
+    return [
+        ("vertex (9, 1) outside the index domain", [(1, 1), (9, 1)], []),
+        ("edge (1,1)-(1,2) endpoint is not a vertex", [(1, 1)], [(1, 1, 1, 2)]),
+        (
+            "edge (1,1)-(2,2) must be axis-aligned with nonzero length",
+            [(1, 1), (2, 2)],
+            [(1, 1, 2, 2)],
+        ),
+        ("vertex (4,3) lies inside an edge; split edges at vertices", V, inside),
+        ("overlapping vertical edges at index 4", V, E + [(4, 2, 4, 3)]),
+        ("overlapping horizontal edges at index 5", V, E + [(2, 5, 3, 5)]),
+        (
+            "edges cross at (4,4) without a vertex; split them there",
+            [v for v in V if v != (4, 4)],
+            crossing,
+        ),
+        ("index-domain boundary is not fully covered by edges", [], []),
+        ("vertex (3, 3) is dangling (degree 1)", frame_v, frame_e),
+        ("mesh cells do not form a rectangular partition", l_v, l_e),
+    ]
+
+
+_FAULT_IDS = [
+    "outside", "endpoint", "diagonal", "inside", "overlap-vertical", "overlap-horizontal",
+    "crossing", "boundary", "dangling", "not-rectangles",
+]
+
+
+@pytest.mark.parametrize("message, vertices, edges", _single_fault_meshes(), ids=_FAULT_IDS)
+def test_tmesh_validation_names_each_fault(message, vertices, edges):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        TMesh((2, 2), [G7, G7], vertices, edges)
+
+
+def test_tmesh_query_errors(fixtures_dir):
+    with pytest.raises(ValueError, match="^mesh is not analysis-suitable$"):
+        _load(fixtures_dir, "tmesh_a").bezier_elements()
+    # one vertical line: the vertex (7, 7) sees only the boundary to its left
+    vertices, edges = _frame(
+        14,
+        [(7, 7), (7, 14)],
+        [(7, 1, 7, 7), (7, 7, 7, 14)],
+        bottom_cuts=[7],
+    )
+    edges = [e for e in edges if e != (1, 14, 14, 14)] + [(1, 14, 7, 14), (7, 14, 14, 14)]
+    mesh = TMesh((3, 3), [G14, G14], vertices, edges)
+    (anchor,) = mesh.anchors()
+    assert (anchor.x_span, anchor.y_span) == ((7, 7), (7, 7))
+    with pytest.raises(
+        ValueError, match=r"finds too few crossed entities in direction 0$"
+    ):
+        mesh.local_knot_vectors(anchor)
+
+
 def test_tmesh_validation():
     kv = [0, 0, 0, 1, 2, 2, 2]
-    with pytest.raises(ValueError):
-        TMesh((2, 2), [kv, kv], [(1, 1), (9, 1)], [])  # vertex out of range
-    with pytest.raises(ValueError):
-        TMesh(
-            (2, 2), [kv, kv],
-            [(1, 1), (2, 2)],
-            [(1, 1, 2, 2)],  # diagonal edge
-        )
-    with pytest.raises(ValueError):
-        TMesh((0, 2), [kv, kv], [(1, 1)], [])  # degree must be >= 1
+    with pytest.raises(ValueError, match="degrees must be >= 1"):
+        TMesh((0, 2), [kv, kv], [(1, 1)], [])
     with pytest.raises(ValueError, match="global knot vectors must be finite"):
         TMesh.tensor((2, 2), [[0, 0, 0, np.nan, 2, 2, 2], kv])
+
+
+@pytest.mark.parametrize(
+    "degrees, knot_vectors, vertices, edges, message",
+    [
+        ((2, 2), [G7, G7], [(1.5, 1)], [], r"vertex \(1\.5, 1\) must be two integers"),
+        ((2, 2), [G7, G7], [(1, 1, 1)], [], r"vertex \(1, 1, 1\) must be two integers"),
+        ((2, 2), [G7, G7], [(1, 1)], [(1, 1, 1)], "must be two vertices or four integers"),
+        ((2, 2), [G7, G7], [(1, 1)], [((1, 1), (1, 2.5))], "must be two vertices or four"),
+        ((2, 2, 2), [G7, G7], [], [], "expected two degrees"),
+        ((2, 2), [G7, G7, G7], [], [], "expected two knot vectors"),
+    ],
+    ids=["fractional vertex", "long vertex", "short edge", "fractional edge", "degrees", "knots"],
+)
+def test_tmesh_input_names_the_bad_field(degrees, knot_vectors, vertices, edges, message):
+    with pytest.raises(ValueError, match=message):
+        TMesh(degrees, knot_vectors, vertices, edges)
+
+
+def test_read_tmesh_json_rejects_fractional_vertex(fixtures_dir):
+    with open(os.path.join(fixtures_dir, "tmesh_a.json")) as fh:
+        data = json.load(fh)
+    data["vertices"][5] = [data["vertices"][5][0] + 0.5, data["vertices"][5][1]]
+    with pytest.raises(ValueError, match="must be two integers"):
+        read_tmesh_json(data)
+
+
+# ------------------------------------------------------- transpose symmetry
+
+
+def _transposed(mesh):
+    """The same mesh with the two parametric directions swapped."""
+    edges = [(y, x, y2, x) for x, y, y2 in mesh.v_edges]
+    edges += [(y, x1, y, x2) for y, x1, x2 in mesh.h_edges]
+    return TMesh(
+        mesh.degrees[::-1],
+        mesh.knot_vectors[::-1],
+        [(j, i) for i, j in mesh.vertices],
+        edges,
+    )
+
+
+_SWAP_KIND = {"vertex": "vertex", "cell": "cell", "vedge": "hedge", "hedge": "vedge"}
+_SWAP_SIDE = {"up": "right", "right": "up", "down": "left", "left": "down"}
+
+
+def _swap_anchor(a):
+    return (_SWAP_KIND[a.kind], a.y_span, a.x_span)
+
+
+def _swap_segment(seg):
+    return tuple(sorted(pt[::-1] for pt in seg))
+
+
+def _transpose_meshes(fixtures_dir):
+    names = ["tmesh_a", "tmesh_b", "tmesh_c", "tmesh_d", "tmesh_ext_left", "tmesh_ext_right"]
+    meshes = [_load(fixtures_dir, n) for n in names]
+    meshes.append(TMesh.tensor((2, 3), [[0, 0, 0, 1, 2, 3, 3, 3], G14]))
+    meshes.append(TMesh.tensor((3, 1), [[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0.5, 1, 1]]))
+    return meshes
+
+
+def test_transpose_symmetry(fixtures_dir):
+    for mesh in _transpose_meshes(fixtures_dir):
+        tr = _transposed(mesh)
+        anchors = mesh.anchors()
+        tr_anchors = tr.anchors()
+        assert {_swap_anchor(a) for a in anchors} == {
+            (a.kind, a.x_span, a.y_span) for a in tr_anchors
+        }
+        assert {(v[::-1], _SWAP_SIDE[m]) for v, m in mesh.t_junctions()} == set(
+            tr.t_junctions()
+        )
+        assert {
+            (e.junction[::-1], "vh"["hv".index(e.orientation)], _swap_segment(e.face),
+             _swap_segment(e.edge))
+            for e in mesh.extensions()
+        } == {(e.junction, e.orientation, e.face, e.edge) for e in tr.extensions()}
+        assert mesh.is_analysis_suitable() == tr.is_analysis_suitable()
+        if not mesh.is_analysis_suitable():
+            continue
+        p1, p2 = mesh.degrees
+        tr_pos = {(a.kind, a.x_span, a.y_span): k for k, a in enumerate(tr_anchors)}
+        tr_els = {el.index_bounds[::-1]: el for el in tr.bezier_elements()}
+        assert len(tr_els) == len(mesh.bezier_elements())
+        for el in mesh.bezier_elements():
+            tel = tr_els[el.index_bounds]
+            rows = [tel.anchors.index(tr_pos[_swap_anchor(anchors[k])]) for k in el.anchors]
+            C, _ = mesh.element_extraction(el.index)
+            Ct, _ = tr.element_extraction(tel.index)
+            # column b2 (p1 + 1) + b1 of C is column b1 (p2 + 1) + b2 of Ct
+            swapped = C.reshape(-1, p2 + 1, p1 + 1).transpose(0, 2, 1).reshape(C.shape)
+            assert np.allclose(Ct[rows], swapped, rtol=0, atol=1e-14)
+
+
+# ------------------------------------------------------- fixture generator
+
+
+def test_fixture_generator_reproduces_committed_files(fixtures_dir):
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", os.path.join(fixtures_dir, "make_fixtures.py")
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    left, right = gen.extensions_pair()
+    built = {
+        "tmesh_a": gen.case_a(),
+        "tmesh_b": gen.case_b(),
+        "tmesh_c": gen.case_c(),
+        "tmesh_d": gen.case_d(),
+        "tmesh_ext_left": left,
+        "tmesh_ext_right": right,
+    }
+    for name, mesh in built.items():
+        with open(os.path.join(fixtures_dir, name + ".json")) as fh:
+            committed = json.load(fh)
+        assert json.loads(json.dumps(tmesh_to_dict(mesh))) == committed, name
