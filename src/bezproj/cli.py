@@ -16,7 +16,6 @@ strings like "3/8".
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
 
 import click
 import numpy as np
@@ -25,6 +24,7 @@ from . import benchmark, spline_ops
 from .projection import TargetFunction, l2_error, lift_normals
 from .spline_space import (
     _bezier_extraction,
+    _exact_windows,
     evaluate,
     parse_number,
     read_spline_json,
@@ -207,10 +207,16 @@ def cmd_extract(in_path, element):
         )
         spans = space.unravel_element(element)
         if exact:
-            factors = [
-                next(islice(_bezier_extraction([Fraction(u) for u in G], int(p)), k, None))
-                for G, p, k in zip(raw["knot_vectors"], raw["degrees"], spans)
-            ]
+            factors = []
+            for d, (G, kv, k) in enumerate(zip(raw["knot_vectors"], space.knot_vectors, spans)):
+                W = _exact_windows(G, kv.degree)
+                if len(W) != kv.n_elements:
+                    raise ValueError(
+                        f"direction {d}: {len(W)} exact nonzero spans but {kv.n_elements} "
+                        "float elements; near-equal knots merge in floating point"
+                    )
+                W, p = W[k : k + 1], kv.degree
+                factors.append(_bezier_extraction(W, W[:, p], W[:, p + 1])[0].tolist())
             C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
             # C is a Kronecker product, so R is that of the factor inverses
             R = reversed_kron(

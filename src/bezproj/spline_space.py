@@ -47,53 +47,87 @@ __all__ = [
 _SNAP_TOL = 1e-12
 
 
-def _bezier_extraction(U, p):
-    """Per-element Bezier extraction operators of an open knot vector.
+def _bezier_extraction(W, a, b):
+    """Bernstein coefficients on [a, b] of the functions around knot spans.
 
-    Borden, Scott, Evans & Hughes (2011), "Isogeometric finite element
-    data structures based on Bezier extraction of NURBS", Algorithm 1:
-    one sweep over the breakpoints raises each interior knot to
-    multiplicity p, updating only the (p+1) x (p+1) operator of the
-    current element; the trailing columns of that operator seed the
-    next one. Cost is O(n p^2) for n elements.
-
-    U is a sequence of numbers of one type; only + - * / are applied,
-    so float knots give float operators and Fraction knots give exact
-    ones. Yields one (p+1) x (p+1) nested list per nonzero span, in span
-    order, rows by ascending function index, columns by ascending
-    Bernstein index; a caller that needs one span stops the sweep there.
+    W is an (m, 2p+2) array of knot windows, each around the nonempty span
+    [W[:, p], W[:, p+1]] that contains [a, b]; a and b have length m.
+    Returns the (m, p+1, p+1) stack whose row i is the function on
+    W[:, i:i+p+2] and whose column j is its coefficient of Bernstein
+    polynomial j on [a, b]: the blossom of the function's piece at
+    (a^(p-j), b^j) (Ramshaw 1989). De Boor's algorithm evaluates a blossom
+    as a weighted sum of the p+1 coefficients; run in reverse, it starts
+    from weight 1 on the span's last function and pushes each weight one
+    level down, alpha to its own row and 1 - alpha to the row before. Only
+    + - * / are applied, so float knots give float operators and Fraction
+    knots (an object array) exact ones.
     """
-    zero = U[0] - U[0]
-    one = zero + 1
+    p = W.shape[1] // 2 - 1
+    cols = np.arange(p + 1)
+    w = np.zeros((W.shape[0], p + 1, p + 1), dtype=W.dtype)  # [window, row, column]
+    w[:, p] = 1
+    for r in range(p, 0, -1):
+        # rows r..p; column j takes u_r = b on the first j levels, a on the rest
+        lo, hi = W[:, r : p + 1, None], W[:, p + 1 : 2 * p + 2 - r, None]
+        alpha = (np.where(cols >= r, b[:, None], a[:, None])[:, None, :] - lo) / (hi - lo)
+        x = w[:, r:]
+        push = (1 - alpha) * x
+        w[:, r:] = alpha * x
+        w[:, r - 1 : p] += push
+    return w
 
-    def identity():
-        return [[one if i == j else zero for j in range(p + 1)] for i in range(p + 1)]
 
-    m = len(U)
-    C = identity()
-    a, b = p, p + 1
-    while b < m - 1:
-        nxt = identity()
-        i = b
-        while b < m - 1 and U[b + 1] == U[b]:
-            b += 1
-        mult = b - i + 1
-        if mult < p:
-            numer = U[b] - U[a]
-            alphas = [numer / (U[a + j] - U[a]) for j in range(mult + 1, p + 1)]
-            r = p - mult
-            for j in range(1, r + 1):
-                s = mult + j
-                for k in range(p, s - 1, -1):
-                    alpha = alphas[k - s]
-                    for row in C:
-                        row[k] = alpha * row[k] + (1 - alpha) * row[k - 1]
-                save = r - j
-                for t in range(j + 1):
-                    nxt[save + t][save] = C[p - j + t][p]
-        yield C
-        C = nxt
-        a, b = b, b + 1
+def _open_knots(knots, degree, snap_tol):
+    """Validate an open knot vector of a float or Fraction (object) array.
+
+    Nonzero gaps of at most snap_tol times the span are closed in place,
+    so span logic can use exact equality. Returns (breakpoints,
+    multiplicities); ValueError names the first broken rule.
+    """
+    p = int(degree)
+    if p < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if knots.dtype != object and not np.all(np.isfinite(knots)):
+        raise ValueError("knots must be finite")
+    if knots.size < 2 * (p + 1):
+        raise ValueError(f"need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}")
+    gaps = np.diff(knots)
+    if np.any(gaps < 0):
+        raise ValueError("knots must be nondecreasing")
+    span = knots[-1] - knots[0]
+    if span <= 0:
+        raise ValueError("knot vector spans an empty domain")
+
+    # a snapped knot can only move the next gap up, so the loop runs only
+    # when some gap is small to begin with
+    if np.any((gaps > 0) & (gaps <= snap_tol * span)):
+        for i in range(1, knots.size):
+            if knots[i] != knots[i - 1] and knots[i] - knots[i - 1] <= snap_tol * span:
+                knots[i] = knots[i - 1]
+
+    if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-p - 1 :] == knots[-1])):
+        raise ValueError("knot vector must be open: p+1 repeated end knots")
+    breakpoints, counts = np.unique(knots, return_counts=True)
+    if np.any(counts[1:-1] > p):
+        raise ValueError(f"interior knot multiplicity exceeds degree {p}")
+    if counts[0] > p + 1 or counts[-1] > p + 1:
+        raise ValueError("boundary knot multiplicity exceeds degree + 1")
+    return breakpoints, counts
+
+
+def _span_windows(knots, multiplicities, p):
+    """The (n_elements, 2p+2) knot windows around the nonzero spans."""
+    last = np.cumsum(multiplicities[:-1]) - 1
+    return knots[last[:, None] + np.arange(-p, p + 2)]
+
+
+def _exact_windows(knots, degree):
+    """Knot windows of the nonzero spans of an exact knot vector (ints,
+    Fractions or "n/d" strings), as a Fraction object array; the knots
+    are checked like :class:`KnotVector`'s, with exact comparisons."""
+    U = np.array([Fraction(u) for u in knots], dtype=object)
+    _, counts = _open_knots(U, degree, 0)
+    return _span_windows(U, counts, int(degree))
 
 
 class KnotVector:
@@ -105,45 +139,11 @@ class KnotVector:
     """
 
     def __init__(self, knots, degree):
-        p = int(degree)
-        if p < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
         knots = np.asarray(knots, dtype=np.float64).ravel().copy()
-        if not np.all(np.isfinite(knots)):
-            raise ValueError("knots must be finite")
-        if knots.size < 2 * (p + 1):
-            raise ValueError(
-                f"need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}"
-            )
-        gaps = np.diff(knots)
-        if np.any(gaps < 0):
-            raise ValueError("knots must be nondecreasing")
-        span = knots[-1] - knots[0]
-        if span <= 0:
-            raise ValueError("knot vector spans an empty domain")
-
-        # cluster near-equal knots so span logic can use exact equality;
-        # a snapped knot can only move the next gap up, so the loop runs
-        # only when some gap is small to begin with
-        if np.any((gaps > 0) & (gaps <= _SNAP_TOL * span)):
-            for i in range(1, knots.size):
-                if knots[i] != knots[i - 1] and knots[i] - knots[i - 1] <= _SNAP_TOL * span:
-                    knots[i] = knots[i - 1]
-
-        if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-p - 1 :] == knots[-1])):
-            raise ValueError("knot vector must be open: p+1 repeated end knots")
-
-        breakpoints, counts = np.unique(knots, return_counts=True)
-        if np.any(counts[1:-1] > p):
-            raise ValueError(f"interior knot multiplicity exceeds degree {p}")
-        if counts[0] > p + 1 or counts[-1] > p + 1:
-            raise ValueError("boundary knot multiplicity exceeds degree + 1")
-
+        self.breakpoints, self.multiplicities = _open_knots(knots, degree, _SNAP_TOL)
         self.knots = knots
         self.knots.flags.writeable = False
-        self.degree = p
-        self.breakpoints = breakpoints
-        self.multiplicities = counts
+        self.degree = int(degree)
         self._extraction = None
         self._reconstruction = None
         self._supports = None
@@ -231,7 +231,9 @@ class KnotVector:
         ascending Bernstein index. Computed once and cached.
         """
         if self._extraction is None:
-            self._extraction = np.array(list(_bezier_extraction(self.knots.tolist(), self.degree)))
+            p = self.degree
+            W = _span_windows(self.knots, self.multiplicities, p)
+            self._extraction = _bezier_extraction(W, W[:, p], W[:, p + 1])
         return self._extraction
 
     def reconstruction(self):
@@ -249,7 +251,9 @@ def univariate_extraction_exact(knots, degree):
     for bit-exact output when inputs are rational; the float path lives
     on :meth:`KnotVector.extraction`.
     """
-    return list(_bezier_extraction([Fraction(u) for u in knots], int(degree)))
+    W = _exact_windows(knots, degree)
+    p = int(degree)
+    return _bezier_extraction(W, W[:, p], W[:, p + 1]).tolist()
 
 
 def bspline_basis_matrix(knots, p, xs):

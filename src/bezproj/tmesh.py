@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import interval_transform
-from .spline_space import KnotVector, _read_json, parse_number
+from .spline_space import _bezier_extraction, _read_json, parse_number
 
 __all__ = [
     "TMesh",
@@ -140,6 +139,7 @@ class TMesh:
         self._anchor_knots = {}
         self._extensions = None
         self._bezier = None
+        self._local_knots = None  # per direction, (n_anchors, p + 2) knots
         self._operators = None
 
     # -- structure ---------------------------------------------------------
@@ -196,7 +196,8 @@ class TMesh:
         if dangling.size:
             i, j = (int(k) for k in dangling[0])
             raise ValueError(f"vertex {(i, j)} is dangling (degree {degree[i, j]})")
-        self._cells = _rectangles(self._wall, "mesh cells do not form a rectangular partition")
+        rects, _ = _rectangles(self._wall, "mesh cells do not form a rectangular partition")
+        self._cells = [tuple(r) for r in rects.tolist()]
 
     def cells(self):
         """Index-space rectangles (i1, i2, j1, j2) of the partition."""
@@ -354,40 +355,54 @@ class TMesh:
             f = "vh".index(ext.orientation)
             a, b = ext.face
             _by_direction(wall)[f][a[f], a[1 - f] : b[1 - f]] = True
-        rects = _rectangles(wall, "extended mesh is not a rectangular partition")
+        rects, label = _rectangles(wall, "extended mesh is not a rectangular partition")
 
-        G1, G2 = self.knot_vectors
-        anchors = self.anchors()
-        supports = []
-        for a in anchors:
-            g1, g2 = self.local_knot_vectors(a)
-            supports.append((g1[0], g1[-1], g2[0], g2[-1]))
+        # elements: the rectangles of nonzero parametric area, by (j1, i1)
+        G = self.knot_vectors
+        order = np.lexsort((rects[:, 0], rects[:, 2]))
+        box = rects[order].reshape(-1, 2, 2)  # [rectangle, direction, (first, last)]
+        bounds = np.stack([G[d][box[:, d] - 1] for d in (0, 1)], axis=1)
+        tol = 1e-12 * max(g[-1] - g[0] for g in G)
+        keep = np.all(bounds[:, :, 1] - bounds[:, :, 0] > tol, axis=1)
+        element = np.full(len(rects), -1)
+        element[order[keep]] = np.arange(keep.sum())
+        box, bounds = box[keep], bounds[keep]
 
-        rects.sort(key=lambda r: (r[2], r[0]))
-        out = []
-        tol = 1e-12 * max(
-            G1[-1] - G1[0], G2[-1] - G2[0]
+        # anchor k covers an element when the support of its local knots
+        # holds the element; such an element shares a unit index square
+        # with the box between k's first and last local knot indices
+        per_anchor = [self.local_knot_indices(a) for a in self.anchors()]
+        index = [
+            np.array([i[d] for i in per_anchor], dtype=np.int64).reshape(-1, p + 2)
+            for d, p in enumerate(self.degrees)
+        ]
+        self._local_knots = tuple(g[i - 1] for g, i in zip(G, index))
+        n_anchors = len(per_anchor)
+        lo = np.stack([i[:, 0] for i in index], axis=1)
+        size = np.stack([i[:, -1] for i in index], axis=1) - lo
+        n_sq = size[:, 0] * size[:, 1]
+        k = np.repeat(np.arange(n_anchors), n_sq)
+        sq = np.arange(n_sq.sum()) - np.repeat(np.cumsum(n_sq) - n_sq, n_sq)
+        e = element[label[lo[k, 0] + sq % size[k, 0], lo[k, 1] + sq // size[k, 0]]]
+        # each pair once, by element then anchor (np.unique would import numpy.ma)
+        pair = np.sort((e * n_anchors + k)[e >= 0])
+        e, k = np.divmod(pair[np.diff(pair, prepend=-1) > 0], max(n_anchors, 1))
+        support = np.stack([g[:, [0, -1]] for g in self._local_knots], axis=1)[k]
+        covers = np.all(
+            (support[:, :, 0] <= bounds[e, :, 0] + tol) & (bounds[e, :, 1] <= support[:, :, 1] + tol),
+            axis=1,
         )
-        for i1, i2, j1, j2 in rects:
-            a1, b1 = G1[i1 - 1], G1[i2 - 1]
-            a2, b2 = G2[j1 - 1], G2[j2 - 1]
-            if b1 - a1 <= tol or b2 - a2 <= tol:
-                continue
-            overlapping = tuple(
-                k
-                for k, (x1, x2, y1, y2) in enumerate(supports)
-                if x1 <= a1 + tol and b1 <= x2 + tol and y1 <= a2 + tol and b2 <= y2 + tol
+        per_element = np.split(k[covers], np.cumsum(np.bincount(e[covers], minlength=len(box)))[:-1])
+        self._bezier = [
+            BezierElement(
+                index=i,
+                index_bounds=tuple(map(tuple, b.tolist())),
+                bounds=tuple(map(tuple, x.tolist())),
+                anchors=tuple(a.tolist()),
             )
-            out.append(
-                BezierElement(
-                    index=len(out),
-                    index_bounds=((i1, i2), (j1, j2)),
-                    bounds=((float(a1), float(b1)), (float(a2), float(b2))),
-                    anchors=overlapping,
-                )
-            )
-        self._bezier = out
-        return out
+            for i, (b, x, a) in enumerate(zip(box, bounds, per_element))
+        ]
+        return self._bezier
 
     def element_extraction(self, e):
         """Extraction operator (C, R) of one Bezier element.
@@ -412,43 +427,43 @@ class TMesh:
         """Stacked C and R of every Bezier element, and the message of
         the error each malformed element raises.
 
-        Per direction, each distinct (local knot vector, element
-        interval) row is computed once, and all of them are restricted
-        to their intervals with one batched window transform. A row of
-        C is the Kronecker product of the anchor's two rows.
+        Per direction, one kernel call gives the rows of every (element,
+        anchor) pair; a row of C is the Kronecker product of the anchor's
+        two rows.
         """
         els = self.bezier_elements()
-        anchors = self.anchors()
         n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
-        pairs = [(el, k) for el in els for k in el.anchors]
-        knots = [self.local_knot_vectors(a) for a in anchors]
-        (rows1, at1, bad1), (rows2, at2, bad2) = (
-            _bernstein_rows(p, [(tuple(knots[k][d]), el.bounds[d]) for el, k in pairs])
-            for d, p in enumerate(self.degrees)
+        count = [len(el.anchors) for el in els]
+        k = np.array([k for el in els for k in el.anchors], dtype=np.int64)
+        bounds = np.repeat(np.array([el.bounds for el in els]).reshape(-1, 2, 2), count, axis=0)
+        (rows1, fault1), (rows2, fault2) = (
+            _bernstein_rows(g[k], p, bounds[:, d, 0], bounds[:, d, 1])
+            for d, (g, p) in enumerate(zip(self._local_knots, self.degrees))
         )
+        fault = np.stack([fault1, fault2], axis=1)
         errors, good, sel, start = {}, [], [], 0
-        for el in els:
-            stop = start + len(el.anchors)
-            msg = next(
-                (bad[i] for i in range(start, stop) for bad in (bad1, bad2) if i in bad), None
-            )
-            if msg is None and stop - start != n:
-                msg = (
-                    f"element {el.index} supports {stop - start} functions, "
-                    f"expected {n}; mesh is malformed"
-                )
+        for el, m in zip(els, count):
+            f = fault[start : start + m].ravel()
+            f = f[f > 0]
+            msg = _ROW_FAULTS[f[0]] if f.size else None
+            if msg is None and m != n:
+                msg = f"element {el.index} supports {m} functions, expected {n}; mesh is malformed"
             if msg is None:
                 good.append(el.index)
-                sel.extend(range(start, stop))
+                sel.extend(range(start, start + m))
             else:
                 errors[el.index] = msg
-            start = stop
+            start += m
         C = np.zeros((len(els), n, n))
         R = np.zeros((len(els), n, n))
         if good:
-            r1, r2 = rows1[at1[sel]], rows2[at2[sel]]
+            r1, r2 = rows1[sel], rows2[sel]
             C[good] = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
-            R[good] = np.linalg.inv(C[good])
+            # one Newton step keeps R the inverse of C to working accuracy
+            # where C is ill-conditioned (cond(C) near 1e4 for some bicubic
+            # elements, where plain inversion errs by 1e-14 relative)
+            Ri = np.linalg.inv(C[good])
+            R[good] = Ri + Ri @ (np.eye(n) - C[good] @ Ri)
         C.flags.writeable = False
         R.flags.writeable = False
         return C, R, errors
@@ -513,111 +528,82 @@ def _integers(entry, n, name, expected):
 
 
 def _rectangles(wall, message):
-    """Region-grow unit index squares into the rectangles between walls.
+    """The rectangles between walls, and the rectangle of each unit square.
 
-    wall[0][x, y] blocks the crossing between squares (x - 1, y) and
-    (x, y); wall[1][x, y] blocks the one between (x, y - 1) and (x, y).
-    Returns (i1, i2, j1, j2) per region in discovery order and raises
-    ValueError(message) when a region is not a rectangle.
+    wall[0][x, y] is a wall between unit squares (x - 1, y) and (x, y),
+    wall[1][x, y] one between (x, y - 1) and (x, y); the domain boundary
+    is walled. A rectangle starts at each square walled on its left and
+    below, and runs to the next wall along its bottom row and along its
+    left column. Returns the (n, 4) array of (i1, i2, j1, j2), ordered by
+    (i1, j1), and the grid holding the rectangle of square (i, j) at
+    [i, j]; raises ValueError(message) unless walls close every rectangle
+    and none runs inside one.
     """
-    vwall, hwall = wall
-    N1, N2 = vwall.shape[0] - 2, vwall.shape[1] - 2
-    label = -np.ones((N1 + 1, N2 + 1), dtype=np.int64)
-    rects = []
-    for i0 in range(1, N1):
-        for j0 in range(1, N2):
-            if label[i0, j0] >= 0:
-                continue
-            rid = len(rects)
-            stack = [(i0, j0)]
-            label[i0, j0] = rid
-            members = []
-            while stack:
-                i, j = stack.pop()
-                members.append((i, j))
-                if i + 1 < N1 and not vwall[i + 1, j] and label[i + 1, j] < 0:
-                    label[i + 1, j] = rid
-                    stack.append((i + 1, j))
-                if i - 1 >= 1 and not vwall[i, j] and label[i - 1, j] < 0:
-                    label[i - 1, j] = rid
-                    stack.append((i - 1, j))
-                if j + 1 < N2 and not hwall[i, j + 1] and label[i, j + 1] < 0:
-                    label[i, j + 1] = rid
-                    stack.append((i, j + 1))
-                if j - 1 >= 1 and not hwall[i, j] and label[i, j - 1] < 0:
-                    label[i, j - 1] = rid
-                    stack.append((i, j - 1))
-            xs = [m[0] for m in members]
-            ys = [m[1] for m in members]
-            i1, i2 = min(xs), max(xs) + 1
-            j1, j2 = min(ys), max(ys) + 1
-            if len(members) != (i2 - i1) * (j2 - j1):
-                raise ValueError(message)
-            rects.append((i1, i2, j1, j2))
-    return rects
+    V, H = wall
+    N1, N2 = V.shape[0] - 2, V.shape[1] - 2
+    x, y = np.arange(N1 + 2)[:, None], np.arange(N2 + 2)
+    corner = np.zeros(V.shape, dtype=bool)
+    corner[1:N1, 1:N2] = V[1:N1, 1:N2] & H[1:N1, 1:N2]
+    i1, j1 = np.nonzero(corner)
+    # the first wall at or after each index along each line
+    i2 = np.minimum.accumulate(np.where(V, x, N1)[::-1], axis=0)[::-1][i1 + 1, j1]
+    j2 = np.minimum.accumulate(np.where(H, y, N2)[:, ::-1], axis=1)[:, ::-1][i1, j1 + 1]
+
+    sums = [np.pad(w.cumsum(0).cumsum(1), ((1, 0), (1, 0))) for w in (V, H)]
+
+    def walls(d, xa, xb, ya, yb):
+        """Walls of wall[d] over x in [xa, xb) and y in [ya, yb), per rectangle."""
+        s = sums[d]
+        return s[xb, yb] - s[xa, yb] - s[xb, ya] + s[xa, ya]
+
+    closed = (
+        (walls(0, i1, i2 + 1, j1, j2) == 2 * (j2 - j1))
+        & (walls(0, i1 + 1, i2, j1, j2) == 0)
+        & (walls(1, i1, i2, j1, j2 + 1) == 2 * (i2 - i1))
+        & (walls(1, i1, i2, j1 + 1, j2) == 0)
+    )
+    if not closed.all():
+        raise ValueError(message)
+    # a square's rectangle starts at the last wall to its left, then the
+    # last wall below in that column
+    left = np.maximum.accumulate(np.where(V, x, 0), axis=0)
+    below = np.maximum.accumulate(np.where(H, y, 0), axis=1)
+    corner_id = np.full(V.shape, -1)
+    corner_id[i1, j1] = np.arange(i1.size)
+    return np.stack([i1, i2, j1, j2], axis=1), corner_id[left, below[left, y]]
 
 
-def _padded(g, p):
-    """Open knot vector in which the local function of the p+2 knots g
-    is the basis function of index pad_lo; returns (knot vector, pad_lo).
+# why an (element, anchor) row cannot be computed, by fault code
+_ROW_FAULTS = (
+    None,
+    "local knot vector has empty support",
+    "the requested interval is not a polynomial piece of the local function",
+)
 
-    Each end is padded up to multiplicity p+1.
+
+def _bernstein_rows(g, p, a, b):
+    """Bernstein coefficients on [a, b] of local-knot-vector functions.
+
+    g holds one local knot vector of p+2 knots per row; its [a, b] must
+    lie in one polynomial piece [g[k], g[k+1]] of the function, up to
+    1e-10 of the support. Padded with p copies of each end knot, g puts
+    the function in row p - k of the 2p+2 knots from padded index k, the
+    kernel window of that piece, so one kernel call computes every row.
+    Returns the (m, p+1) rows and each row's fault code, an index into
+    _ROW_FAULTS (0 for none).
     """
-    g = np.asarray(g, dtype=np.float64)
-    span = g[-1] - g[0]
-    if span <= 0:
-        raise ValueError("local knot vector has empty support")
-    m_lo = int(np.sum(np.abs(g - g[0]) <= 1e-12 * span))
-    m_hi = int(np.sum(np.abs(g - g[-1]) <= 1e-12 * span))
-    pad_lo = max(p + 1 - m_lo, 0)
-    pad_hi = max(p + 1 - m_hi, 0)
-    pad = np.concatenate([[g[0]] * pad_lo, g, [g[-1]] * pad_hi])
-    return KnotVector(pad, p), pad_lo
-
-
-def _bernstein_rows(p, keys):
-    """Bernstein coefficients of local-knot-vector functions on intervals.
-
-    keys lists (g, (a, b)) pairs: g a tuple of p+2 local knots, [a, b]
-    an interval that must lie inside one polynomial piece of g's
-    function. Each distinct g gets one padded knot vector and each
-    distinct key one row: the function's row of that knot vector's
-    extraction operator on the span containing [a, b], restricted from
-    the span to [a, b]. All rows are restricted by one batched window
-    transform. Returns the (m, p+1) rows, the row index of each key (-1
-    where the key fails) and {key position: message of the ValueError
-    it raises}.
-    """
-    padded, at, failed, found = {}, {}, {}, []
-    for key in dict.fromkeys(keys):
-        g, (a, b) = key
-        try:
-            if g not in padded:
-                padded[g] = _padded(g, p)
-            kv, pad_lo = padded[g]
-            e = kv.element_index(0.5 * (a + b))
-            ea, eb = kv.element_bounds(e)
-            tol = 1e-10 * (kv.domain[1] - kv.domain[0])
-            if a < ea - tol or b > eb + tol:
-                raise ValueError(
-                    "the requested interval is not a polynomial piece of the local function"
-                )
-        except ValueError as exc:
-            failed[key] = str(exc)
-            continue
-        at[key] = len(found)
-        # window [a, b] in the biunit coordinate of the span [ea, eb]
-        found.append((
-            kv.extraction()[e][pad_lo - kv.supports()[e][0]],
-            (2 * a - ea - eb) / (eb - ea),
-            (2 * b - ea - eb) / (eb - ea),
-        ))
-    rows = np.zeros((0, p + 1))
-    if found:
-        row, wa, wb = (np.array(x) for x in zip(*found))
-        rows = np.einsum("nij,nj->ni", interval_transform(p, wa, wb), row)
-    pos = np.array([at.get(key, -1) for key in keys], dtype=np.int64)
-    return rows, pos, {i: failed[key] for i, key in enumerate(keys) if key in failed}
+    m = np.arange(len(g))
+    k = np.sum(g[:, 1 : p + 1] <= 0.5 * (a + b)[:, None], axis=1)
+    lo, hi = g[m, k], g[m, k + 1]
+    tol = 1e-10 * (g[:, -1] - g[:, 0])
+    fault = np.where(
+        g[:, -1] <= g[:, 0], 1, np.where((a < lo - tol) | (b > hi + tol) | (hi <= lo), 2, 0)
+    )
+    ok = fault == 0
+    W = g[m[:, None], np.clip(k[:, None] + np.arange(-p, p + 2), 0, p + 1)][ok]
+    rows = np.zeros((len(g), p + 1))
+    rows[ok] = _bezier_extraction(W, a[ok], b[ok])[np.arange(len(W)), (p - k)[ok]]
+    return rows, fault
 
 
 def read_tmesh_json(source):

@@ -100,6 +100,19 @@ def extensions_pair():
     return left, right
 
 
+def half_refined(p, n):
+    """Bidegree (p, p) mesh of n x n unit elements (n even): every
+    vertical line is full and every other interior horizontal line stops
+    at the middle vertical line. All T-junctions lie on that line and
+    their extensions are parallel, so the mesh is analysis-suitable at
+    every size."""
+    G = [0] * (p + 1) + list(range(1, n)) + [n] * (p + 1)
+    N, mid = len(G), p + 1 + n // 2  # index of the knot n / 2
+    vsegs = [(x, 1, N) for x in range(1, N + 1)]
+    hsegs = [(y, 1, mid if p + 1 < y < N - p and (y - p) % 2 == 0 else N) for y in range(1, N + 1)]
+    return build((p, p), (G, G), vsegs, hsegs)
+
+
 def main():
     meshes = {
         "tmesh_a.json": case_a(),

@@ -165,6 +165,58 @@ def random_open_kv(rng, p, n_breaks=None, max_mult=None, lo=0.0, hi=1.0):
 
 
 # ---------------------------------------------------------------------------
+# slow reference: Bezier extraction by knot insertion
+
+
+def bezier_extraction_ref(U, p):
+    """Per-element Bezier extraction operators of an open knot vector.
+
+    Borden, Scott, Evans & Hughes (2011), "Isogeometric finite element
+    data structures based on Bezier extraction of NURBS", Algorithm 1:
+    one sweep over the breakpoints raises each interior knot to
+    multiplicity p, updating only the (p+1) x (p+1) operator of the
+    current element; the trailing columns of that operator seed the
+    next one. U is a sequence of floats or Fractions; returns one nested
+    list per nonzero span, rows by ascending function index, columns by
+    ascending Bernstein index.
+    """
+    U = list(U)
+    zero = U[0] - U[0]
+    one = zero + 1
+
+    def identity():
+        return [[one if i == j else zero for j in range(p + 1)] for i in range(p + 1)]
+
+    m = len(U)
+    out = []
+    C = identity()
+    a, b = p, p + 1
+    while b < m - 1:
+        nxt = identity()
+        i = b
+        while b < m - 1 and U[b + 1] == U[b]:
+            b += 1
+        mult = b - i + 1
+        if mult < p:
+            numer = U[b] - U[a]
+            alphas = [numer / (U[a + j] - U[a]) for j in range(mult + 1, p + 1)]
+            r = p - mult
+            for j in range(1, r + 1):
+                s = mult + j
+                for k in range(p, s - 1, -1):
+                    alpha = alphas[k - s]
+                    for row in C:
+                        row[k] = alpha * row[k] + (1 - alpha) * row[k - 1]
+                save = r - j
+                for t in range(j + 1):
+                    nxt[save + t][save] = C[p - j + t][p]
+        out.append(C)
+        C = nxt
+        a, b = b, b + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
 # slow references: scalar window transforms, span pairs and T-mesh rows
 
 
@@ -245,8 +297,9 @@ def local_function_bernstein_row_ref(g, p, a, b):
 
     g has p+2 entries. The function is embedded in a padded open knot
     vector (it is that vector's basis function of index pad_lo), its row
-    of the extraction operator on the span containing [a, b] is taken,
-    and the row is restricted from the span to [a, b].
+    of the extraction operator on the span containing [a, b] is taken
+    (Algorithm 1, above), and the row is restricted from the span to
+    [a, b].
     """
     from bezproj.spline_space import KnotVector
 
@@ -264,7 +317,7 @@ def local_function_bernstein_row_ref(g, p, a, b):
     tol = 1e-10 * (kv.domain[1] - kv.domain[0])
     if a < ea - tol or b > eb + tol:
         raise ValueError("the requested interval is not a polynomial piece of the local function")
-    row = kv.extraction()[e][pad_lo - kv.element_support(e)[0]]
+    row = bezier_extraction_ref(kv.knots.tolist(), p)[e][pad_lo - kv.element_support(e)[0]]
     wa = (2 * a - ea - eb) / (eb - ea)
     wb = (2 * b - ea - eb) / (eb - ea)
     return interval_transform_ref(p, wa, wb) @ row

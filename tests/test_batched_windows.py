@@ -1,6 +1,6 @@
-"""The batched window transform and its three users against the scalar
-paths they replaced: span pairings of every plan builder, stacked T-mesh
-element operators and the exact CLI reconstruction operator."""
+"""Batched paths against the scalar paths they replaced: the batched
+window transform, the span pairings of every plan builder, the stacked
+T-mesh element operators and the exact CLI reconstruction operator."""
 
 import dataclasses
 import json
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from oracles import dim_pairing_ref, interval_transform_ref, tmesh_extraction_ref
+from test_tmesh import _transposed
 
 from bezproj import spline_ops
 from bezproj.bernstein import interval_transform
@@ -153,12 +154,13 @@ def test_dim_pairing_keeps_its_coverage_check():
 @pytest.mark.parametrize("name", ["tmesh_c", "tmesh_d", "tmesh_ext_right"])
 def test_stacked_tmesh_operators_match_scalar_reference(fixtures_dir, name):
     mesh = read_tmesh_json(os.path.join(fixtures_dir, name + ".json"))
-    for el in mesh.bezier_elements():
-        C, R = mesh.element_extraction(el.index)
-        C_ref, R_ref = tmesh_extraction_ref(mesh, el.index)
-        assert _rel(C, C_ref) <= 1e-14
-        assert _rel(R, R_ref) <= 1e-14
-        assert not C.flags.writeable and not R.flags.writeable
+    for mesh in (mesh, _transposed(mesh)):
+        for el in mesh.bezier_elements():
+            C, R = mesh.element_extraction(el.index)
+            C_ref, R_ref = tmesh_extraction_ref(mesh, el.index)
+            assert _rel(C, C_ref) <= 1e-14
+            assert _rel(R, R_ref) <= 1e-14
+            assert not C.flags.writeable and not R.flags.writeable
 
 
 def test_tmesh_element_errors_stay_with_their_element(fixtures_dir):

@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import bezier_extraction_ref
 
 from bezproj.benchmark import CSV_HEADER, expression_target
-from bezproj.cli import main
+from bezproj.cli import _fraction_inverse, main
 from bezproj.spline_space import (
     ControlNet,
     KnotVector,
@@ -236,9 +237,8 @@ def test_extract_tensor_prints_factors(runner, tmp_path):
 
 
 def test_extract_exact_tensor_first_middle_and_last_element(runner, tmp_path):
-    """The exact sweep stops at the requested span: the printed factors
-    and C of the first, a middle and the last element match the full
-    exact extraction."""
+    """The printed factors and C of the first, a middle and the last
+    element match the full exact extraction."""
     knots = [["0", "0", "0", "1/4", "1/2", "3/4", "1", "1", "1"], [0, 0, 0, 0, 1, 3, 3, 3, 3]]
     degrees = [2, 3]
     src = tmp_path / "surf_exact.json"
@@ -263,6 +263,54 @@ def test_extract_exact_tensor_first_middle_and_last_element(runner, tmp_path):
             assert printed == [[str(x) for x in row] for row in F]
         C = reversed_kron([np.array(F, dtype=object) for F in factors])
         assert _parse_matrix(result.output, "C:") == [[str(x) for x in row] for row in C]
+
+
+def test_extract_exact_every_element_matches_knot_insertion(runner, tmp_path):
+    """Every element of an exact bicubic 6 x 5 file, with repeated knots:
+    the printed factors, C and R are those of knot insertion."""
+    knots = [
+        [0, 0, 0, 0, "1/7", "1/3", "1/3", "1/2", "2/3", "4/5", "4/5", "4/5", 1, 1, 1, 1],
+        ["-1", "-1", "-1", "-1", "-1/2", "1/9", "1/9", "2/3", "5/2", 3, 3, 3, 3],
+    ]
+    src = tmp_path / "bicubic.json"
+    src.write_text(json.dumps({
+        "parametric_dim": 2,
+        "physical_dim": 1,
+        "degrees": [3, 3],
+        "knot_vectors": knots,
+        "control_points": [[0.0]] * (12 * 9),
+    }))
+    ref = [bezier_extraction_ref([Fraction(u) for u in G], 3) for G in knots]
+    assert [len(ops) for ops in ref] == [6, 5]
+    for element in range(30):
+        result = runner.invoke(main, ["extract", "--in", str(src), "--element", str(element)])
+        assert result.exit_code == 0, result.output
+        factors = [ref[0][element % 6], ref[1][element // 6]]
+        for d, F in enumerate(factors):
+            printed = _parse_matrix(result.output, f"C factor, direction {d}:")
+            assert printed == [[str(x) for x in row] for row in F]
+        C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
+        assert _parse_matrix(result.output, "C:") == [[str(x) for x in row] for row in C]
+        R = _fraction_inverse(C)
+        assert _parse_matrix(result.output, "R:") == [[str(x) for x in row] for row in R]
+
+
+def test_extract_exact_rejects_knots_that_merge_as_floats(runner, tmp_path):
+    """1/2 + 2^-50 is a knot of its own in exact arithmetic, but the float
+    space snaps it onto 1/2, so its element 1 is [1/2, 1]: the exact path
+    must not print the operator of the sliver [1/2, 1/2 + 2^-50]."""
+    src = tmp_path / "sliver.json"
+    src.write_text(json.dumps({
+        "parametric_dim": 1,
+        "physical_dim": 1,
+        "degrees": [2],
+        "knot_vectors": [[0, 0, 0, "1/2", "562949953421313/1125899906842624", 1, 1, 1]],
+        "control_points": [[0.0]] * 5,
+    }))
+    assert read_spline_json(str(src))[0].n_elements == 2
+    result = runner.invoke(main, ["extract", "--in", str(src), "--element", "1"])
+    assert result.exit_code == 1
+    assert "direction 0: 3 exact nonzero spans but 2 float elements" in result.output
 
 
 def test_extract_decimal_fallback(runner, tmp_path):

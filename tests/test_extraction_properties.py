@@ -1,11 +1,13 @@
-"""Property test of the one extraction routine behind the float and exact
-paths, on random open knot vectors with random multiplicities."""
+"""Property tests of the one extraction routine behind the float and exact
+paths, on random open knot vectors with random multiplicities: against
+each other and against knot insertion (Algorithm 1)."""
 
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bezier_extraction_ref
 
 from bezproj.cli import _fraction_inverse
 from bezproj.spline_space import KnotVector, univariate_extraction_exact
@@ -42,3 +44,15 @@ def test_extraction_float_and_exact_agree_and_invert(case):
             for i in range(p + 1)
         ]
         assert CR == identity
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_knot_vectors())
+def test_blossom_kernel_matches_knot_insertion(case):
+    knots, p = case
+    assert univariate_extraction_exact(knots, p) == bezier_extraction_ref(knots, p)
+    floats = [float(t) for t in knots]
+    ref = np.array(bezier_extraction_ref(floats, p))
+    got = KnotVector(floats, p).extraction()
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,32 @@ def test_extraction_exact_matches_float():
     for Cq, C in zip(exact, ops):
         assert np.allclose(np.array(Cq, dtype=float), C, atol=1e-15)
         assert all(isinstance(v, Fraction) for row in Cq for v in row)
+
+
+@pytest.mark.parametrize(
+    "knots, p, message",
+    [
+        ([0, 0, Fraction(1, 2), Fraction(1, 4), 1, 1], 1, "knots must be nondecreasing"),
+        ([0, 1, 1, 2, 2], 1, "knot vector must be open: p+1 repeated end knots"),
+        ([0, 0, 1, 1], 0, "degree must be >= 1, got 0"),
+        ([0, 0, 0, 1, 1, 1, 2, 2, 2], 2, "interior knot multiplicity exceeds degree 2"),
+        ([0, 0, 1], 1, "need at least 4 knots for degree 1, got 3"),
+    ],
+    ids=["unsorted", "not-open", "degree", "multiplicity", "short"],
+)
+def test_exact_extraction_checks_its_knots_like_knot_vector(knots, p, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        univariate_extraction_exact(knots, p)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        KnotVector([float(t) for t in knots], p)
+
+
+def test_exact_extraction_compares_knots_exactly():
+    # equal as floats, out of order as fractions
+    knots = [0, 0, 0, Fraction(1, 2) + Fraction(1, 10**30), Fraction(1, 2), 1, 1, 1]
+    KnotVector([float(t) for t in knots], 2)
+    with pytest.raises(ValueError, match="knots must be nondecreasing"):
+        univariate_extraction_exact(knots, 2)
 
 
 def test_element_mapping_roundtrip():

@@ -487,12 +487,17 @@ def test_transpose_symmetry(fixtures_dir):
 # ------------------------------------------------------- fixture generator
 
 
-def test_fixture_generator_reproduces_committed_files(fixtures_dir):
+def _generator(fixtures_dir):
     spec = importlib.util.spec_from_file_location(
         "make_fixtures", os.path.join(fixtures_dir, "make_fixtures.py")
     )
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def test_fixture_generator_reproduces_committed_files(fixtures_dir):
+    gen = _generator(fixtures_dir)
     left, right = gen.extensions_pair()
     built = {
         "tmesh_a": gen.case_a(),
@@ -506,3 +511,18 @@ def test_fixture_generator_reproduces_committed_files(fixtures_dir):
         with open(os.path.join(fixtures_dir, name + ".json")) as fh:
             committed = json.load(fh)
         assert json.loads(json.dumps(tmesh_to_dict(mesh))) == committed, name
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("p", [2, 3])
+def test_half_refined_family_is_suitable_and_invertible(fixtures_dir, p, n):
+    mesh = _generator(fixtures_dir).half_refined(p, n)
+    assert mesh.is_analysis_suitable()
+    # n // 2 stopped lines, each with one T-junction on the middle line
+    assert len(mesh.t_junctions()) == n // 2
+    els = mesh.bezier_elements()
+    assert len(els) > n * n * 3 // 4
+    I = np.eye((p + 1) ** 2)
+    for el in els:
+        C, R = mesh.element_extraction(el.index)
+        assert np.max(np.abs(C @ R - I)) <= 1e-10
