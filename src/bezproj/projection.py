@@ -17,6 +17,7 @@ by the control weights.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -100,6 +101,17 @@ def _quad_orders(space, quad_order, f_degree=None, rational=False):
     return orders
 
 
+@lru_cache(maxsize=128)
+def _gauss_rule(p, q):
+    """The q-point Gauss rule on [-1, 1] for degree p: (nodes, weights,
+    Bernstein design at the nodes), read-only, built once per (p, q)."""
+    x, w = leggauss(q)
+    rule = (x, w, bernstein.bernstein_matrix(p, x))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _target_on_grid(f, space, orders, breaks=None):
     """One call of f on the Gauss points of all cells, as a grid.
 
@@ -111,10 +123,10 @@ def _target_on_grid(f, space, orders, breaks=None):
         breaks = [kv.breakpoints for kv in space.knot_vectors]
     coords, rules = [], []
     for bp, p, q in zip(breaks, space.degrees, orders):
-        x, w = leggauss(q)
+        rule = _gauss_rule(p, q)
         a, b = np.asarray(bp[:-1])[:, None], np.asarray(bp[1:])[:, None]
-        coords.append((0.5 * (a + b) + 0.5 * (b - a) * x).ravel())
-        rules.append((x, w, bernstein.bernstein_matrix(p, x)))
+        coords.append((0.5 * (a + b) + 0.5 * (b - a) * rule[0]).ravel())
+        rules.append(rule)
     mesh = np.meshgrid(*coords[::-1], indexing="ij")
     points = np.stack([g.ravel() for g in mesh[::-1]], axis=1)
     return f(points).reshape(mesh[0].shape + (-1,)), rules

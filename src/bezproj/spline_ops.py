@@ -43,7 +43,7 @@ from .bernstein import (
 )
 from .projection import _direction_weights
 from .spline_space import ControlNet, KnotVector, SplineSpace
-from .tensor import _apply_along, reversed_kron
+from .tensor import _apply_along, _scatter_add, reversed_kron
 
 __all__ = [
     "PairTransform",
@@ -253,8 +253,7 @@ def _compose_pairings(first, then):
     i1 = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     tgt, src = then.target[i2], first.source[i1]
     keys, inverse = np.unique(np.stack([tgt, src], axis=1), axis=0, return_inverse=True)
-    mats = np.zeros((keys.shape[0],) + then.matrix.shape[1:2] + first.matrix.shape[2:])
-    np.add.at(mats, inverse.ravel(), then.matrix[i2] @ first.matrix[i1])
+    mats = _scatter_add(inverse.ravel(), then.matrix[i2] @ first.matrix[i1], keys.shape[0])
     return SpanPairing(keys[:, 0], keys[:, 1], mats)
 
 

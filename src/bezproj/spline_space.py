@@ -558,8 +558,10 @@ def evaluate(space, net, points):
 
     points is (m, d) or a single point; returns (m, physical_dim).
     Per direction every point looks up its element and the values of
-    the p+1 functions supported there; the tensor-product values then
-    weight one gather of the control net.
+    the p+1 functions supported there, N = C B(xi). The (p+1)^d local
+    functions of a point are the control points at fixed offsets from
+    its first supported one, so the sum runs over the local functions:
+    one control-point gather each, weighted by its tensor-product value.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != space.parametric_dim:
@@ -568,11 +570,13 @@ def evaluate(space, net, points):
         raise ValueError("control net size does not match space dimension")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points must be finite")
-    H = net.homogeneous()
+    # only read: a polynomial net's points are not copied, which would
+    # cost O(n_funcs) per call whatever the number of points
+    H = net.homogeneous() if net.is_rational else net.points
 
     m = pts.shape[0]
-    rows = np.zeros((m, 1), dtype=np.int64)
-    vals = np.ones((m, 1))
+    first = np.zeros(m, dtype=np.int64)
+    local = [(0, 1.0)]  # (offset from first, (m, 1) values) per local function
     stride = 1
     for d, kv in enumerate(space.knot_vectors):
         a, b = kv.domain
@@ -584,10 +588,21 @@ def evaluate(space, net, points):
         lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
         xi = (2.0 * x - lo - hi) / (hi - lo)
         N = np.einsum("mab,mb->ma", kv.extraction()[s], bernstein_matrix(kv.degree, xi))
-        rows = (stride * kv.supports()[s][:, :, None] + rows[:, None, :]).reshape(m, -1)
-        vals = (N[:, :, None] * vals[:, None, :]).reshape(m, -1)
+        first += stride * kv.supports()[s, 0]
+        # the first direction cycles fastest
+        local = [
+            (offset + stride * i, w * Ni)
+            for i, Ni in enumerate(N.T[:, :, None])
+            for offset, w in local
+        ]
         stride *= kv.n
-    out = np.einsum("mi,mik->mk", vals, np.take(H, rows, axis=0))
+    out = np.zeros((m, H.shape[1]))
+    for offset, w in local:
+        # scaled in place: one more (m, D) temporary per function is
+        # fresh memory on every call, paid in page faults
+        g = H.take(first + offset, axis=0)
+        g *= w
+        out += g
     if net.is_rational:
         return out[:, :-1] / out[:, -1:]
     return out
@@ -637,11 +652,38 @@ def parse_number(x):
     return float(x)
 
 
+def _number_array(values, what, ndim):
+    """A JSON array of numbers and exact "n/d" strings as an ndim-D float
+    array. An array of numbers converts in one call; otherwise only the
+    string entries go through parse_number. ValueError names what."""
+    try:
+        arr = np.array(values)
+        if arr.dtype.kind not in "biuf":
+            arr = np.array(values, dtype=object)
+            strings = np.frompyfunc(isinstance, 2, 1)(arr, str).astype(bool)
+            arr[strings] = [parse_number(x) for x in arr[strings]]
+            if np.any(np.equal(arr, None)):
+                raise TypeError("null entry")
+        if arr.ndim == ndim:
+            return arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f'{what} must hold numbers or "n/d" strings ({exc})') from None
+    raise ValueError(f"{what} must be a {ndim}-D array of numbers")
+
+
+def _integer(x, what):
+    """x as an int; ValueError names what unless x is integral."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError(f"{what} must be integers, got {x!r}")
+
+
 def _space_from_dict(data):
-    degrees = data["degrees"]
     kvs = [
-        KnotVector([parse_number(u) for u in knots], int(p))
-        for knots, p in zip(data["knot_vectors"], degrees)
+        KnotVector(_number_array(knots, "knot_vectors", 1), _integer(p, "degrees"))
+        for knots, p in zip(data["knot_vectors"], data["degrees"])
     ]
     return SplineSpace(kvs)
 
@@ -667,14 +709,12 @@ def read_spline_json(source):
     space = _space_from_dict(data)
     if int(data["parametric_dim"]) != space.parametric_dim:
         raise ValueError("parametric_dim does not match knot_vectors")
-    points = np.array(
-        [[parse_number(x) for x in row] for row in data["control_points"]]
-    )
+    points = _number_array(data["control_points"], "control_points", 2)
     if points.shape[1] != int(data["physical_dim"]):
         raise ValueError("physical_dim does not match control_points")
     weights = None
     if data.get("weights") is not None:
-        weights = np.array([parse_number(w) for w in data["weights"]])
+        weights = _number_array(data["weights"], "weights", 1)
     net = ControlNet(points, weights)
     if net.n != space.n_funcs:
         raise ValueError(

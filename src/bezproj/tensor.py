@@ -16,6 +16,7 @@ operators act on a grid one direction at a time (:func:`_apply_along`),
 never as assembled Kronecker matrices.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -77,6 +78,18 @@ def _apply_along(X, d, ops, gather=None, scatter=None, n_out=None):
     if scatter is None:
         out = Y.reshape((E * r,) + rest)
     else:
-        out = np.zeros((n_out,) + rest)
-        np.add.at(out, scatter, Y)
+        out = _scatter_add(scatter, Y, n_out)
     return np.moveaxis(out, 0, axis)
+
+
+def _scatter_add(index, values, n):
+    """Sums of the entries of values into n rows by index.
+
+    index has the leading shape of values; each output row sums its
+    entries in input order, as np.add.at does, by one np.bincount.
+    """
+    rest = values.shape[index.ndim :]
+    k = math.prod(rest)
+    flat = (index.reshape(-1, 1) * k + np.arange(k)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=n * k)
+    return sums.reshape((n,) + rest)

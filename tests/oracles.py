@@ -426,3 +426,37 @@ def reparameterized_ref(kv, new_interior):
     bp = kv.breakpoints.copy()
     bp[1:-1] = new_interior
     return _kv(np.repeat(bp, kv.multiplicities), kv.degree)
+
+
+# ---------------------------------------------------------------------------
+# slow reference: evaluation through per-point index tensors
+
+
+def evaluate_ref(space, net, points):
+    """Spline values at parametric points (rational if weighted), as
+    evaluate computed them before it summed one gather per local
+    function: the (m, (p+1)^d) global indices and tensor-product values
+    of every point's local functions, one (m, (p+1)^d, D) gather of the
+    control net, and one contraction."""
+    from bezproj.bernstein import bernstein_matrix
+
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    H = net.homogeneous()
+    m = pts.shape[0]
+    rows = np.zeros((m, 1), dtype=np.int64)
+    vals = np.ones((m, 1))
+    stride = 1
+    for d, kv in enumerate(space.knot_vectors):
+        x = pts[:, d]
+        s = np.searchsorted(kv.breakpoints, x, side="right") - 1
+        np.clip(s, 0, kv.n_elements - 1, out=s)
+        lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
+        xi = (2.0 * x - lo - hi) / (hi - lo)
+        N = np.einsum("mab,mb->ma", kv.extraction()[s], bernstein_matrix(kv.degree, xi))
+        rows = (stride * kv.supports()[s][:, :, None] + rows[:, None, :]).reshape(m, -1)
+        vals = (N[:, :, None] * vals[:, None, :]).reshape(m, -1)
+        stride *= kv.n
+    out = np.einsum("mi,mik->mk", vals, np.take(H, rows, axis=0))
+    if net.is_rational:
+        return out[:, :-1] / out[:, -1:]
+    return out

@@ -346,6 +346,49 @@ def test_extract_element_out_of_range(runner, tmp_path):
     assert "outside 0..1" in result.output
 
 
+def _extract_linear(runner, tmp_path, **changes):
+    """bezproj extract on a valid degree-1 curve file with some keys replaced."""
+    payload = {
+        "parametric_dim": 1,
+        "physical_dim": 2,
+        "degrees": [1],
+        "knot_vectors": [[0, 0, 1, 1]],
+        "control_points": [[0, 0], [1, 1]],
+    }
+    payload.update(changes)
+    src = tmp_path / "linear.json"
+    src.write_text(json.dumps(payload))
+    return runner.invoke(main, ["extract", "--in", str(src), "--element", "0"])
+
+
+def _assert_rejected(result, what):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: ") and what in result.output
+
+
+def test_extract_rejects_empty_control_points(runner, tmp_path):
+    _assert_rejected(_extract_linear(runner, tmp_path, control_points=[]), "control_points")
+
+
+def test_extract_rejects_flat_control_points(runner, tmp_path):
+    _assert_rejected(_extract_linear(runner, tmp_path, control_points=[0, 1]), "control_points")
+
+
+def test_extract_rejects_null_control_point(runner, tmp_path):
+    result = _extract_linear(runner, tmp_path, control_points=[[None, 0], [1, 1]])
+    _assert_rejected(result, "control_points")
+
+
+def test_extract_rejects_overflowing_control_point(runner, tmp_path):
+    result = _extract_linear(runner, tmp_path, control_points=[["1e400", 0], [1, 1]])
+    _assert_rejected(result, "control_points")
+
+
+def test_extract_rejects_fractional_degree(runner, tmp_path):
+    _assert_rejected(_extract_linear(runner, tmp_path, degrees=[1.5]), "degrees")
+
+
 # ---------------------------------------------------------- convergence
 
 

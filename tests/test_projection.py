@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from bezproj.bernstein import bernstein_matrix
 from bezproj.projection import (
     ProjectionReport,
     TargetFunction,
+    _gauss_rule,
     bezier_project,
     global_l2_project,
     l2_error,
@@ -194,6 +196,17 @@ def test_declared_degree_uses_minimal_exact_quadrature():
     full = bezier_project(lambda pts: 3 * pts[:, 0] ** 2 - pts[:, 0] + 1, sp,
                           quad_order=12)
     assert np.allclose(got.coefficients, full.coefficients, atol=1e-12)
+
+
+def test_gauss_rules_are_cached_and_read_only():
+    x, w, B = rule = _gauss_rule(3, 5)
+    assert _gauss_rule(3, 5) is rule
+    ref_x, ref_w = leggauss(5)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert np.array_equal(B, bernstein_matrix(3, ref_x))
+    for a in rule:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_target_function_pointwise_mode():

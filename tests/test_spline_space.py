@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bezproj.spline_space import (
     ControlNet,
@@ -20,6 +22,7 @@ from bezproj.spline_space import (
 from oracles import (
     bernstein_design_ref,
     bspline_design,
+    evaluate_ref,
     extraction_by_collocation,
     random_open_kv,
     spline_eval_scipy,
@@ -301,6 +304,64 @@ def test_evaluate_tensor_surface(rng):
     D2 = bspline_design(kv2.knots, 1, P[:, 1])
     ref = np.einsum("xi,xj->xij", D1, D2).reshape(20, -1, order="F") @ pts
     assert np.allclose(got, ref, atol=1e-12)
+
+
+def test_evaluate_trivariate_volume(rng):
+    kvs = [
+        KnotVector([0, 0, 0, 0.3, 1, 1, 1], 2),
+        KnotVector([0, 0, 0.5, 1, 1], 1),
+        KnotVector([0, 0, 0, 0, 0.4, 1, 1, 1, 1], 3),
+    ]
+    sp = SplineSpace(kvs)
+    pts = rng.normal(size=(sp.n_funcs, 3))
+    P = rng.uniform(0, 1, size=(40, 3))
+    P[0], P[1], P[2] = 0.0, 1.0, [0.3, 0.5, 0.4]
+    got = evaluate(sp, ControlNet(pts), P)
+    D = [bspline_design(kv.knots, kv.degree, P[:, d]) for d, kv in enumerate(kvs)]
+    ref = np.einsum("xi,xj,xk->xijk", *D).reshape(40, -1, order="F") @ pts
+    assert np.allclose(got, ref, atol=1e-12)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """Random open knot vectors in 1 to 3 directions, degree 1 to 4, the
+    point count, the physical dimension, whether the net is rational, and
+    a seed for the control net and the points."""
+    knots = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(1, 4))
+        den = draw(st.integers(2, 16))
+        interior = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=4))
+        U = [0.0] * (p + 1)
+        for t in sorted(interior):
+            U += [t / den] * draw(st.integers(1, p))
+        knots.append((U + [1.0] * (p + 1), p))
+    m = draw(st.sampled_from([1, 50]))
+    dim = draw(st.integers(1, 3))
+    return knots, m, dim, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(evaluation_cases())
+def test_evaluate_matches_index_tensor_reference(case):
+    knots, m, dim, rational, seed = case
+    rng = np.random.default_rng(seed)
+    sp = SplineSpace([KnotVector(U, p) for U, p in knots])
+    weights = rng.uniform(0.5, 2.0, sp.n_funcs) if rational else None
+    net = ControlNet(rng.normal(size=(sp.n_funcs, dim)), weights)
+    # points on breakpoints (domain ends included) and in between
+    cols = []
+    for kv in sp.knot_vectors:
+        x = rng.uniform(0.0, 1.0, m)
+        on_break = rng.random(m) < 0.5
+        x[on_break] = rng.choice(kv.breakpoints, on_break.sum())
+        cols.append(x)
+    pts = np.stack(cols, axis=1)
+    if m > 1:
+        pts[0], pts[-1] = 0.0, 1.0
+    got, ref = evaluate(sp, net, pts), evaluate_ref(sp, net, pts)
+    assert got.shape == ref.shape == (m, dim)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_evaluate_rejects_non_finite_points():
