@@ -10,10 +10,8 @@ repositioning) without assembling or solving global systems.
 from .bernstein import (
     elevation_matrix,
     eval_basis,
-    eval_basis_multi,
     gramian,
     gramian_inverse,
-    gramian_inverse_multi,
     interval_transform,
     reduction_matrix,
 )
@@ -24,10 +22,7 @@ from .projection import (
     global_l2_project,
     l2_error,
     lift_normals,
-    local_bernstein_projection,
-    local_spline_coefficients,
     smoothing_weight_table,
-    smoothing_weights,
 )
 from .spline_ops import (
     OpPlan,
@@ -54,7 +49,6 @@ from .spline_ops import (
 )
 from .spline_space import (
     ControlNet,
-    Element,
     KnotVector,
     SplineSpace,
     evaluate,
@@ -63,7 +57,7 @@ from .spline_space import (
     univariate_extraction_exact,
     write_spline_json,
 )
-from .tensor import multi_index_2d, multi_index_3d, reversed_kron
+from .tensor import reversed_kron
 from .tmesh import TMesh, read_tmesh_json, write_tmesh_json
 
 __version__ = "0.1.0"
@@ -72,22 +66,17 @@ __all__ = [
     "__version__",
     # bernstein
     "eval_basis",
-    "eval_basis_multi",
     "gramian",
     "gramian_inverse",
-    "gramian_inverse_multi",
     "interval_transform",
     "elevation_matrix",
     "reduction_matrix",
     # tensor
     "reversed_kron",
-    "multi_index_2d",
-    "multi_index_3d",
     # spaces
     "KnotVector",
     "SplineSpace",
     "ControlNet",
-    "Element",
     "evaluate",
     "evaluate_derivative",
     "read_spline_json",
@@ -99,9 +88,6 @@ __all__ = [
     "global_l2_project",
     "l2_error",
     "lift_normals",
-    "local_bernstein_projection",
-    "local_spline_coefficients",
-    "smoothing_weights",
     "smoothing_weight_table",
     # ops
     "OpPlan",

@@ -17,16 +17,11 @@ from math import comb
 
 import numpy as np
 
-from .tensor import reversed_kron
-
 __all__ = [
     "eval_basis",
-    "eval_basis_multi",
     "bernstein_matrix",
-    "bernstein_integral",
     "gramian",
     "gramian_inverse",
-    "gramian_inverse_multi",
     "interval_transform",
     "elevation_matrix",
     "reduction_matrix",
@@ -94,31 +89,6 @@ def bernstein_matrix(p, xi):
     return out
 
 
-def eval_basis_multi(degrees, xi):
-    """Tensor-product Bernstein basis values at a point of [-1, 1]^d.
-
-    Ordering follows the multi-index convention of :mod:`bezproj.tensor`:
-    the first parametric direction cycles fastest.
-    """
-    degrees = tuple(int(p) for p in degrees)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (len(degrees),):
-        raise ValueError("point dimension does not match number of degrees")
-    return reversed_kron([eval_basis(p, x) for p, x in zip(degrees, xi)])
-
-
-def bernstein_integral(p, a=-1.0, b=1.0):
-    """Integral of any one Bernstein basis function of degree p over [a, b].
-
-    All p+1 functions share the same integral, (b - a) / (p + 1).
-    """
-    _check_degree(p)
-    a, b = float(a), float(b)
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    return (b - a) / (p + 1)
-
-
 def gramian(p):
     """Gramian of the degree-p basis on [-1, 1].
 
@@ -159,11 +129,6 @@ def gramian_inverse(p):
             Gi[j, k] = val
             Gi[k, j] = val
     return Gi
-
-
-def gramian_inverse_multi(degrees):
-    """Closed-form inverse of the tensor-product Gramian."""
-    return reversed_kron([gramian_inverse(p) for p in degrees])
 
 
 def interval_transform(p, a, b):

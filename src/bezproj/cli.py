@@ -223,10 +223,9 @@ def cmd_extract(in_path, element):
                 [np.array(_fraction_inverse(F), dtype=object) for F in factors]
             ).tolist()
         else:
-            op = space.extraction_operator(element)
-            factors = [F.tolist() for F in op.factors]
-            C = op.C.tolist()
-            R = np.linalg.inv(op.C).tolist()
+            factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
+            (C,) = space.extraction([element])
+            C, R = C.tolist(), np.linalg.inv(C).tolist()
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     if len(factors) > 1:

@@ -24,14 +24,11 @@ from numpy.polynomial.legendre import leggauss
 
 from . import bernstein
 from .spline_space import ControlNet, _checked_weights, evaluate_derivative
-from .tensor import _apply_along, reversed_kron
+from .tensor import _apply_along, _scatter_add, reversed_kron
 
 __all__ = [
     "TargetFunction",
     "ProjectionReport",
-    "local_bernstein_projection",
-    "local_spline_coefficients",
-    "smoothing_weights",
     "smoothing_weight_table",
     "bezier_project",
     "global_l2_project",
@@ -112,19 +109,15 @@ def _gauss_rule(p, q):
     return rule
 
 
-def _target_on_grid(f, space, orders, breaks=None):
-    """One call of f on the Gauss points of all cells, as a grid.
-
-    The cells lie between breaks (per direction; the space's breakpoints
-    by default), orders[d] points each. Also returns per direction the
-    rule (Gauss nodes, weights, Bernstein design at the nodes).
+def _target_on_grid(f, space, orders):
+    """One call of f on the Gauss points of all elements, as a grid,
+    orders[d] points per element in direction d. Also returns per
+    direction the rule (Gauss nodes, weights, Bernstein design there).
     """
-    if breaks is None:
-        breaks = [kv.breakpoints for kv in space.knot_vectors]
     coords, rules = [], []
-    for bp, p, q in zip(breaks, space.degrees, orders):
-        rule = _gauss_rule(p, q)
-        a, b = np.asarray(bp[:-1])[:, None], np.asarray(bp[1:])[:, None]
+    for kv, q in zip(space.knot_vectors, orders):
+        rule = _gauss_rule(kv.degree, q)
+        a, b = kv.breakpoints[:-1, None], kv.breakpoints[1:, None]
         coords.append((0.5 * (a + b) + 0.5 * (b - a) * rule[0]).ravel())
         rules.append(rule)
     mesh = np.meshgrid(*coords[::-1], indexing="ij")
@@ -136,27 +129,6 @@ def _local_fit(p, rule):
     """Bernstein L2 fit from values at Gauss nodes: G^{-1} B^T diag(w)."""
     _, w, B = rule
     return bernstein.gramian_inverse(p) @ (B.T * w)
-
-
-def local_bernstein_projection(f, space, element, quad_order=None):
-    """L2-best Bernstein coefficients of f on one element.
-
-    f follows the vectorized target convention; returns an array of
-    shape (prod(p_i + 1), output_dim).
-    """
-    f = _as_target(f)
-    orders = _quad_orders(space, quad_order, f_degree=f.degree)
-    el = space.element(element) if np.isscalar(element) else element
-    X, rules = _target_on_grid(f, space, orders, breaks=el.bounds)
-    for d, (p, rule) in enumerate(zip(space.degrees, rules)):
-        X = _apply_along(X, d, _local_fit(p, rule)[None])
-    return X.reshape(-1, X.shape[-1])
-
-
-def local_spline_coefficients(space, element, beta):
-    """Element-local spline coefficients from Bernstein coefficients."""
-    R = space.reconstruction_operator(element)
-    return R.T @ beta
 
 
 def _direction_weights(kv, mode):
@@ -200,16 +172,6 @@ def smoothing_weight_table(space, mode="approximate"):
         w = _direction_weights(kv, mode)
         table = np.einsum("ei,fj->feji", table, w).reshape(len(table) * len(w), -1)
     return table
-
-
-def smoothing_weights(space, A, mode="approximate"):
-    """Smoothing weights of one function, as {element_index: weight}."""
-    table = smoothing_weight_table(space, mode)
-    out = {}
-    for e in space.function_elements(A):
-        loc = space.local_index_of(e, A)
-        out[int(e)] = float(table[e][loc])
-    return out
 
 
 @dataclass
@@ -270,7 +232,12 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
 
 def global_l2_project(f, space, weights=None, quad_order=None):
     """Globally assembled L2 projection, the reference the local
-    projector is measured against. Returns a ControlNet."""
+    projector is measured against. Returns a ControlNet.
+
+    For all elements at once, the local basis at the Gauss points is the
+    design times C^T; one scatter-add each assembles the dense mass
+    matrix and right-hand side for one dense solve.
+    """
     f = _as_target(f)
     weights = _checked_weights(weights, space.n_funcs, "space dimension")
     orders = _quad_orders(
@@ -280,22 +247,26 @@ def global_l2_project(f, space, weights=None, quad_order=None):
     wq = reversed_kron([w for _, w, _ in rules])
     design = reversed_kron([B for _, _, B in rules])
 
+    # per element, its values at its Gauss points: the grid's axes
+    # (element, point) per direction, regrouped as (elements, points)
+    d, k = space.parametric_dim, X.shape[-1]
+    cells = [m for n, q in zip(space.element_shape[::-1], orders[::-1]) for m in (n, q)]
+    axes = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)) + [2 * d]
+    vals = X.reshape(cells + [k]).transpose(axes).reshape(space.n_elements, -1, k)
+
+    support = space.supports()
+    N = design @ space.extraction().transpose(0, 2, 1)
+    if weights is not None:
+        # local rational basis
+        Nw = N * weights[support][:, None, :]
+        N = Nw / Nw.sum(axis=2, keepdims=True)
+    scale = np.prod(np.diff(space.bounds(), axis=2)[:, :, 0], axis=1)[:, None, None] / 2**d
+    wN = wq[:, None] * N
     n = space.n_funcs
-    M = np.zeros((n, n))
-    rhs = np.zeros((n, X.shape[-1]))
-    for el in space.elements():
-        scale = el.measure / 2 ** space.parametric_dim
-        N = design @ space.extraction_operator(el.index).C.T
-        if weights is not None:
-            # local rational basis
-            Nw = N * weights[el.support][None, :]
-            N = Nw / Nw.sum(axis=1, keepdims=True)
-        cells = tuple(slice(k * q, (k + 1) * q) for k, q in zip(el.spans, orders))
-        vals = X[cells[::-1]].reshape(-1, X.shape[-1])
-        wN = wq[:, None] * N
-        M[np.ix_(el.support, el.support)] += scale * (N.T @ wN)
-        rhs[el.support] += scale * (wN.T @ vals)
-    return ControlNet(np.linalg.solve(M, rhs), weights)
+    pairs = support[:, :, None] * n + support[:, None, :]
+    M = _scatter_add(pairs, scale * (N.transpose(0, 2, 1) @ wN), n * n)
+    rhs = _scatter_add(support, scale * (wN.transpose(0, 2, 1) @ vals), n)
+    return ControlNet(np.linalg.solve(M.reshape(n, n), rhs), weights)
 
 
 def l2_error(f, space, net, quad_order=None, relative=False):

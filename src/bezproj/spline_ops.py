@@ -124,9 +124,9 @@ class OpPlan:
             for P, kv in zip(self.pairings, self.target.knot_vectors)
         ]
         out = []
-        for e in range(self.target.n_elements):
-            spans = self.target.unravel_element(e)
-            ranges = [range(c[k], c[k + 1]) for c, k in zip(cuts, spans)]
+        # the target elements in order, the first direction fastest
+        for spans in itertools.product(*map(range, self.target.element_shape[::-1])):
+            ranges = [range(c[k], c[k + 1]) for c, k in zip(cuts, spans[::-1])]
             entries = []
             for idx in itertools.product(*ranges):
                 picks = list(zip(self.pairings, idx))
@@ -299,19 +299,18 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
     if target_space.degrees != space.degrees:
         raise ValueError("source and target degrees must match")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    el = space.element(element)
-    Q = space.extraction_operator(element).C.T @ coeffs[el.support]
-    tels = [target_space.element(te) for te in target_elements]
+    (src,) = space.bounds([element])
+    Q = space.extraction([element])[0].T @ coeffs[space.supports([element])[0]]
+    tgt = target_space.bounds(target_elements)
     factors = []
-    for d, (p, s_iv) in enumerate(zip(space.degrees, el.bounds)):
-        t = np.array([tel.bounds[d] for tel in tels]).reshape(-1, 2)
+    for p, s_iv, t in zip(space.degrees, src, tgt.transpose(1, 0, 2)):
         if np.any(t[:, 0] < s_iv[0] - _TOL) or np.any(t[:, 1] > s_iv[1] + _TOL):
             raise ValueError("target element not contained in source element")
         # the overlap is the target span: phi = 1 and F = T
         factors.append(_span_factors(np.broadcast_to(s_iv, t.shape), t, p, p)[1])
+    R = target_space.reconstruction(target_elements)
     return {
-        te: target_space.reconstruction_operator(te).T
-        @ (reversed_kron([F[i] for F in factors]) @ Q)
+        te: R[i].T @ (reversed_kron([F[i] for F in factors]) @ Q)
         for i, te in enumerate(target_elements)
     }
 
@@ -327,12 +326,11 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
     if target_space.degrees != space.degrees:
         raise ValueError("source and target degrees must match")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    tel = target_space.element(target_element)
-    els = [space.element(se) for se in elements]
+    (tgt,) = target_space.bounds([target_element])
+    src = space.bounds(elements)
     factors = []
-    phi = np.ones(len(els))
-    for d, (p, t_iv) in enumerate(zip(target_space.degrees, tel.bounds)):
-        s = np.array([el.bounds[d] for el in els]).reshape(-1, 2)
+    phi = np.ones(len(src))
+    for p, t_iv, s in zip(target_space.degrees, tgt, src.transpose(1, 0, 2)):
         keep, F, phi_d = _span_factors(s, np.broadcast_to(t_iv, s.shape), p, p)
         if not keep.all():
             raise ValueError("source element does not overlap the target element")
@@ -340,12 +338,12 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
         phi = phi * phi_d
     if abs(phi.sum() - 1.0) > 1e-10:
         raise ValueError("source elements do not tile the target element")
+    C, S = space.extraction(elements), space.supports(elements)
     Qbar = sum(
-        reversed_kron([F[i] for F in factors])
-        @ (space.extraction_operator(el.index).C.T @ coeffs[el.support])
-        for i, el in enumerate(els)
+        reversed_kron([F[i] for F in factors]) @ (C[i].T @ coeffs[S[i]])
+        for i in range(len(src))
     )
-    return target_space.reconstruction_operator(target_element).T @ Qbar
+    return target_space.reconstruction([target_element])[0].T @ Qbar
 
 
 # ---------------------------------------------------------------------------

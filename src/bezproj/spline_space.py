@@ -12,16 +12,13 @@ the Bernstein basis of the element,
 so spline coefficients P pull back to Bernstein coefficients Q = C^T P,
 and the reconstruction operator R = C^{-1} pushes them forward again.
 
-Indexing: arrays are zero-based everywhere in this module. Element and
-function ids exposed here are zero-based; the one-based multi-index
-helpers in :mod:`bezproj.tensor` exist for the local tensor algebra.
-Global function ordering makes the first parametric direction cycle
-fastest, matching :func:`bezproj.tensor.reversed_kron`.
+Indexing: arrays, element ids and function ids are zero-based. Global
+function and element orderings make the first parametric direction
+cycle fastest, matching :func:`bezproj.tensor.reversed_kron`.
 """
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +30,6 @@ __all__ = [
     "KnotVector",
     "SplineSpace",
     "ControlNet",
-    "Element",
-    "ElementOperators",
     "univariate_extraction_exact",
     "parse_number",
     "read_spline_json",
@@ -172,33 +167,6 @@ class KnotVector:
     def __hash__(self):
         return hash((self.degree, self.knots.tobytes()))
 
-    def element_bounds(self, e):
-        if not 0 <= e < self.n_elements:
-            raise IndexError(f"element {e} outside 0..{self.n_elements - 1}")
-        return float(self.breakpoints[e]), float(self.breakpoints[e + 1])
-
-    def find_span(self, t):
-        """Knot index i with knots[i] <= t < knots[i+1], right end closed."""
-        a, b = self.domain
-        if t < a or t > b:
-            raise ValueError(f"parameter {t} outside domain [{a}, {b}]")
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return min(max(i, self.degree), self.n - 1)
-
-    def element_index(self, t):
-        """Index of the element containing t (half-open, right end closed)."""
-        a, b = self.domain
-        if t < a or t > b:
-            raise ValueError(f"parameter {t} outside domain [{a}, {b}]")
-        e = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(e, 0), self.n_elements - 1)
-
-    def element_support(self, e):
-        """Zero-based indices of the p+1 functions supported on element e."""
-        if not 0 <= e < self.n_elements:
-            raise IndexError(f"element {e} outside 0..{self.n_elements - 1}")
-        return self.supports()[e]
-
     def supports(self):
         """Indices of the p+1 functions supported on each element, as one
         (n_elements, p+1) array of ascending rows. Computed once and cached."""
@@ -207,21 +175,6 @@ class KnotVector:
             first = last - self.degree
             self._supports = first[:, None] + np.arange(self.degree + 1)
         return self._supports
-
-    def function_support(self, A):
-        """Indices of the elements on which function A is nonzero."""
-        if not 0 <= A < self.n:
-            raise IndexError(f"function {A} outside 0..{self.n - 1}")
-        lo, hi = self.knots[A], self.knots[A + self.degree + 1]
-        first = int(np.searchsorted(self.breakpoints, lo, side="left"))
-        last = int(np.searchsorted(self.breakpoints, hi, side="left")) - 1
-        return np.arange(first, last + 1)
-
-    def local_knots(self, A):
-        """The p+2 knots defining function A."""
-        if not 0 <= A < self.n:
-            raise IndexError(f"function {A} outside 0..{self.n - 1}")
-        return np.array(self.knots[A : A + self.degree + 2])
 
     def extraction(self):
         """Per-element Bernstein extraction operators.
@@ -256,105 +209,6 @@ def univariate_extraction_exact(knots, degree):
     return _bezier_extraction(W, W[:, p], W[:, p + 1]).tolist()
 
 
-def bspline_basis_matrix(knots, p, xs):
-    """Dense B-spline design matrix via the de Boor triangle.
-
-    knots is an open knot vector (floats, nondecreasing), xs a vector of
-    evaluation points inside the parametric domain. Returns shape
-    (len(xs), n) with n = len(knots) - p - 1. Span lookup is half-open
-    with the right domain end closed.
-    """
-    U = np.ascontiguousarray(knots, dtype=np.float64)
-    x = np.ascontiguousarray(xs, dtype=np.float64).ravel()
-    n = U.size - p - 1
-    m = x.size
-    spans = np.searchsorted(U, x, side="right") - 1
-    np.clip(spans, p, n - 1, out=spans)
-
-    # Cox-de Boor recurrence, vectorized over evaluation points. The
-    # denominators never vanish because every looked-up span is nonzero.
-    N = np.zeros((m, p + 1))
-    N[:, 0] = 1.0
-    left = np.empty((m, p + 1))
-    right = np.empty((m, p + 1))
-    for j in range(1, p + 1):
-        left[:, j] = x - U[spans + 1 - j]
-        right[:, j] = U[spans + j] - x
-        saved = np.zeros(m)
-        for r in range(j):
-            tmp = N[:, r] / (right[:, r + 1] + left[:, j - r])
-            N[:, r] = saved + right[:, r + 1] * tmp
-            saved = left[:, j - r] * tmp
-        N[:, j] = saved
-
-    out = np.zeros((m, n))
-    rows = np.arange(m)
-    for c in range(p + 1):
-        out[rows, spans - p + c] = N[:, c]
-    return out
-
-
-@dataclass(frozen=True)
-class Element:
-    """One Bezier element of a tensor-product space."""
-
-    index: int
-    spans: tuple
-    bounds: tuple
-    support: np.ndarray
-
-    @property
-    def measure(self):
-        return math.prod(b - a for a, b in self.bounds)
-
-    def map_from_biunit(self, xi):
-        """Affine map from [-1, 1]^d to the element, applied row-wise."""
-        a, b = np.array(self.bounds).T
-        return 0.5 * (a + b) + 0.5 * (b - a) * np.atleast_2d(np.asarray(xi, dtype=np.float64))
-
-    def map_to_biunit(self, s):
-        """Inverse of :meth:`map_from_biunit`."""
-        a, b = np.array(self.bounds).T
-        return (2.0 * np.atleast_2d(np.asarray(s, dtype=np.float64)) - a - b) / (b - a)
-
-
-@dataclass(frozen=True)
-class ElementOperators:
-    """Extraction operator of one element with its univariate factors."""
-
-    C: np.ndarray
-    factors: tuple
-
-
-def _ravel(per_dim, shape):
-    """Global index from per-direction indices, first direction fastest.
-
-    The per-direction indices may be broadcastable arrays.
-    """
-    a = 0
-    for n, i in zip(reversed(shape), reversed(list(per_dim))):
-        a = a * n + i
-    return a
-
-
-def _unravel(a, shape, what):
-    """Per-direction indices of global index a (inverse of _ravel)."""
-    out = []
-    for n in shape:
-        a, r = divmod(a, n)
-        out.append(r)
-    if a:
-        raise IndexError(f"{what} index out of range")
-    return tuple(out)
-
-
-def _grid_indices(per_dim, shape):
-    """Global indices of the tensor grid of per-direction index lists,
-    first direction fastest."""
-    grids = np.meshgrid(*per_dim[::-1], indexing="ij")[::-1]
-    return _ravel(grids, shape).ravel()
-
-
 class SplineSpace:
     """Tensor product of univariate open-knot-vector spaces."""
 
@@ -365,7 +219,6 @@ class SplineSpace:
         if not kvs:
             raise ValueError("need at least one knot vector")
         self.knot_vectors = kvs
-        self._elements = None
 
     @property
     def parametric_dim(self):
@@ -400,99 +253,58 @@ class SplineSpace:
             return NotImplemented
         return self.knot_vectors == other.knot_vectors
 
-    def ravel_func(self, per_dim):
-        """Global function index from per-direction indices (zero-based)."""
-        return _ravel(per_dim, self.shape)
-
     def ravel_element(self, per_dim):
-        return _ravel(per_dim, self.element_shape)
+        e = 0
+        for n, i in zip(self.element_shape[::-1], list(per_dim)[::-1]):
+            e = e * n + i
+        return e
 
     def unravel_element(self, e):
-        return _unravel(e, self.element_shape, "element")
+        return tuple(int(s[0]) for _, s in self._spans([e]))
 
-    def elements(self):
-        """All elements, first parametric direction cycling fastest."""
-        if self._elements is None:
-            self._elements = [
-                self._build_element(e) for e in range(self.n_elements)
-            ]
-        return self._elements
+    # The element interface: stacks over element ids (all by default),
+    # built from the per-direction stacks on every call, never cached.
 
-    def element(self, e):
-        if not 0 <= e < self.n_elements:
-            raise IndexError(f"element {e} outside 0..{self.n_elements - 1}")
-        return self.elements()[e]
+    def _spans(self, ids):
+        """(knot vector, span index of each element of ids) per direction."""
+        spans = np.unravel_index(_element_ids(ids, self.n_elements), self.element_shape[::-1])
+        return list(zip(self.knot_vectors, spans[::-1]))
 
-    def _build_element(self, e):
-        spans = self.unravel_element(e)
-        bounds = tuple(
-            kv.element_bounds(k) for kv, k in zip(self.knot_vectors, spans)
-        )
-        windows = [kv.supports()[k] for kv, k in zip(self.knot_vectors, spans)]
-        support = _grid_indices(windows, self.shape)
-        return Element(index=e, spans=spans, bounds=bounds, support=support)
+    def bounds(self, ids=None):
+        """Parametric bounds of the elements, (n, d, 2)."""
+        spans = self._spans(ids)
+        return np.stack([kv.breakpoints[np.stack([s, s + 1], axis=1)] for kv, s in spans], axis=1)
 
-    def extraction_operator(self, e):
-        """Extraction operator of element e.
+    def supports(self, ids=None):
+        """Global ids of the functions supported on the elements, (n,
+        n_loc), in the local order of the extraction rows."""
+        spans = self._spans(ids)
+        out, stride = np.zeros((len(spans[0][1]), 1), dtype=np.int64), 1
+        for kv, s in spans:
+            rows = stride * kv.supports()[s]
+            out = (rows[:, :, None] + out[:, None, :]).reshape(-1, rows.shape[1] * out.shape[1])
+            stride *= kv.n
+        return out
 
-        Rows follow the element's support ordering (ascending global
-        index), columns the tensor Bernstein ordering.
-        """
-        spans = self.unravel_element(e)
-        factors = tuple(
-            kv.extraction()[k] for kv, k in zip(self.knot_vectors, spans)
-        )
-        return ElementOperators(C=reversed_kron(factors), factors=factors)
+    def extraction(self, ids=None):
+        """Extraction operators of the elements, (n, n_loc, n_bern): each
+        the reversed Kronecker product of its per-direction operators."""
+        return reversed_kron([kv.extraction()[s] for kv, s in self._spans(ids)])
 
-    def reconstruction_operator(self, e):
-        """Inverse extraction operator of element e."""
-        spans = self.unravel_element(e)
-        return reversed_kron(
-            [kv.reconstruction()[k] for kv, k in zip(self.knot_vectors, spans)]
-        )
+    def reconstruction(self, ids=None):
+        """Inverses of the extraction operators, stacked the same way."""
+        return reversed_kron([kv.reconstruction()[s] for kv, s in self._spans(ids)])
 
-    def element_containing(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        per_dim = tuple(
-            kv.element_index(x) for kv, x in zip(self.knot_vectors, s)
-        )
-        return self.ravel_element(per_dim)
 
-    def eval_basis(self, s):
-        """Values of the supported functions at a parametric point.
-
-        Returns (element_index, values) where values follows the
-        element's support ordering. The values are nonnegative and sum
-        to one.
-        """
-        s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        if s.shape != (self.parametric_dim,):
-            raise ValueError("point dimension mismatch")
-        windows = []
-        for kv, x in zip(self.knot_vectors, s):
-            row = bspline_basis_matrix(kv.knots, kv.degree, [x])[0]
-            i = kv.find_span(x)
-            windows.append(row[i - kv.degree : i + 1])
-        return self.element_containing(s), reversed_kron(windows)
-
-    def local_knot_vector(self, A, d):
-        """Local knot vector of global function A in direction d."""
-        per_dim = _unravel(A, self.shape, "function")
-        return self.knot_vectors[d].local_knots(per_dim[d])
-
-    def function_elements(self, A):
-        """Indices of the elements in the support of global function A."""
-        per_dim = _unravel(A, self.shape, "function")
-        grids = [kv.function_support(i) for kv, i in zip(self.knot_vectors, per_dim)]
-        return _grid_indices(grids, self.element_shape)
-
-    def local_index_of(self, e, A):
-        """Position of global function A inside element e's support."""
-        sup = self.element(e).support
-        hits = np.nonzero(sup == A)[0]
-        if hits.size == 0:
-            raise ValueError(f"function {A} not supported on element {e}")
-        return int(hits[0])
+def _element_ids(ids, n):
+    """Element ids as a 1-D int array (all n for None), each in 0..n-1."""
+    if ids is None:
+        return np.arange(n)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    bad = np.flatnonzero((ids < 0) | (ids >= n))
+    if bad.size:
+        raise IndexError(f"element {ids[bad[0]]} outside 0..{n - 1}")
+    return ids
 
 
 def _checked_weights(weights, n, what):
@@ -675,8 +487,8 @@ def _integer(x, what):
     """x as an int; ValueError names what unless x is integral."""
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
     raise ValueError(f"{what} must be integers, got {x!r}")
 
 

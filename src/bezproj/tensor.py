@@ -1,14 +1,8 @@
-"""Multi-index bookkeeping and Kronecker assembly for tensor-product bases.
+"""Kronecker assembly for tensor-product bases.
 
 The convention throughout the package: the first parametric direction
-cycles fastest. A bivariate local basis function with one-based
-univariate indices (i, j) gets the one-based linear index
-
-    a = (p1 + 1) (j - 1) + i
-
-and the matching matrix assembly is the reversed Kronecker product,
-kron(A_d, ..., kron(A_2, A_1)). Storage stays zero-based; only the
-index maps speak one-based, mirroring the usual spline literature.
+cycles fastest, so the matrix of a tensor-product operator is the
+reversed Kronecker product kron(A_d, ..., kron(A_2, A_1)).
 
 A *grid* holds k values per tensor index, direction d on axis -2 - d,
 so ``grid.reshape(-1, k)`` lists rows in the global ordering. Tensor
@@ -21,43 +15,29 @@ from functools import reduce
 
 import numpy as np
 
-__all__ = ["reversed_kron", "multi_index_2d", "multi_index_3d"]
+__all__ = ["reversed_kron"]
 
 
 def reversed_kron(factors):
     """Kronecker product of the factors in reversed order.
 
     reversed_kron([A1, A2, A3]) == kron(A3, kron(A2, A1)), which makes
-    the first factor's index cycle fastest, matching multi_index_2d.
-    A single factor is returned as-is (copied to an array).
+    the first factor's index cycle fastest. A single factor is returned
+    as an array. Factors that are (n, r, c) stacks of matrices, n
+    shared, give the stack of the n products.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    return reduce(lambda acc, f: np.kron(f, acc), factors[1:], np.asarray(factors[0]))
+    return reduce(_kron, factors[1:], np.asarray(factors[0]))
 
 
-def multi_index_2d(i, j, p1):
-    """One-based linear index of the bivariate local function (i, j).
-
-    i runs over 1 .. p1+1 and cycles fastest.
-    """
-    if not 1 <= i <= p1 + 1:
-        raise ValueError(f"index i={i} outside 1..{p1 + 1}")
-    if j < 1:
-        raise ValueError(f"index j={j} must be >= 1")
-    return (p1 + 1) * (j - 1) + i
-
-
-def multi_index_3d(i, j, k, p1, p2):
-    """One-based linear index of the trivariate local function (i, j, k)."""
-    if not 1 <= i <= p1 + 1:
-        raise ValueError(f"index i={i} outside 1..{p1 + 1}")
-    if not 1 <= j <= p2 + 1:
-        raise ValueError(f"index j={j} outside 1..{p2 + 1}")
-    if k < 1:
-        raise ValueError(f"index k={k} must be >= 1")
-    return (p1 + 1) * (p2 + 1) * (k - 1) + (p1 + 1) * (j - 1) + i
+def _kron(acc, f):
+    """kron(f, acc), or for stacks the product of each pair of matrices."""
+    if np.ndim(f) != 3:
+        return np.kron(f, acc)
+    (n, r, c), (_, ra, ca) = f.shape, acc.shape
+    return (f[:, :, None, :, None] * acc[:, None, :, None, :]).reshape(n, r * ra, c * ca)
 
 
 def _apply_along(X, d, ops, gather=None, scatter=None, n_out=None):

@@ -33,10 +33,11 @@ knot vectors.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .spline_space import _bezier_extraction, _read_json, parse_number
+from .spline_space import _bezier_extraction, _element_ids, _integer, _number_array, _read_json
 
 __all__ = [
     "TMesh",
@@ -97,10 +98,10 @@ class TMesh:
         for name, given in (("degrees", degrees), ("knot vectors", knot_vectors)):
             if len(given) != 2:
                 raise ValueError(f"expected two {name}, got {len(given)}")
-        self.degrees = tuple(int(p) for p in degrees)
+        self.degrees = tuple(_integer(p, "degrees") for p in degrees)
         if min(self.degrees) < 1:
             raise ValueError("degrees must be >= 1")
-        self.knot_vectors = tuple(np.asarray(G, dtype=np.float64) for G in knot_vectors)
+        self.knot_vectors = tuple(_number_array(G, "knot_vectors", 1) for G in knot_vectors)
         for G, p in zip(self.knot_vectors, self.degrees):
             if not np.all(np.isfinite(G)):
                 raise ValueError("global knot vectors must be finite")
@@ -140,7 +141,6 @@ class TMesh:
         self._extensions = None
         self._bezier = None
         self._local_knots = None  # per direction, (n_anchors, p + 2) knots
-        self._operators = None
 
     # -- structure ---------------------------------------------------------
 
@@ -404,28 +404,59 @@ class TMesh:
         ]
         return self._bezier
 
+    # -- the element interface of SplineSpace --------------------------------
+
+    @property
+    def n_funcs(self):
+        return len(self.anchors())
+
+    @property
+    def n_elements(self):
+        return len(self.bezier_elements())
+
+    def bounds(self, ids=None):
+        """Parametric bounds of the Bezier elements, (n, 2, 2)."""
+        return self._stacks[0][self._checked(ids, check=False)]
+
+    def supports(self, ids=None):
+        """Anchor positions (function ids) supported on each element,
+        (n, n_loc), in the mesh-wide anchor order."""
+        return self._stacks[1][self._checked(ids)]
+
+    def extraction(self, ids=None):
+        """Extraction operators C of the elements, (n, n_loc, n_bern)."""
+        return self._stacks[2][self._checked(ids)]
+
+    def reconstruction(self, ids=None):
+        """Reconstruction operators R = C^{-1}, stacked like C."""
+        return self._stacks[3][self._checked(ids)]
+
     def element_extraction(self, e):
-        """Extraction operator (C, R) of one Bezier element.
+        """Extraction operator (C, R) of one Bezier element, as read-only
+        views of the cached stacks.
 
         Row k of C holds the Bernstein coefficients of the k-th
         overlapping anchor's function on the element; anchors follow the
         mesh-wide ordering. For an analysis-suitable mesh C is square
-        and R = C^{-1}. The operators of all elements are computed on
-        the first call and cached, read-only.
+        and R = C^{-1}.
         """
-        els = self.bezier_elements()
-        if not 0 <= e < len(els):
-            raise IndexError(f"element {e} outside 0..{len(els) - 1}")
-        if self._operators is None:
-            self._operators = self._element_operators()
-        C, R, errors = self._operators
-        if e in errors:
-            raise ValueError(errors[e])
-        return C[e], R[e]
+        self._checked([e])
+        return self._stacks[2][e], self._stacks[3][e]
 
-    def _element_operators(self):
-        """Stacked C and R of every Bezier element, and the message of
-        the error each malformed element raises.
+    def _checked(self, ids, check=True):
+        """ids as an index array; with check, raises the ValueError of
+        the first malformed element."""
+        errors = self._stacks[-1]
+        ids = _element_ids(ids, len(self._stacks[0]))
+        bad = [e for e in ids.tolist() if e in errors] if check and errors else []
+        if bad:
+            raise ValueError(errors[bad[0]])
+        return ids
+
+    @cached_property
+    def _stacks(self):
+        """Bounds, supports, C and R of every Bezier element, read-only,
+        and the message of the error each malformed element raises.
 
         Per direction, one kernel call gives the rows of every (element,
         anchor) pair; a row of C is the Kronecker product of the anchor's
@@ -435,7 +466,8 @@ class TMesh:
         n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
         count = [len(el.anchors) for el in els]
         k = np.array([k for el in els for k in el.anchors], dtype=np.int64)
-        bounds = np.repeat(np.array([el.bounds for el in els]).reshape(-1, 2, 2), count, axis=0)
+        B = np.array([el.bounds for el in els], dtype=np.float64).reshape(-1, 2, 2)
+        bounds = np.repeat(B, count, axis=0)
         (rows1, fault1), (rows2, fault2) = (
             _bernstein_rows(g[k], p, bounds[:, d, 0], bounds[:, d, 1])
             for d, (g, p) in enumerate(zip(self._local_knots, self.degrees))
@@ -454,9 +486,11 @@ class TMesh:
             else:
                 errors[el.index] = msg
             start += m
+        S = np.zeros((len(els), n), dtype=np.int64)
         C = np.zeros((len(els), n, n))
         R = np.zeros((len(els), n, n))
         if good:
+            S[good] = k[sel].reshape(-1, n)
             r1, r2 = rows1[sel], rows2[sel]
             C[good] = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
             # one Newton step keeps R the inverse of C to working accuracy
@@ -464,9 +498,9 @@ class TMesh:
             # elements, where plain inversion errs by 1e-14 relative)
             Ri = np.linalg.inv(C[good])
             R[good] = Ri + Ri @ (np.eye(n) - C[good] @ Ri)
-        C.flags.writeable = False
-        R.flags.writeable = False
-        return C, R, errors
+        for a in (B, S, C, R):
+            a.flags.writeable = False
+        return B, S, C, R, errors
 
     def is_nested(self, other):
         """True if every function of this mesh lives in `other`'s space.
@@ -609,8 +643,7 @@ def _bernstein_rows(g, p, a, b):
 def read_tmesh_json(source):
     """Read a T-mesh from a JSON file path, file object, or dict."""
     data = _read_json(source)
-    kvs = [[parse_number(u) for u in G] for G in data["knot_vectors"]]
-    return TMesh(data["degrees"], kvs, data["vertices"], data["edges"])
+    return TMesh(data["degrees"], data["knot_vectors"], data["vertices"], data["edges"])
 
 
 def tmesh_to_dict(mesh):

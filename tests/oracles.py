@@ -283,7 +283,10 @@ def dim_pairing_ref(kv_src, kv_tgt):
     for k in range(kv_tgt.n_elements):
         for j in range(kv_src.n_elements):
             got = dim_factor_ref(
-                kv_src.element_bounds(j), kv_tgt.element_bounds(k), kv_src.degree, kv_tgt.degree
+                tuple(kv_src.breakpoints[j : j + 2]),
+                tuple(kv_tgt.breakpoints[k : k + 2]),
+                kv_src.degree,
+                kv_tgt.degree,
             )
             if got is not None:
                 targets.append(k)
@@ -312,12 +315,13 @@ def local_function_bernstein_row_ref(g, p, a, b):
     pad_lo = max(p + 1 - m_lo, 0)
     pad_hi = max(p + 1 - m_hi, 0)
     kv = KnotVector(np.concatenate([[g[0]] * pad_lo, g, [g[-1]] * pad_hi]), p)
-    e = kv.element_index(0.5 * (a + b))
-    ea, eb = kv.element_bounds(e)
+    e = int(np.searchsorted(kv.breakpoints, 0.5 * (a + b), side="right")) - 1
+    e = min(e, kv.n_elements - 1)
+    ea, eb = kv.breakpoints[e : e + 2]
     tol = 1e-10 * (kv.domain[1] - kv.domain[0])
     if a < ea - tol or b > eb + tol:
         raise ValueError("the requested interval is not a polynomial piece of the local function")
-    row = bezier_extraction_ref(kv.knots.tolist(), p)[e][pad_lo - kv.element_support(e)[0]]
+    row = bezier_extraction_ref(kv.knots.tolist(), p)[e][pad_lo - kv.supports()[e][0]]
     wa = (2 * a - ea - eb) / (eb - ea)
     wb = (2 * b - ea - eb) / (eb - ea)
     return interval_transform_ref(p, wa, wb) @ row
@@ -460,3 +464,67 @@ def evaluate_ref(space, net, points):
     if net.is_rational:
         return out[:, :-1] / out[:, -1:]
     return out
+
+
+# ---------------------------------------------------------------------------
+# slow references: projection one element at a time
+
+
+def _element_gauss(bounds, degrees, orders):
+    """Tensor Gauss rule on one element: the (m, d) points, first
+    direction fastest, their weights and the Bernstein design there."""
+    pts, w, B = np.zeros((1, 0)), np.ones(1), np.ones((1, 1))
+    for (a, b), p, q in zip(bounds, degrees, orders):
+        x, wx = leggauss(q)
+        s = 0.5 * (a + b) + 0.5 * (b - a) * x
+        pts = np.hstack([np.tile(pts, (q, 1)), np.repeat(s, len(pts))[:, None]])
+        w = np.kron(0.5 * (b - a) * wx, w)
+        B = np.kron(bernstein_design_ref(p, x), B)
+    return pts, w, B
+
+
+def _orders(space, quad_order):
+    if quad_order is None:
+        return [p + 3 for p in space.degrees]
+    return list(np.broadcast_to(quad_order, space.parametric_dim))
+
+
+def _values(f, pts):
+    vals = np.asarray(f(pts), dtype=np.float64)
+    return vals[:, None] if vals.ndim == 1 else vals
+
+
+def local_bernstein_projection(f, space, e, quad_order=None):
+    """L2-best Bernstein coefficients of f on element e, (n_bern, k): the
+    Kronecker product of the per-direction Gauss-rule fits G^{-1} B^T W
+    applied to the values of f at the element's tensor Gauss points."""
+    from bezproj.bernstein import gramian_inverse
+
+    orders = _orders(space, quad_order)
+    pts, _, _ = _element_gauss(space.bounds([e])[0], space.degrees, orders)
+    fit = np.ones((1, 1))
+    for p, q in zip(space.degrees, orders):
+        x, w = leggauss(q)
+        fit = np.kron(gramian_inverse(p) @ (bernstein_design_ref(p, x).T * w), fit)
+    return fit @ _values(f, pts)
+
+
+def global_l2_project_ref(f, space, weights=None, quad_order=None):
+    """Coefficients of the globally assembled L2 projection, (n_funcs,
+    k), as global_l2_project computed them one element at a time: the
+    local basis is the design times C^T, made rational with the control
+    weights of the element's support."""
+    orders = _orders(space, quad_order)
+    bounds, support, C = space.bounds(), space.supports(), space.extraction()
+    M = np.zeros((space.n_funcs, space.n_funcs))
+    rhs = np.zeros((space.n_funcs, _values(f, bounds[:1, :, 0]).shape[1]))
+    for e in range(space.n_elements):
+        pts, w, B = _element_gauss(bounds[e], space.degrees, orders)
+        N = B @ C[e].T
+        if weights is not None:
+            Nw = N * weights[support[e]]
+            N = Nw / Nw.sum(axis=1, keepdims=True)
+        wN = w[:, None] * N
+        M[np.ix_(support[e], support[e])] += N.T @ wN
+        rhs[support[e]] += wN.T @ _values(f, pts)
+    return np.linalg.solve(M, rhs)

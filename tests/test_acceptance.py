@@ -29,7 +29,7 @@ from bezproj.bernstein import (
     interval_transform,
     reduction_matrix,
 )
-from bezproj.projection import TargetFunction, bezier_project, smoothing_weights
+from bezproj.projection import TargetFunction, bezier_project, smoothing_weight_table
 from bezproj.spline_space import (
     ControlNet,
     KnotVector,
@@ -203,11 +203,11 @@ def test_criterion_1_golden_matrices():
         [[49, -70, 25], [0, 14, -10], [0, 0, 4]]) / 4.0)) <= 1e-12
 
     # smoothing weights of the two-element quadratic with break 0.7
+    # (elements 0 and 1 support functions 0..2 and 1..3)
     sp = SplineSpace([KnotVector([0, 0, 0, 0.7, 1, 1, 1], 2)])
-    w1 = smoothing_weights(sp, 1)
-    w2 = smoothing_weights(sp, 2)
-    for got, want in ((w1[0], F(13, 16)), (w2[0], F(7, 24)),
-                      (w1[1], F(3, 16)), (w2[1], F(17, 24))):
+    table = smoothing_weight_table(sp)
+    for got, want in ((table[0, 1], F(13, 16)), (table[0, 2], F(7, 24)),
+                      (table[1, 0], F(3, 16)), (table[1, 1], F(17, 24))):
         assert abs(got - float(want)) <= 1e-12
 
     elapsed = time.perf_counter() - t0
@@ -409,15 +409,14 @@ def test_criterion_8_coarsening_orthogonality():
         coeffs = rng.normal(size=(fine.n_funcs, 1))
 
         fbps = fine.knot_vectors[0].breakpoints
+        fine_bounds = fine.bounds()[:, 0]
         for te in range(coarse.n_elements):
-            (ta, tb), = coarse.element(te).bounds
-            els = [
-                e for e in range(fine.n_elements)
-                if fine.element(e).bounds[0][0] >= ta - 1e-12
-                and fine.element(e).bounds[0][1] <= tb + 1e-12
-            ]
+            (ta, tb), = coarse.bounds([te])[0]
+            els = np.flatnonzero(
+                (fine_bounds[:, 0] >= ta - 1e-12) & (fine_bounds[:, 1] <= tb + 1e-12)
+            ).tolist()
             lam = multi_to_one(fine, els, coarse, te, coeffs)
-            beta = coarse.extraction_operator(te).C.T @ lam
+            beta = coarse.extraction([te])[0].T @ lam
 
             fnet = ControlNet(coeffs)
             cuts = [t for t in fbps if ta < t < tb]
@@ -465,14 +464,11 @@ def test_criterion_9_window_ops_match_quadrature():
         # merge: fine-element fields onto one coarse element
         coeffs = rng.normal(size=(fine.n_funcs, 1))
         te = int(rng.integers(coarse.n_elements))
-        tel = coarse.element(te)
-        els = [
-            e for e in range(fine.n_elements)
-            if all(
-                fb[0] >= cb[0] - 1e-12 and fb[1] <= cb[1] + 1e-12
-                for fb, cb in zip(fine.element(e).bounds, tel.bounds)
-            )
-        ]
+        tb, fb = coarse.bounds([te])[0], fine.bounds()
+        tel_bounds = tb.tolist()
+        els = np.flatnonzero(np.all(
+            (fb[:, :, 0] >= tb[:, 0] - 1e-12) & (fb[:, :, 1] <= tb[:, 1] + 1e-12), axis=1
+        )).tolist()
         lam = multi_to_one(fine, els, coarse, te, coeffs)
         fnet = ControlNet(coeffs)
         if bivariate:
@@ -482,20 +478,20 @@ def test_criterion_9_window_ops_match_quadrature():
 
             breaks = tuple(
                 [t for t in fine.knot_vectors[d].breakpoints
-                 if tel.bounds[d][0] < t < tel.bounds[d][1]]
+                 if tel_bounds[d][0] < t < tel_bounds[d][1]]
                 for d in range(2)
             )
             beta_ref = exact_bernstein_proj_2d(
-                f2, tel.bounds, coarse.degrees, nq=12, breaks=breaks
+                f2, tel_bounds, coarse.degrees, nq=12, breaks=breaks
             )
         else:
-            (ta, tb), = tel.bounds
+            (ta, tb), = tel_bounds
             cuts = [t for t in fine.knot_vectors[0].breakpoints if ta < t < tb]
             beta_ref = exact_bernstein_proj(
                 lambda x, s=fine, n=fnet: evaluate(s, n, x.reshape(-1, 1))[:, 0],
                 ta, tb, coarse.degrees[0], nq=20, breaks=cuts,
             )
-        lam_ref = coarse.reconstruction_operator(te).T @ beta_ref.reshape(-1, 1)
+        lam_ref = coarse.reconstruction([te])[0].T @ beta_ref.reshape(-1, 1)
         dev = float(np.max(np.abs(lam - lam_ref)))
         worst = max(worst, dev)
         assert dev <= 1e-9, f"merge fixture {fix}: deviation {dev:.3e}"
@@ -505,22 +501,22 @@ def test_criterion_9_window_ops_match_quadrature():
         got = large_to_small(coarse, te, fine, els, ccoeffs)
         cnet = ControlNet(ccoeffs)
         for fe, lam_f in got.items():
-            fel = fine.element(fe)
+            (fel_bounds,) = fine.bounds([fe]).tolist()
             if bivariate:
                 def g2(X, Y, s=coarse, n=cnet):
                     pts = np.column_stack([X.ravel(), Y.ravel()])
                     return evaluate(s, n, pts)[:, 0].reshape(X.shape)
 
                 beta_f = exact_bernstein_proj_2d(
-                    g2, fel.bounds, fine.degrees, nq=10
+                    g2, fel_bounds, fine.degrees, nq=10
                 )
             else:
-                (fa, fb), = fel.bounds
+                (fa, fb), = fel_bounds
                 beta_f = exact_bernstein_proj(
                     lambda x, s=coarse, n=cnet: evaluate(s, n, x.reshape(-1, 1))[:, 0],
                     fa, fb, fine.degrees[0], nq=20,
                 )
-            ref_f = fine.reconstruction_operator(fe).T @ beta_f.reshape(-1, 1)
+            ref_f = fine.reconstruction([fe])[0].T @ beta_f.reshape(-1, 1)
             dev = float(np.max(np.abs(lam_f - ref_f)))
             worst = max(worst, dev)
             assert dev <= 1e-9, f"restrict fixture {fix}: deviation {dev:.3e}"

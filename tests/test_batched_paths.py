@@ -1,10 +1,10 @@
 """The whole-space paths against per-element references.
 
-`bezier_project` and `apply_plan` work on all elements at once. The
-references below rebuild their results one element at a time from the
-public per-element pieces: `local_bernstein_projection`,
-`local_spline_coefficients`, `smoothing_weight_table`, `OpPlan.pairs`
-and the per-element extraction and reconstruction operators.
+`bezier_project` and `apply_plan` work on all elements at once, one
+direction at a time. The references below rebuild their results one
+element at a time from the space's element arrays (supports, C and R),
+`smoothing_weight_table`, `OpPlan.pairs` and a dense Gauss-rule fit per
+element.
 """
 
 import numpy as np
@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bezproj.projection import (
-    TargetFunction,
-    bezier_project,
-    local_bernstein_projection,
-    local_spline_coefficients,
-    smoothing_weight_table,
-)
+from bezproj.projection import TargetFunction, bezier_project, smoothing_weight_table
 from bezproj.spline_ops import (
     apply_plan,
     compose,
@@ -32,6 +26,7 @@ from bezproj.spline_ops import (
     plan_reparameterize,
 )
 from bezproj.spline_space import ControlNet, KnotVector, SplineSpace, evaluate
+from oracles import local_bernstein_projection
 
 MODES = ("approximate", "exact", "uniform")
 
@@ -71,13 +66,14 @@ def _bezier_project_ref(f, space, weights, mode, quad_order):
     else:
         g = f
     table = smoothing_weight_table(space, mode)
+    R, support = space.reconstruction(), space.supports()
     coeffs = None
     for e in range(space.n_elements):
         beta = local_bernstein_projection(g, space, e, quad_order=quad_order)
-        lam = local_spline_coefficients(space, e, beta)
+        lam = R[e].T @ beta
         if coeffs is None:
             coeffs = np.zeros((space.n_funcs, lam.shape[1]))
-        coeffs[space.element(e).support] += table[e][:, None] * lam
+        coeffs[support[e]] += table[e][:, None] * lam
     if weights is not None:
         return coeffs / weights[:, None]
     return coeffs
@@ -91,23 +87,21 @@ def test_bezier_project_matches_per_element_reference(rng, mode, rational):
         quad = tuple(p + 3 for p in space.degrees)
         got = bezier_project(_target, space, weights=weights, weight_mode=mode)
         ref = _bezier_project_ref(TargetFunction(_target), space, weights, mode, quad)
-        _close(got.coefficients, ref)
+        _close(got.coefficients, ref, rel=1e-13)
 
 
 def _apply_plan_ref(plan, net, mode):
     """Per target element: sum the pair matrices, R^T, then blend."""
     source, target = plan.source, plan.target
     H = net.homogeneous()
-    Q = [
-        source.extraction_operator(e).C.T @ H[source.element(e).support]
-        for e in range(source.n_elements)
-    ]
+    Q = source.extraction().transpose(0, 2, 1) @ H[source.supports()]
     table = smoothing_weight_table(target, mode)
+    R, support = target.reconstruction(), target.supports()
     out = np.zeros((target.n_funcs, H.shape[1]))
     for e, entries in enumerate(plan.pairs):
         Qbar = sum(pair.matrix @ Q[pair.source] for pair in entries)
-        lam = target.reconstruction_operator(e).T @ Qbar
-        out[target.element(e).support] += table[e][:, None] * lam
+        lam = R[e].T @ Qbar
+        out[support[e]] += table[e][:, None] * lam
     return ControlNet.from_homogeneous(out, net.is_rational)
 
 
@@ -145,9 +139,9 @@ def test_apply_plan_matches_per_element_reference(rng, rational):
             for mode in MODES:
                 got = apply_plan(plan, net, mode)
                 ref = _apply_plan_ref(plan, net, mode)
-                _close(got.points, ref.points)
+                _close(got.points, ref.points, rel=1e-13)
                 if rational:
-                    _close(got.weights, ref.weights)
+                    _close(got.weights, ref.weights, rel=1e-13)
 
 
 # ------------------------------------------------------- plan properties

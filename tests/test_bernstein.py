@@ -32,17 +32,6 @@ def test_eval_basis_rejects_points_outside_biunit():
         bernstein.eval_basis(2, -1.0000001)
 
 
-def test_eval_basis_multi_is_kron_of_factors(rng):
-    degrees = (2, 3)
-    xi = rng.uniform(-1, 1, size=2)
-    vals = bernstein.eval_basis_multi(degrees, xi)
-    f1 = bernstein.eval_basis(2, xi[0])
-    f2 = bernstein.eval_basis(3, xi[1])
-    # first direction cycles fastest
-    expect = np.kron(f2, f1)
-    assert np.allclose(vals, expect, atol=1e-15)
-
-
 def test_bernstein_integral_matches_quadrature():
     for p in range(1, 6):
         a, b = -0.3, 1.7
@@ -51,7 +40,9 @@ def test_bernstein_integral_matches_quadrature():
                 lambda x: bernstein_design_ref(p, 2 * (x - a) / (b - a) - 1)[:, j],
                 a, b,
             )
-            assert val == pytest.approx(bernstein.bernstein_integral(p, a, b))
+            # the Bernstein functions sum to one, so a Gramian row sums
+            # to the integral of its function over [-1, 1]
+            assert val == pytest.approx(0.5 * (b - a) * bernstein.gramian(p)[j].sum())
 
 
 def test_gramian_against_quadrature():
@@ -86,14 +77,6 @@ def test_gramian_inverse_is_inverse():
     with pytest.warns(RuntimeWarning):
         Gi = bernstein.gramian_inverse(7)
     assert np.allclose(Gi @ bernstein.gramian(7), np.eye(8), atol=1e-6)
-
-
-def test_gramian_inverse_multi_tensorizes():
-    Gi = bernstein.gramian_inverse_multi((2, 3))
-    expect = np.kron(bernstein.gramian_inverse(3), bernstein.gramian_inverse(2))
-    assert np.allclose(Gi, expect, atol=1e-12)
-    G = np.kron(bernstein.gramian(3), bernstein.gramian(2))
-    assert np.allclose(Gi @ G, np.eye(12), atol=1e-10)
 
 
 def test_interval_transform_reexpresses_polynomials(rng):

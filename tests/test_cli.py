@@ -609,6 +609,17 @@ def test_tmesh_extract_output(runner, fixtures_dir):
     assert np.allclose(Cf @ Rf, np.eye(16), atol=1e-9)
 
 
+def test_tmesh_rejects_null_knot(runner, fixtures_dir, tmp_path):
+    with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
+        data = json.load(fh)
+    data["knot_vectors"][0][4] = None
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["tmesh", "anchors", "--in", str(path)])
+    _assert_rejected(result, "knot_vectors")
+    assert "Traceback" not in result.output
+
+
 def test_tmesh_extract_out_of_range(runner, fixtures_dir):
     path = os.path.join(fixtures_dir, "tmesh_ext_right.json")
     result = runner.invoke(main, ["tmesh", "extract", "--in", path, "--element", "99"])

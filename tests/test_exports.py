@@ -1,7 +1,9 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and the README documents the exports."""
 
 import importlib
+import os
 import pkgutil
+import re
 
 import pytest
 
@@ -11,9 +13,45 @@ MODULES = ["bezproj"] + [
     f"bezproj.{m.name}" for m in pkgutil.iter_modules(bezproj.__path__)
 ]
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _documented():
+    """The names in backticks of the README's "Public API" section."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`(\w+)`", section))
+
+
+def test_readme_lists_every_export():
+    missing = [n for n in bezproj.__all__ if n not in _documented()]
+    assert not missing, f"exported but not in the README's Public API list: {missing}"
+
+
+def test_per_element_api_is_gone():
+    gone = {
+        "Element", "ElementOperators", "eval_basis_multi", "gramian_inverse_multi",
+        "bernstein_integral", "bspline_basis_matrix", "local_bernstein_projection",
+        "local_spline_coefficients", "smoothing_weights", "multi_index_2d", "multi_index_3d",
+    }
+    for name in MODULES:
+        module = importlib.import_module(name)
+        left = [n for n in gone if hasattr(module, n) or n in getattr(module, "__all__", [])]
+        assert not left, f"{name} still has {left}"
+    methods = {
+        bezproj.SplineSpace: ["elements", "element", "extraction_operator",
+                              "reconstruction_operator", "element_containing", "eval_basis",
+                              "local_knot_vector", "function_elements", "local_index_of"],
+        bezproj.KnotVector: ["find_span", "element_support", "function_support", "local_knots",
+                             "element_index", "element_bounds"],
+    }
+    for cls, names in methods.items():
+        assert not [n for n in names if hasattr(cls, n)], cls

@@ -11,13 +11,16 @@ from bezproj.projection import (
     global_l2_project,
     l2_error,
     lift_normals,
-    local_bernstein_projection,
-    local_spline_coefficients,
     smoothing_weight_table,
-    smoothing_weights,
 )
 from bezproj.spline_space import ControlNet, KnotVector, SplineSpace, evaluate
-from oracles import exact_bernstein_proj, exact_bernstein_proj_2d, random_open_kv
+from oracles import (
+    exact_bernstein_proj,
+    exact_bernstein_proj_2d,
+    global_l2_project_ref,
+    local_bernstein_projection,
+    random_open_kv,
+)
 
 
 def _space(knots, p):
@@ -61,9 +64,8 @@ def test_local_bernstein_projection_matches_bruteforce_2d():
 def test_local_spline_coefficients_inverts_extraction(rng):
     sp = _space([0, 0, 0, 0.4, 1, 1, 1], 2)
     lam = rng.normal(size=(3, 1))
-    C = sp.extraction_operator(1).C
-    beta = C.T @ lam
-    assert np.allclose(local_spline_coefficients(sp, 1, beta), lam, atol=1e-12)
+    beta = sp.extraction([1])[0].T @ lam
+    assert np.allclose(sp.reconstruction([1])[0].T @ beta, lam, atol=1e-12)
 
 
 # ------------------------------------------------------- smoothing weights
@@ -71,19 +73,19 @@ def test_local_spline_coefficients_inverts_extraction(rng):
 
 def test_smoothing_weights_golden_two_element_quadratic():
     sp = _space([0, 0, 0, 0.7, 1, 1, 1], 2)
-    w1 = smoothing_weights(sp, 1)
-    assert w1[0] == pytest.approx(13 / 16, abs=1e-15)
-    assert w1[1] == pytest.approx(3 / 16, abs=1e-15)
-    w2 = smoothing_weights(sp, 2)
-    assert w2[0] == pytest.approx(7 / 24, abs=1e-15)
-    assert w2[1] == pytest.approx(17 / 24, abs=1e-15)
+    # element 0 supports functions 0, 1, 2 and element 1 functions 1, 2, 3
+    assert sp.supports().tolist() == [[0, 1, 2], [1, 2, 3]]
+    t = smoothing_weight_table(sp)
+    assert t[0, 1] == pytest.approx(13 / 16, abs=1e-15)
+    assert t[1, 0] == pytest.approx(3 / 16, abs=1e-15)
+    assert t[0, 2] == pytest.approx(7 / 24, abs=1e-15)
+    assert t[1, 1] == pytest.approx(17 / 24, abs=1e-15)
     # volume-weighted variant
-    w1x = smoothing_weights(sp, 1, mode="exact")
-    assert w1x[0] == pytest.approx(91 / 100, abs=1e-14)
-    assert w1x[1] == pytest.approx(9 / 100, abs=1e-14)
+    tx = smoothing_weight_table(sp, "exact")
+    assert tx[0, 1] == pytest.approx(91 / 100, abs=1e-14)
+    assert tx[1, 0] == pytest.approx(9 / 100, abs=1e-14)
     # functions supported on one element only get weight one
-    w0 = smoothing_weights(sp, 0)
-    assert w0 == {0: 1.0}
+    assert t[0, 0] == 1.0
 
 
 def test_smoothing_weights_normalized_all_modes(rng):
@@ -93,8 +95,7 @@ def test_smoothing_weights_normalized_all_modes(rng):
         for mode in ("approximate", "exact", "uniform"):
             table = smoothing_weight_table(sp, mode)
             sums = np.zeros(sp.n_funcs)
-            for e in range(sp.n_elements):
-                sums[sp.element(e).support] += table[e]
+            np.add.at(sums, sp.supports(), table)
             assert np.allclose(sums, 1.0, atol=1e-13)
             assert all(np.all(t >= -1e-15) for t in table)
 
@@ -102,8 +103,8 @@ def test_smoothing_weights_normalized_all_modes(rng):
 def test_smoothing_weights_uniform_mode():
     sp = _space([0, 0, 0, 0.5, 1, 1, 1], 2)
     t = smoothing_weight_table(sp, "uniform")
-    w = smoothing_weights(sp, 1, mode="uniform")
-    assert w == {0: 0.5, 1: 0.5}
+    # function 1 is local function 1 of element 0 and 0 of element 1
+    assert (t[0, 1], t[1, 0]) == (0.5, 0.5)
     assert np.allclose(t[0], [1.0, 0.5, 0.5])
 
 
@@ -258,6 +259,23 @@ def test_global_equals_local_on_single_element():
     assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("quad_order", [None, 4])
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_global_projection_matches_element_loop_reference(rng, dim, rational, quad_order):
+    kvs = [KnotVector(random_open_kv(rng, p, n_breaks=3), p) for p in (2, 3, 1)[:dim]]
+    sp = SplineSpace(kvs)
+    w = rng.uniform(0.5, 2.0, size=sp.n_funcs) if rational else None
+
+    def f(pts):
+        x, y = pts[:, 0], pts[:, -1]
+        return np.stack([np.sin(3 * x) * np.cos(y), np.exp(pts.sum(axis=1))], axis=1)
+
+    got = global_l2_project(f, sp, weights=w, quad_order=quad_order).points
+    ref = global_l2_project_ref(f, sp, weights=w, quad_order=quad_order)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_global_rational_constant():
     s = np.sqrt(2.0) / 2.0
     sp = _space([0, 0, 0, 1, 1, 1], 2)
@@ -313,22 +331,15 @@ def test_local_stability_constant_small(rng):
             return np.sin(freq * 2 * np.pi * pts[:, 0] + shift)
 
         report = bezier_project(f, sp)
+        bounds, sup = sp.bounds()[:, 0], sp.supports()
         for e in range(sp.n_elements):
-            el = sp.element(e)
-            a, b = el.bounds[0]
+            a, b = bounds[e]
             xs = (0.5 * (a + b) + 0.5 * (b - a) * x1)[:, None]
             vals = evaluate(sp, report.net, xs)[:, 0]
             num = np.sqrt(0.5 * (b - a) * wq @ vals**2)
             # support extension: every element sharing a function with e
-            ext = sorted(
-                set(
-                    int(k)
-                    for A in el.support
-                    for k in sp.function_elements(int(A))
-                )
-            )
-            lo = min(sp.element(k).bounds[0][0] for k in ext)
-            hi = max(sp.element(k).bounds[0][1] for k in ext)
+            ext = np.isin(sup, sup[e]).any(axis=1)
+            lo, hi = bounds[ext, 0].min(), bounds[ext, 1].max()
             xs2 = (0.5 * (lo + hi) + 0.5 * (hi - lo) * x1)[:, None]
             den = np.sqrt(0.5 * (hi - lo) * wq @ f(xs2) ** 2)
             if den > 1e-12:

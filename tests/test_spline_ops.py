@@ -220,11 +220,11 @@ def test_reparameterize_moves_breakpoints(rng):
             ],
             axis=1,
         )
-        lams.append(tgt.reconstruction_operator(te).T @ beta)
+        lams.append(tgt.reconstruction([te])[0].T @ beta)
     table = smoothing_weight_table(tgt)
     expect = np.zeros((tgt.n_funcs, 2))
-    for te, lam in enumerate(lams):
-        expect[tgt.element(te).support] += table[te][:, None] * lam
+    for sup, w, lam in zip(tgt.supports(), table, lams):
+        expect[sup] += w[:, None] * lam
     assert np.allclose(out.points, expect, atol=1e-10)
 
 
@@ -312,13 +312,13 @@ def test_large_to_small_restriction_is_exact(rng):
     assert set(out) == {0, 1}
     net = ControlNet(coeffs)
     for te, lam in out.items():
-        a, b = tgt.element(te).bounds[0]
+        ((a, b),) = tgt.bounds([te])[0]
         xs = np.linspace(a, b, 15)[:, None]
         # evaluate the local polynomial through the target extraction
-        C = tgt.extraction_operator(te).C
+        C = tgt.extraction([te])[0]
         from bezproj.bernstein import bernstein_matrix
 
-        xi = tgt.element(te).map_to_biunit(xs)[:, 0]
+        xi = (2 * xs[:, 0] - a - b) / (b - a)
         vals = bernstein_matrix(2, xi) @ (C.T @ lam)
         assert np.allclose(vals, evaluate(src, net, xs), atol=1e-11)
 
@@ -343,7 +343,7 @@ def test_multi_to_one_matches_bruteforce(rng):
         lambda x: evaluate(src, net, np.atleast_1d(x)[:, None])[:, 0],
         0.0, 1.0, 2, breaks=(0.5,),
     )
-    R = tgt.reconstruction_operator(0)
+    R = tgt.reconstruction([0])[0]
     lam_ref = R.T @ ref[:, None]
     assert np.allclose(lam, lam_ref, atol=1e-10)
 
@@ -363,7 +363,7 @@ def test_multi_to_one_residual_orthogonal(rng):
     coeffs = rng.normal(size=(src.n_funcs, 1))
     tgt = SplineSpace([KnotVector([0, 0, 0, 1, 1, 1], 2)])
     lam = multi_to_one(src, [0, 1, 2], tgt, 0, coeffs)
-    beta = tgt.extraction_operator(0).C.T @ lam
+    beta = tgt.extraction([0])[0].T @ lam
     net = ControlNet(coeffs)
 
     from oracles import bernstein_design_ref, gauss_panels

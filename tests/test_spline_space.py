@@ -72,38 +72,23 @@ def test_knot_vector_snaps_near_equal_knots():
 
 
 def test_find_span_right_closed():
-    kv = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    assert kv.element_index(0.0) == 0
-    assert kv.element_index(0.25) == 0
-    # breakpoints belong to the element on their left only at the far end
-    assert kv.element_index(0.5) == 1
-    assert kv.element_index(1.0) == 1
+    # a polyline's slope is its element's: the breakpoints belong to the
+    # element on their right, except the right end of the domain
+    sp = SplineSpace([KnotVector([0, 0, 0.5, 1, 1], 1)])
+    net = ControlNet([[0.0], [1.0], [3.0]])
+    slopes = evaluate_derivative(sp, net, [[0.0], [0.25], [0.5], [1.0]])[:, 0]
+    assert slopes.tolist() == [2.0, 2.0, 4.0, 4.0]
 
 
 def test_element_and_function_support_match_scipy(rng):
     for p in (1, 2, 3):
         knots = random_open_kv(rng, p)
-        kv = KnotVector(knots, p)
-        for e in range(kv.n_elements):
-            a, b = kv.element_bounds(e)
+        sp = SplineSpace([KnotVector(knots, p)])
+        for (a, b), sup in zip(sp.bounds()[:, 0], sp.supports()):
             xs = np.linspace(a, b, 7)[1:-1]
             D = bspline_design(knots, p, xs)
             live = np.nonzero(np.max(np.abs(D), axis=0) > 1e-13)[0]
-            assert np.array_equal(kv.element_support(e), live)
-        for A in range(kv.n):
-            els = kv.function_support(A)
-            for e in range(kv.n_elements):
-                a, b = kv.element_bounds(e)
-                xs = np.linspace(a, b, 9)[1:-1]
-                lively = np.max(bspline_design(knots, p, xs)[:, A]) > 1e-13
-                assert (e in els) == lively
-
-
-def test_local_knots_slice():
-    kv = KnotVector([0, 0, 0, 1, 2, 3, 4, 4, 4], 2)
-    assert np.allclose(kv.local_knots(0), [0, 0, 0, 1])
-    assert np.allclose(kv.local_knots(2), [0, 1, 2, 3])
-    assert np.allclose(kv.local_knots(5), [3, 4, 4, 4])
+            assert np.array_equal(sup, live)
 
 
 def test_extraction_matches_collocation_oracle(rng):
@@ -115,7 +100,7 @@ def test_extraction_matches_collocation_oracle(rng):
             ref = extraction_by_collocation(knots, p)
             assert len(ops) == kv.n_elements == len(ref)
             for e, ((a, b), sup, C_ref) in enumerate(ref):
-                assert np.array_equal(kv.element_support(e), sup)
+                assert np.array_equal(kv.supports()[e], sup)
                 assert np.allclose(ops[e], C_ref, atol=1e-10)
                 # smooth basis functions sum to the Bernstein partition
                 assert np.allclose(ops[e].sum(axis=0), 1, atol=1e-12)
@@ -158,14 +143,18 @@ def test_exact_extraction_compares_knots_exactly():
 
 
 def test_element_mapping_roundtrip():
-    kv = KnotVector([0, 0, 0, 2, 5, 5, 5], 2)
-    sp = SplineSpace([kv])
-    el = sp.element(1)
-    assert el.measure == pytest.approx(3.0)
-    xi = np.array([[-1.0], [0.0], [1.0]])
-    s = el.map_from_biunit(xi)
-    assert np.allclose(s[:, 0], [2, 3.5, 5])
-    assert np.allclose(el.map_to_biunit(s), xi)
+    sp = SplineSpace([KnotVector([0, 0, 0, 2, 5, 5, 5], 2)])
+    ((a, b),) = sp.bounds([1])[0]
+    assert (a, b) == (2.0, 5.0)
+    # the biunit coordinate xi maps to s on the element, where the basis
+    # of the element's support is C B(xi)
+    xi = np.array([-1.0, 0.0, 1.0])
+    s = 0.5 * (a + b) + 0.5 * (b - a) * xi
+    assert np.allclose(s, [2, 3.5, 5])
+    assert np.allclose((2 * s - a - b) / (b - a), xi)
+    values = evaluate(sp, ControlNet(np.eye(sp.n_funcs)), s[:, None])
+    local = bernstein_design_ref(2, xi) @ sp.extraction([1])[0].T
+    assert np.allclose(values[:, sp.supports([1])[0]], local, atol=1e-15)
 
 
 # ---------------------------------------------------------------- SplineSpace
@@ -185,10 +174,10 @@ def test_space_layout_2d():
     assert sp.element_shape == (2, 2)
     assert sp.n_elements == 4
     # first direction cycles fastest
-    assert sp.ravel_func((1, 2)) == 9
+    assert sp.supports([3])[0, -1] == sp.n_funcs - 1
     assert sp.ravel_element((1, 1)) == 3
     assert sp.unravel_element(3) == (1, 1)
-    assert sp.element_containing([0.7, 1.5]) == 3
+    assert sp.bounds([3]).tolist() == [[[0.5, 1.0], [1.0, 2.0]]]
 
 
 def test_space_element_support_is_tensor_product():
@@ -198,12 +187,12 @@ def test_space_element_support_is_tensor_product():
             KnotVector([0, 0, 1, 2, 2], 1),
         ]
     )
-    el = sp.element(sp.ravel_element((1, 0)))
-    sup1 = sp.knot_vectors[0].element_support(1)
-    sup2 = sp.knot_vectors[1].element_support(0)
-    expect = sorted(sp.ravel_func((i, j)) for i in sup1 for j in sup2)
-    assert np.array_equal(np.sort(el.support), expect)
-    assert el.measure == pytest.approx(0.5 * 1.0)
+    e = sp.ravel_element((1, 0))
+    sup1 = sp.knot_vectors[0].supports()[1]
+    sup2 = sp.knot_vectors[1].supports()[0]
+    expect = sorted(i + sp.shape[0] * j for i in sup1 for j in sup2)
+    assert np.array_equal(np.sort(sp.supports([e])[0]), expect)
+    assert np.prod(np.diff(sp.bounds([e])[0])) == pytest.approx(0.5 * 1.0)
 
 
 def test_space_extraction_tensorizes(rng):
@@ -213,29 +202,30 @@ def test_space_extraction_tensorizes(rng):
             KnotVector([0, 0, 0.5, 1, 1], 1),
         ]
     )
+    C, R = sp.extraction(), sp.reconstruction()
     for e in range(sp.n_elements):
-        ops = sp.extraction_operator(e)
         i1, i2 = sp.unravel_element(e)
         C1 = sp.knot_vectors[0].extraction()[i1]
         C2 = sp.knot_vectors[1].extraction()[i2]
-        assert np.allclose(ops.C, np.kron(C2, C1), atol=1e-13)
-        R = sp.reconstruction_operator(e)
-        assert np.allclose(ops.C @ R, np.eye(ops.C.shape[0]), atol=1e-10)
+        assert np.allclose(C[e], np.kron(C2, C1), atol=1e-13)
+        assert np.allclose(C[e] @ R[e], np.eye(C.shape[1]), atol=1e-10)
 
 
 def test_eval_basis_matches_scipy(rng):
     kv1 = KnotVector([0, 0, 0, 0.3, 0.8, 1, 1, 1], 2)
     kv2 = KnotVector([0, 0, 0.5, 1, 1], 1)
     sp = SplineSpace([kv1, kv2])
+    bounds, sup, C = sp.bounds(), sp.supports(), sp.extraction()
     for _ in range(10):
         pt = rng.uniform(0, 1, size=2)
-        e, vals = sp.eval_basis(pt)
-        assert e == sp.element_containing(pt)
-        sup = sp.element(e).support
+        (e,) = np.flatnonzero(np.all((bounds[:, :, 0] <= pt) & (pt < bounds[:, :, 1]), axis=1))
+        xi = 2 * (pt - bounds[e, :, 0]) / (bounds[e, :, 1] - bounds[e, :, 0]) - 1
+        B = np.kron(bernstein_design_ref(1, xi[1:]), bernstein_design_ref(2, xi[:1]))[0]
+        vals = C[e] @ B
         D1 = bspline_design(kv1.knots, 2, [pt[0]])[0]
         D2 = bspline_design(kv2.knots, 1, [pt[1]])[0]
         full = np.kron(D2, D1)
-        assert np.allclose(vals, full[sup], atol=1e-12)
+        assert np.allclose(vals, full[sup[e]], atol=1e-12)
         assert vals.sum() == pytest.approx(1.0)
 
 
@@ -246,21 +236,20 @@ def test_function_elements_and_local_index():
             KnotVector([0, 0, 1, 2, 2], 1),
         ]
     )
+    # each function sits at most once on an element, and its elements
+    # are the tensor product of its per-direction elements
+    sup = sp.supports()
     for A in range(sp.n_funcs):
-        for e in sp.function_elements(A):
-            loc = sp.local_index_of(e, A)
-            assert sp.element(e).support[loc] == A
-    with pytest.raises(ValueError):
-        sp.local_index_of(0, sp.n_funcs - 1)
-
-
-def test_local_knot_vector_slices_by_direction():
-    kv1 = KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)
-    kv2 = KnotVector([0, 0, 1, 2, 2], 1)
-    sp = SplineSpace([kv1, kv2])
-    A = sp.ravel_func((2, 1))
-    assert np.allclose(sp.local_knot_vector(A, 0), kv1.local_knots(2))
-    assert np.allclose(sp.local_knot_vector(A, 1), kv2.local_knots(1))
+        els, _ = np.nonzero(sup == A)
+        assert np.array_equal(els, np.unique(els))
+        i, j = A % sp.shape[0], A // sp.shape[0]
+        per_dim = [
+            np.flatnonzero((kv.supports() == k).any(axis=1))
+            for kv, k in zip(sp.knot_vectors, (i, j))
+        ]
+        expect = sorted(sp.ravel_element((a, b)) for a in per_dim[0] for b in per_dim[1])
+        assert els.tolist() == expect
+    assert sp.n_funcs - 1 not in sup[0]
 
 
 # ---------------------------------------------------------------- evaluation
@@ -537,5 +526,3 @@ def test_knot_vector_caches_stacked_operators(rng):
         assert S.shape == (kv.n_elements, p + 1)
         assert kv.extraction() is C and kv.reconstruction() is R and kv.supports() is S
         assert np.allclose(C @ R, np.eye(p + 1), atol=1e-10)
-        for e in range(kv.n_elements):
-            assert np.array_equal(S[e], kv.element_support(e))

@@ -12,6 +12,12 @@ def test_reversed_kron_puts_first_factor_fastest(rng):
     assert np.allclose(
         tensor.reversed_kron([A, B, C]), np.kron(C, np.kron(B, A))
     )
+    # stacks of matrices multiply pairwise, entry by entry as np.kron does
+    As, Bs, Cs = rng.normal(size=(5, 2, 3)), rng.normal(size=(5, 4, 2)), rng.normal(size=(5, 3, 3))
+    got = tensor.reversed_kron([As, Bs, Cs])
+    assert got.shape == (5, 24, 18)
+    for e in range(5):
+        assert np.array_equal(got[e], tensor.reversed_kron([As[e], Bs[e], Cs[e]]))
 
 
 def test_reversed_kron_action_consistency(rng):
@@ -23,30 +29,6 @@ def test_reversed_kron_action_consistency(rng):
     got = tensor.reversed_kron([A, B]) @ X.ravel(order="F")
     expect = (A @ X @ B.T).ravel(order="F")
     assert np.allclose(got, expect)
-
-
-def test_multi_index_2d_one_based_layout():
-    p1 = 3
-    # (i, j) -> (p1 + 1)(j - 1) + i, first direction fastest
-    assert tensor.multi_index_2d(1, 1, p1) == 1
-    assert tensor.multi_index_2d(4, 1, p1) == 4
-    assert tensor.multi_index_2d(1, 2, p1) == 5
-    assert tensor.multi_index_2d(4, 3, p1) == 12
-
-
-def test_multi_index_3d_one_based_layout():
-    p1, p2 = 2, 1
-    assert tensor.multi_index_3d(1, 1, 1, p1, p2) == 1
-    assert tensor.multi_index_3d(3, 1, 1, p1, p2) == 3
-    assert tensor.multi_index_3d(1, 2, 1, p1, p2) == 4
-    assert tensor.multi_index_3d(1, 1, 2, p1, p2) == 7
-
-
-def test_multi_index_range_checks():
-    with pytest.raises(ValueError):
-        tensor.multi_index_2d(0, 1, 3)
-    with pytest.raises(ValueError):
-        tensor.multi_index_2d(5, 1, 3)
 
 
 def _assembled(ops, gather, scatter, n_in, n_out):

@@ -218,32 +218,27 @@ def test_extraction_matches_scipy_blending_functions(fixtures_dir):
 
 
 def test_tensor_mesh_recovers_tensor_extraction():
-    kv1 = KnotVector([0, 0, 0, 1, 2, 3, 3, 3], 2)
-    kv2 = KnotVector([0, 0, 0, 1, 2, 2, 2], 2)
-    mesh = TMesh.tensor((2, 2), [kv1.knots, kv2.knots])
-    sp = SplineSpace([kv1, kv2])
+    K1 = {2: [0, 0, 0, 0.5, 1.25, 2, 3, 3, 3], 3: [0, 0, 0, 0, 0.5, 1.25, 2, 3, 3, 3, 3]}
+    K2 = {2: [0, 0, 0, 1, 2.5, 3, 3, 3], 3: [0, 0, 0, 0, 1, 2.5, 3, 3, 3, 3]}
+    for p1, p2 in ((2, 2), (3, 2), (3, 3)):
+        kv1, kv2 = KnotVector(K1[p1], p1), KnotVector(K2[p2], p2)
+        mesh = TMesh.tensor((p1, p2), [kv1.knots, kv2.knots])
+        sp = SplineSpace([kv1, kv2])
 
-    assert mesh.t_junctions() == []
-    assert mesh.is_analysis_suitable()
-    anchors = mesh.anchors()
-    assert len(anchors) == sp.n_funcs
-
-    els = mesh.bezier_elements()
-    assert len(els) == sp.n_elements
-    for el in els:
-        # map the Bezier element to the tensor element at the same spot
-        mid = (
-            0.5 * (el.bounds[0][0] + el.bounds[0][1]),
-            0.5 * (el.bounds[1][0] + el.bounds[1][1]),
-        )
-        e = sp.element_containing(mid)
-        C_ref = sp.extraction_operator(e).C
-        C, R = mesh.element_extraction(el.index)
-        # anchor order: same layout (first direction fastest) after sorting
-        order = np.argsort(
-            [anchors[k].center[::-1] for k in el.anchors], axis=0
-        )[:, 0]
-        assert np.allclose(C[order], C_ref, atol=1e-10)
+        assert mesh.t_junctions() == []
+        assert mesh.is_analysis_suitable()
+        assert (mesh.n_funcs, mesh.n_elements) == (sp.n_funcs, sp.n_elements)
+        # both order elements with the first direction fastest
+        assert np.array_equal(mesh.bounds(), sp.bounds())
+        # an anchor's tensor index is its rank among the anchor centers
+        # per direction, the first direction fastest
+        centers = np.array([a.center for a in mesh.anchors()])
+        rank = [np.unique(c, return_inverse=True)[1] for c in centers.T]
+        tensor_id = rank[0] + kv1.n * rank[1]
+        assert np.array_equal(tensor_id[mesh.supports()], sp.supports())
+        pairs = ((mesh.extraction(), sp.extraction()), (mesh.reconstruction(), sp.reconstruction()))
+        for got, ref in pairs:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_tensor_mesh_local_knots_match_slices():
@@ -258,8 +253,8 @@ def test_tensor_mesh_local_knots_match_slices():
             (i, j)
             for i in range(kv1.n)
             for j in range(kv2.n)
-            if np.allclose(kv1.local_knots(i), g1)
-            and np.allclose(kv2.local_knots(j), g2)
+            if np.allclose(kv1.knots[i : i + 4], g1)
+            and np.allclose(kv2.knots[j : j + 4], g2)
             and (i, j) not in seen
         ]
         assert hits, f"anchor {a} matches no tensor function"
@@ -413,6 +408,36 @@ def test_read_tmesh_json_rejects_fractional_vertex(fixtures_dir):
         data = json.load(fh)
     data["vertices"][5] = [data["vertices"][5][0] + 0.5, data["vertices"][5][1]]
     with pytest.raises(ValueError, match="must be two integers"):
+        read_tmesh_json(data)
+
+
+def _set(path, value):
+    """Change the entry at path (keys and indices) of JSON data."""
+
+    def change(data):
+        *head, last = path
+        for k in head:
+            data = data[k]
+        data[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_set(["degrees"], [3.5, 3]), "degrees must be integers, got 3.5"),
+        (_set(["knot_vectors", 0, 4], None), 'knot_vectors must hold numbers or "n/d" strings'),
+        (_set(["knot_vectors", 1], 5), "knot_vectors must be a 1-D array of numbers"),
+        (_set(["knot_vectors", 0, 4], "abc"), 'knot_vectors must hold numbers or "n/d" strings'),
+    ],
+    ids=["fractional degree", "null knot", "scalar knot vector", "text knot"],
+)
+def test_read_tmesh_json_names_the_bad_field(fixtures_dir, change, message):
+    with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
+        data = json.load(fh)
+    change(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_tmesh_json(data)
 
 
