@@ -17,6 +17,8 @@ from math import comb
 
 import numpy as np
 
+from .tensor import reversed_kron
+
 __all__ = [
     "eval_basis",
     "bernstein_matrix",
@@ -129,6 +131,11 @@ def gramian_inverse(p):
             Gi[j, k] = val
             Gi[k, j] = val
     return Gi
+
+
+def gramian_inverse_multi(degrees):
+    """Inverse of the tensor-product Gramian."""
+    return reversed_kron([gramian_inverse(p) for p in degrees])
 
 
 def interval_transform(p, a, b):

@@ -200,8 +200,6 @@ def cmd_extract(in_path, element):
         with open(in_path) as fh:
             raw = json.load(fh)
         space, _ = read_spline_json(raw)
-        if not 0 <= element < space.n_elements:
-            raise ValueError(f"element {element} outside 0..{space.n_elements - 1}")
         exact = all(
             isinstance(u, (int, str)) for G in raw["knot_vectors"] for u in G
         )
@@ -216,26 +214,24 @@ def cmd_extract(in_path, element):
                         "float elements; near-equal knots merge in floating point"
                     )
                 W, p = W[k : k + 1], kv.degree
-                factors.append(_bezier_extraction(W, W[:, p], W[:, p + 1])[0].tolist())
-            C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
-            # C is a Kronecker product, so R is that of the factor inverses
-            R = reversed_kron(
-                [np.array(_fraction_inverse(F), dtype=object) for F in factors]
-            ).tolist()
+                factors.append(_bezier_extraction(W, W[:, p], W[:, p + 1])[0])
         else:
-            factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
-            (C,) = space.extraction([element])
-            C, R = C.tolist(), np.linalg.inv(C).tolist()
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            factors = [kv.extraction()[k] for kv, k in zip(space.knot_vectors, spans)]
+        C = reversed_kron(factors)
+        if exact:  # C is a Kronecker product, so R is that of the factor inverses
+            R = reversed_kron([np.array(_fraction_inverse(F), dtype=object) for F in factors])
+        else:
+            R = np.linalg.inv(C)
+    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     if len(factors) > 1:
         for d, F in enumerate(factors):
             _echo(f"C factor, direction {d}:")
-            _echo(_format_matrix(F))
+            _echo(_format_matrix(F.tolist()))
     _echo("C:")
-    _echo(_format_matrix(C))
+    _echo(_format_matrix(C.tolist()))
     _echo("R:")
-    _echo(_format_matrix(R))
+    _echo(_format_matrix(R.tolist()))
 
 
 @main.command("convergence")
@@ -356,13 +352,10 @@ def cmd_tmesh_extract(in_path, element):
     """Print one Bezier element's extraction and reconstruction operators."""
     try:
         mesh = read_tmesh_json(in_path)
-        els = mesh.bezier_elements()
-        if not 0 <= element < len(els):
-            raise ValueError(f"element {element} outside 0..{len(els) - 1}")
         C, R = mesh.element_extraction(element)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    el = els[element]
+    el = mesh.bezier_elements()[element]
     _echo(f"bounds: {el.bounds[0]} x {el.bounds[1]}")
     _echo(f"anchors: {list(el.anchors)}")
     _echo("C:")

@@ -131,6 +131,12 @@ def _local_fit(p, rule):
     return bernstein.gramian_inverse(p) @ (B.T * w)
 
 
+def local_spline_coefficients(space, beta, ids=None):
+    """Step 2 per element of ids: R^T beta from Bernstein coefficients
+    beta, (n, n_bern, ...) -> (n, n_loc, ...)."""
+    return np.einsum("eba,eb...->ea...", space.reconstruction(ids), beta)
+
+
 def _direction_weights(kv, mode):
     """One direction's factor of the smoothing weights, (n_elements, p+1).
 

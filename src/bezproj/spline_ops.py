@@ -308,11 +308,8 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
             raise ValueError("target element not contained in source element")
         # the overlap is the target span: phi = 1 and F = T
         factors.append(_span_factors(np.broadcast_to(s_iv, t.shape), t, p, p)[1])
-    R = target_space.reconstruction(target_elements)
-    return {
-        te: R[i].T @ (reversed_kron([F[i] for F in factors]) @ Q)
-        for i, te in enumerate(target_elements)
-    }
+    R = target_space.reconstruction(target_elements).transpose(0, 2, 1)
+    return dict(zip(target_elements, R @ (reversed_kron(factors) @ Q)))
 
 
 def multi_to_one(space, elements, target_space, target_element, coeffs):
@@ -339,10 +336,7 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
     if abs(phi.sum() - 1.0) > 1e-10:
         raise ValueError("source elements do not tile the target element")
     C, S = space.extraction(elements), space.supports(elements)
-    Qbar = sum(
-        reversed_kron([F[i] for F in factors]) @ (C[i].T @ coeffs[S[i]])
-        for i in range(len(src))
-    )
+    Qbar = (reversed_kron(factors) @ (C.transpose(0, 2, 1) @ coeffs[S])).sum(axis=0)
     return target_space.reconstruction([target_element])[0].T @ Qbar
 
 

@@ -295,12 +295,29 @@ class SplineSpace:
         """Inverses of the extraction operators, stacked the same way."""
         return reversed_kron([kv.reconstruction()[s] for kv, s in self._spans(ids)])
 
+    # Single-element readers of the same stacks, under the names that
+    # perfbench/tracing.py reports layers by (ROADMAP item 5).
+
+    def element(self, e):
+        """Bounds, supports, C and R of element e."""
+        readers = (self.bounds, self.supports, self.extraction, self.reconstruction)
+        return tuple(read([e])[0] for read in readers)
+
+    def extraction_operator(self, e):
+        return self.extraction([e])[0]
+
+    def reconstruction_operator(self, e):
+        return self.reconstruction([e])[0]
+
 
 def _element_ids(ids, n):
     """Element ids as a 1-D int array (all n for None), each in 0..n-1."""
     if ids is None:
         return np.arange(n)
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size and not np.issubdtype(ids.dtype, np.integer):
+        raise IndexError(f"element ids must be integers, got {ids.dtype} {ids[:1].tolist()}")
+    ids = ids.astype(np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= n))
     if bad.size:
         raise IndexError(f"element {ids[bad[0]]} outside 0..{n - 1}")
@@ -455,6 +472,12 @@ def evaluate_derivative(space, net, points):
     dw = dH[:, -1:]
     dnum = dH[:, :-1]
     return (dnum - (num / w) * dw) / w
+
+
+def bspline_basis_matrix(knots, p, xs):
+    """B-spline design matrix (len(xs), n) of an open knot vector."""
+    space = SplineSpace([KnotVector(knots, p)])
+    return evaluate(space, ControlNet(np.eye(space.n_funcs)), np.reshape(xs, (-1, 1)))
 
 
 def parse_number(x):

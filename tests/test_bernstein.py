@@ -79,6 +79,14 @@ def test_gramian_inverse_is_inverse():
     assert np.allclose(Gi @ bernstein.gramian(7), np.eye(8), atol=1e-6)
 
 
+def test_gramian_inverse_multi_tensorizes():
+    Gi = bernstein.gramian_inverse_multi((2, 3))
+    expect = np.kron(bernstein.gramian_inverse(3), bernstein.gramian_inverse(2))
+    assert np.allclose(Gi, expect, atol=1e-12)
+    G = np.kron(bernstein.gramian(3), bernstein.gramian(2))
+    assert np.allclose(Gi @ G, np.eye(12), atol=1e-10)
+
+
 def test_interval_transform_reexpresses_polynomials(rng):
     # q = A c holds the window-local coefficients of the same polynomial
     for p in (1, 2, 3, 4):

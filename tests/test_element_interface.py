@@ -55,6 +55,9 @@ def test_space_arrays_are_kronecker_products_of_direction_rows(rng, dim, jittere
         assert got[1].shape == (len(chosen), n_loc)
         assert got[2].shape == got[3].shape == (len(chosen), n_loc, n_bern)
         for row, e in enumerate(chosen):
+            # the one-element readers return the same rows
+            one = sp.element(e) + (sp.extraction_operator(e), sp.reconstruction_operator(e))
+            assert all(np.array_equal(a, g[row]) for a, g in zip(one, got + got[2:]))
             for a, ref in zip(got, _element_refs(sp, e)):
                 if dim <= 2 or a.dtype.kind == "i":
                     assert np.array_equal(a[row], ref)
@@ -116,3 +119,13 @@ def test_tmesh_arrays_raise_the_element_error(fixtures_dir):
     n = len(els)
     with pytest.raises(IndexError, match=f"^element {n} outside 0..{n - 1}$"):
         mesh.extraction([n])
+
+
+@pytest.mark.parametrize("ids", [[1.7], [True, False, True, False]], ids=["float", "mask"])
+def test_arrays_reject_ids_that_are_not_integers(fixtures_dir, ids):
+    sp = SplineSpace([KnotVector([0, 0, 0.5, 1, 1], 1)] * 2)
+    mesh = _mesh(fixtures_dir, "tmesh_d")
+    for space in (sp, mesh):
+        for read in (space.bounds, space.supports, space.extraction, space.reconstruction):
+            with pytest.raises(IndexError, match="^element ids must be integers"):
+                read(ids)

@@ -11,6 +11,7 @@ from bezproj.projection import (
     global_l2_project,
     l2_error,
     lift_normals,
+    local_spline_coefficients,
     smoothing_weight_table,
 )
 from bezproj.spline_space import ControlNet, KnotVector, SplineSpace, evaluate
@@ -63,9 +64,10 @@ def test_local_bernstein_projection_matches_bruteforce_2d():
 
 def test_local_spline_coefficients_inverts_extraction(rng):
     sp = _space([0, 0, 0, 0.4, 1, 1, 1], 2)
-    lam = rng.normal(size=(3, 1))
-    beta = sp.extraction([1])[0].T @ lam
-    assert np.allclose(sp.reconstruction([1])[0].T @ beta, lam, atol=1e-12)
+    lam = rng.normal(size=(2, 3, 1))
+    beta = sp.extraction().transpose(0, 2, 1) @ lam
+    assert np.allclose(local_spline_coefficients(sp, beta), lam, atol=1e-12)
+    assert np.allclose(local_spline_coefficients(sp, beta[1:], ids=[1]), lam[1:], atol=1e-12)
 
 
 # ------------------------------------------------------- smoothing weights
