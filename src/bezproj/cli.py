@@ -14,8 +14,8 @@ strings like "3/8".
 """
 
 import json
+import math
 import sys
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -23,7 +23,8 @@ import numpy as np
 from . import benchmark, spline_ops
 from .projection import TargetFunction, l2_error, lift_normals
 from .spline_space import (
-    _bezier_extraction,
+    _exact_extraction,
+    _exact_knots,
     _exact_windows,
     evaluate,
     parse_number,
@@ -172,21 +173,74 @@ def _format_matrix(rows):
     return "\n".join("  [" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
 
-def _fraction_inverse(A):
-    n = len(A)
-    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
+def _exact_read(raw):
+    """The knots of a spline file, each read once as exact integers.
+
+    Per direction, the numerators over one denominator, and raw with its
+    knots replaced by the floats of the same values. (None, raw) unless
+    every knot is an int or a string that reads as a rational; then
+    read_spline_json reads the file as it is and names any bad knot.
+    """
+    G = raw.get("knot_vectors") if isinstance(raw, dict) else None
+    if not (
+        isinstance(G, list)
+        and all(isinstance(g, list) and all(type(u) in (int, str) for u in g) for g in G)
+    ):
+        return None, raw
+    try:
+        exact = [_exact_knots(g) for g in G]
+        floats = [[n / den for n in U] for U, den in exact]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None, raw
+    return exact, dict(raw, knot_vectors=floats)
+
+
+def _common_denominator(F):
+    """A matrix of Fractions as integer numerators over one denominator."""
+    den = math.lcm(*(f.denominator for f in F.flat))
+    N = [f.numerator * (den // f.denominator) for f in F.flat]
+    return np.array(N, dtype=object).reshape(F.shape), den
+
+
+def _integer_inverse(N, den):
+    """The inverse of the matrix N / den, as numerators over one
+    denominator, by fraction-free Gauss-Jordan (Bareiss) elimination.
+
+    Every division is exact, and at the end [N | I] has become
+    [d I | d N^-1] with d = +-det N, so (N / den)^-1 = den X / d.
+    """
+    n = len(N)
+    M = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N.tolist())]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
+        if pivot is None:
             raise ValueError("extraction operator is singular")
-        M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+        M[k], M[pivot] = M[pivot], M[k]
+        top = M[k]
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(top[k] * x - f * y) // prev for x, y in zip(M[i], top)]
+        prev = top[k]
+    sign = -1 if prev < 0 else 1
+    return np.array([row[n:] for row in M], dtype=object) * (sign * den), sign * prev
+
+
+def _ratio_rows(N, den):
+    """Rows of str(Fraction(n, den)) for the entries n of N: each entry
+    reduced by its gcd only here."""
+    g = np.frompyfunc(math.gcd, 2, 1)(N, den)
+    return [
+        [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(nums, dens)]
+        for nums, dens in zip((N // g).tolist(), (den // g).tolist())
+    ]
+
+
+def _ratio_kron(factors):
+    """Text rows of the Kronecker product of (numerators, denominator)
+    factors, first factor fastest."""
+    return _ratio_rows(reversed_kron([N for N, _ in factors]), math.prod(d for _, d in factors))
 
 
 @main.command("extract")
@@ -198,40 +252,39 @@ def cmd_extract(in_path, element):
     "n/d" string, decimals otherwise."""
     try:
         with open(in_path) as fh:
-            raw = json.load(fh)
+            exact, raw = _exact_read(json.load(fh))
         space, _ = read_spline_json(raw)
-        exact = all(
-            isinstance(u, (int, str)) for G in raw["knot_vectors"] for u in G
-        )
         spans = space.unravel_element(element)
         if exact:
+            # integer numerator matrices, each over one denominator
             factors = []
-            for d, (G, kv, k) in enumerate(zip(raw["knot_vectors"], space.knot_vectors, spans)):
-                W = _exact_windows(G, kv.degree)
+            for d, ((U, _), kv, k) in enumerate(zip(exact, space.knot_vectors, spans)):
+                W = _exact_windows(U, kv.degree)
                 if len(W) != kv.n_elements:
                     raise ValueError(
                         f"direction {d}: {len(W)} exact nonzero spans but {kv.n_elements} "
                         "float elements; near-equal knots merge in floating point"
                     )
-                W, p = W[k : k + 1], kv.degree
-                factors.append(_bezier_extraction(W, W[:, p], W[:, p + 1])[0])
+                factors.append(_common_denominator(_exact_extraction(W[k : k + 1])[0]))
+            # C is a Kronecker product, so R is that of the factor inverses
+            C = _ratio_kron(factors)
+            R = _ratio_kron([_integer_inverse(N, den) for N, den in factors])
+            factors = [_ratio_rows(N, den) for N, den in factors]
         else:
             factors = [kv.extraction()[k] for kv, k in zip(space.knot_vectors, spans)]
-        C = reversed_kron(factors)
-        if exact:  # C is a Kronecker product, so R is that of the factor inverses
-            R = reversed_kron([np.array(_fraction_inverse(F), dtype=object) for F in factors])
-        else:
-            R = np.linalg.inv(C)
+            C = reversed_kron(factors)
+            R = np.linalg.inv(C).tolist()
+            factors, C = [F.tolist() for F in factors], C.tolist()
     except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     if len(factors) > 1:
         for d, F in enumerate(factors):
             _echo(f"C factor, direction {d}:")
-            _echo(_format_matrix(F.tolist()))
+            _echo(_format_matrix(F))
     _echo("C:")
-    _echo(_format_matrix(C.tolist()))
+    _echo(_format_matrix(C))
     _echo("R:")
-    _echo(_format_matrix(R.tolist()))
+    _echo(_format_matrix(R))
 
 
 @main.command("convergence")

@@ -20,6 +20,7 @@ cycle fastest, matching :func:`bezproj.tensor.reversed_kron`.
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -116,13 +117,29 @@ def _span_windows(knots, multiplicities, p):
     return knots[last[:, None] + np.arange(-p, p + 2)]
 
 
-def _exact_windows(knots, degree):
-    """Knot windows of the nonzero spans of an exact knot vector (ints,
-    Fractions or "n/d" strings), as a Fraction object array; the knots
-    are checked like :class:`KnotVector`'s, with exact comparisons."""
-    U = np.array([Fraction(u) for u in knots], dtype=object)
-    _, counts = _open_knots(U, degree, 0)
-    return _span_windows(U, counts, int(degree))
+def _exact_knots(knots):
+    """Exact knots (ints, Fractions or "n/d" strings), each read once, as
+    integer numerators over one common denominator: an object array of
+    ints and the positive int denominator."""
+    F = [Fraction(u) for u in knots]
+    den = math.lcm(*(f.denominator for f in F))
+    return np.array([f.numerator * (den // f.denominator) for f in F], dtype=object), den
+
+
+def _exact_windows(numerators, degree):
+    """Knot windows of the nonzero spans of integer knots; the knots are
+    checked like :class:`KnotVector`'s, with exact comparisons."""
+    _, counts = _open_knots(numerators, degree, 0)
+    return _span_windows(numerators, counts, int(degree))
+
+
+def _exact_extraction(W):
+    """Extraction operators of integer knot windows, as Fractions. A
+    common scale of all knots leaves every operator unchanged, so the
+    numerators of :func:`_exact_knots` serve as knots."""
+    W = np.frompyfunc(Fraction, 1, 1)(W)
+    p = W.shape[1] // 2 - 1
+    return _bezier_extraction(W, W[:, p], W[:, p + 1])
 
 
 class KnotVector:
@@ -204,9 +221,7 @@ def univariate_extraction_exact(knots, degree):
     for bit-exact output when inputs are rational; the float path lives
     on :meth:`KnotVector.extraction`.
     """
-    W = _exact_windows(knots, degree)
-    p = int(degree)
-    return _bezier_extraction(W, W[:, p], W[:, p + 1]).tolist()
+    return _exact_extraction(_exact_windows(_exact_knots(knots)[0], degree)).tolist()
 
 
 class SplineSpace:
@@ -490,11 +505,16 @@ def parse_number(x):
 def _number_array(values, what, ndim):
     """A JSON array of numbers and exact "n/d" strings as an ndim-D float
     array. An array of numbers converts in one call; otherwise only the
-    string entries go through parse_number. ValueError names what."""
+    string entries go through parse_number. Booleans are not numbers.
+    ValueError names what."""
     try:
         arr = np.array(values)
-        if arr.dtype.kind not in "biuf":
+        if arr.dtype.kind == "b" or (arr.dtype.kind in "iuf" and _holds_bool(values, arr.ndim)):
+            raise TypeError("booleans are not numbers")
+        if arr.dtype.kind not in "iuf":
             arr = np.array(values, dtype=object)
+            if np.frompyfunc(isinstance, 2, 1)(arr, bool).any():
+                raise TypeError("booleans are not numbers")
             strings = np.frompyfunc(isinstance, 2, 1)(arr, str).astype(bool)
             arr[strings] = [parse_number(x) for x in arr[strings]]
             if np.any(np.equal(arr, None)):
@@ -504,6 +524,16 @@ def _number_array(values, what, ndim):
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f'{what} must hold numbers or "n/d" strings ({exc})') from None
     raise ValueError(f"{what} must be a {ndim}-D array of numbers")
+
+
+def _holds_bool(values, ndim):
+    """Whether nested lists, ndim levels deep, that numpy read as an array
+    of numbers hold a bool, which it took for 0 or 1."""
+    if isinstance(values, np.ndarray) or ndim == 0:
+        return False
+    for _ in range(ndim - 1):
+        values = chain.from_iterable(values)
+    return bool in set(map(type, values))
 
 
 def _integer(x, what):

@@ -34,10 +34,18 @@ knot vectors.
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .spline_space import _bezier_extraction, _element_ids, _integer, _number_array, _read_json
+from .spline_space import (
+    _bezier_extraction,
+    _element_ids,
+    _holds_bool,
+    _integer,
+    _number_array,
+    _read_json,
+)
 
 __all__ = [
     "TMesh",
@@ -113,36 +121,63 @@ class TMesh:
                 raise ValueError("global knot vectors must be open")
         self.N = tuple(G.size for G in self.knot_vectors)
 
-        self.vertices = set()
-        for v in vertices:
-            i, j = _integers(v, 2, "vertex", "two integers")
-            if not (1 <= i <= self.N[0] and 1 <= j <= self.N[1]):
-                raise ValueError(f"vertex ({i}, {j}) outside the index domain")
-            self.vertices.add((i, j))
+        N = np.array(self.N)
+        V, bad = _index_rows(vertices, 2, "vertex", "two integers")
+        out = np.flatnonzero(((V < 1) | (V > N)).any(axis=1))
+        if out.size:
+            i, j = V[out[0]].tolist()
+            raise ValueError(f"vertex ({i}, {j}) outside the index domain")
+        if bad:
+            raise ValueError(bad)
+        self._vertex = np.zeros(N + 2, dtype=bool)
+        self._vertex[tuple(V.T)] = True
 
-        self._edges = ([], [])  # per direction d: (c, lo, hi)
-        for e in edges:
-            i1, j1, i2, j2 = _integers(e, 4, "edge", "two vertices or four integers")
-            if (i1, j1) not in self.vertices or (i2, j2) not in self.vertices:
-                raise ValueError(f"edge ({i1},{j1})-({i2},{j2}) endpoint is not a vertex")
-            if i1 == i2 and j1 != j2:
-                self._edges[0].append((i1, min(j1, j2), max(j1, j2)))
-            elif j1 == j2 and i1 != i2:
-                self._edges[1].append((j1, min(i1, i2), max(i1, i2)))
-            else:
-                raise ValueError(
-                    f"edge ({i1},{j1})-({i2},{j2}) must be axis-aligned with nonzero length"
-                )
-        self.v_edges, self.h_edges = self._edges
+        E, bad = _index_rows(edges, 4, "edge", "two vertices or four integers")
+        ends = np.clip(E.reshape(-1, 2, 2), 0, N + 1)  # an end outside lands off every vertex
+        not_vertex = ~self._vertex[ends[:, :, 0], ends[:, :, 1]].all(axis=1)
+        i1, j1, i2, j2 = E.T
+        vertical, horizontal = (i1 == i2) & (j1 != j2), (j1 == j2) & (i1 != i2)
+        fault = np.flatnonzero(not_vertex | ~(vertical | horizontal))
+        if fault.size:
+            f = fault[0]
+            what = "endpoint is not a vertex" if not_vertex[f] else (
+                "must be axis-aligned with nonzero length"
+            )
+            raise ValueError("edge ({},{})-({},{}) ".format(*E[f].tolist()) + what)
+        if bad:
+            raise ValueError(bad)
+        # per direction d: (c, lo, hi) rows, in input order
+        self._edges = tuple(
+            np.stack([c[m], np.minimum(a, b)[m], np.maximum(a, b)[m]], axis=1)
+            for c, a, b, m in ((i1, j1, j2, vertical), (j1, i1, i2, horizontal))
+        )
 
         self._validate()
         self._anchors = None
         self._anchor_knots = {}
         self._extensions = None
         self._bezier = None
-        self._local_knots = None  # per direction, (n_anchors, p + 2) knots
 
     # -- structure ---------------------------------------------------------
+
+    # The input as Python tuples, built on first use from the arrays the
+    # mesh works on: a tuple per entry would cost every later pass of the
+    # garbage collector.
+
+    @cached_property
+    def vertices(self):
+        """The set of vertices (i, j)."""
+        return set(map(tuple, np.argwhere(self._vertex).tolist()))
+
+    @cached_property
+    def v_edges(self):
+        """The vertical edges (x, y1, y2), in input order."""
+        return list(map(tuple, self._edges[0].tolist()))
+
+    @cached_property
+    def h_edges(self):
+        """The horizontal edges (y, x1, x2), in input order."""
+        return list(map(tuple, self._edges[1].tolist()))
 
     def _validate(self):
         """Check the edges and build the wall grid and the cells.
@@ -152,16 +187,15 @@ class TMesh:
         one over [x, x + 1] at y. Each check runs on the unit segments of
         all edges of one direction at once.
         """
-        shape = (self.N[0] + 2, self.N[1] + 2)
-        vertex = np.zeros(shape, dtype=bool)
-        vertex[tuple(np.array(list(self.vertices), dtype=np.int64).reshape(-1, 2).T)] = True
+        vertex = self._vertex
+        shape = vertex.shape
         cover = np.zeros((2,) + shape, dtype=np.int64)
         interior = np.zeros((2,) + shape, dtype=bool)
         # ends[a, k][x, y]: an edge leaves vertex (x, y) along direction a,
         # forwards for k = 0 and backwards for k = 1
         ends = np.zeros((2, 2) + shape, dtype=bool)
         for d, word in enumerate(("vertical", "horizontal")):
-            c, lo, hi = np.array(self._edges[d], dtype=np.int64).reshape(-1, 3).T
+            c, lo, hi = self._edges[d].T
             n = hi - lo
             edge = np.repeat(np.arange(n.size), n)
             t = lo[edge] + np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)
@@ -185,7 +219,6 @@ class TMesh:
             x, y = cross[0]
             raise ValueError(f"edges cross at ({x},{y}) without a vertex; split them there")
         self._wall = cover > 0
-        self._vertex = vertex
         self._ends = ends
         for d, w in enumerate(_by_direction(self._wall)):
             n = self.N[1 - d]
@@ -226,22 +259,22 @@ class TMesh:
             return self._anchors
         odd = [p % 2 for p in self.degrees]
         if all(odd):
-            kind, spans = "vertex", [((i, i), (j, j)) for i, j in self.vertices]
+            kind, spans = "vertex", np.repeat(np.argwhere(self._vertex)[:, :, None], 2, axis=2)
         elif not any(odd):
-            kind, spans = "cell", [((i1, i2), (j1, j2)) for i1, i2, j1, j2 in self._cells]
+            kind, spans = "cell", np.array(self._cells, dtype=np.int64).reshape(-1, 2, 2)
         else:
             d = odd.index(1)
             kind = ("vedge", "hedge")[d]
-            spans = [_xy(d, (c, c), (lo, hi)) for c, lo, hi in self._edges[d]]
-        h = [(p + 1) // 2 for p in self.degrees]
-        out = [
-            Anchor(kind, *s)
-            for s in spans
-            if all(h[d] < s[d][0] and s[d][1] <= N - h[d] for d, N in enumerate(self.N))
-        ]
-        out.sort(key=lambda a: (a.center[1], a.center[0]))
-        self._anchors = out
-        return out
+            c, lo, hi = self._edges[d].T
+            spans = np.stack(_xy(d, np.stack([c, c], axis=1), np.stack([lo, hi], axis=1)), axis=1)
+        h = np.array([(p + 1) // 2 for p in self.degrees])
+        clear = (h < spans[:, :, 0]) & (spans[:, :, 1] <= np.array(self.N) - h)
+        spans = spans[clear.all(axis=1)]
+        twice_center = spans.sum(axis=2)
+        spans = spans[np.lexsort((twice_center[:, 0], twice_center[:, 1]))]
+        self._anchor_spans = spans
+        self._anchors = [Anchor(kind, tuple(x), tuple(y)) for x, y in spans.tolist()]
+        return self._anchors
 
     def local_knot_indices(self, anchor):
         """Index vectors (i1, i2) of an anchor's local knot vectors.
@@ -251,32 +284,66 @@ class TMesh:
         entities fully cross the anchor's extent; odd degrees include
         the anchor's own index.
         """
-        spans = (anchor.x_span, anchor.y_span)
-        out = []
-        for d, p in enumerate(self.degrees):
-            span, band = spans[d], spans[1 - d]
-            center = 0.5 * (span[0] + span[1])
-            need = (p + 1 + 1) // 2  # ceil((p+1)/2)
-            covering = self._covering(d, *band)
-            left = [i for i in covering if i < center][-need:]
-            right = [i for i in covering if i > center][:need]
-            if len(left) < need or len(right) < need:
-                raise ValueError(
-                    f"anchor {anchor} finds too few crossed entities in direction {d}"
-                )
-            idx = left + ([int(center)] if p % 2 else []) + right
-            out.append(idx)
-        return tuple(out)
+        spans = np.array([[anchor.x_span, anchor.y_span]], dtype=np.int64)
+        return tuple(idx[0].tolist() for idx in self._knot_indices(spans, [anchor]))
 
     def local_knot_vectors(self, anchor):
         """Local knot vectors (g1, g2) of an anchor, length p_d + 2 each."""
         key = (anchor.kind, anchor.x_span, anchor.y_span)
         if key not in self._anchor_knots:
             self._anchor_knots[key] = tuple(
-                np.array([G[i - 1] for i in idx])
+                G[np.array(idx) - 1]
                 for G, idx in zip(self.knot_vectors, self.local_knot_indices(anchor))
             )
         return self._anchor_knots[key]
+
+    def _knot_indices(self, spans, anchors):
+        """The local knot index vectors of anchors with the given (n, 2, 2)
+        index spans: one (n, p_d + 2) array per direction d.
+
+        The entities of direction d that cross an anchor's band (its span
+        in the other direction) are counted by prefix sums of the wall
+        grid, once per distinct band; each anchor then takes the nearest
+        ceil((p+1)/2) of them on each side of its centre. The first anchor
+        without enough raises ValueError naming it (anchors[k]).
+        """
+        short, picks = [], []
+        for d, p in enumerate(self.degrees):
+            w = _by_direction(self._wall)[d]  # [c, t]
+            bands, which = _distinct(spans[:, 1 - d, 0] * w.shape[1] + spans[:, 1 - d, 1])
+            lo, hi = spans[bands, 1 - d].T
+            prefix = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.int64)
+            np.cumsum(w, axis=1, out=prefix[:, 1:])
+            # a point band is also crossed by a vertex on it or by an edge ending there
+            point = w[:, lo - 1] | w[:, lo] | (self._vertex, self._vertex.T)[d][:, lo]
+            crossed = np.where(lo < hi, prefix[:, hi] - prefix[:, lo] == hi - lo, point).T
+            below = np.zeros((len(bands), w.shape[0] + 1), dtype=np.int64)
+            np.cumsum(crossed, axis=1, out=below[:, 1:])  # crossed indices below c
+            at = np.flatnonzero(crossed.ravel()) % w.shape[0]  # ascending per band
+            start = (np.cumsum(below[:, -1]) - below[:, -1])[which]
+            twice_center = spans[:, d].sum(axis=1)
+            left = below[which, (twice_center + 1) // 2]  # crossed below the centre
+            right = below[which, twice_center // 2 + 1]  # crossed at or below it
+            need = (p + 2) // 2
+            short.append((left < need) | (below[which, -1] - right < need))
+            # the nearest `need` on each side start at these positions of `at`
+            picks.append((at, start + left - need, start + right, need))
+        bad = np.flatnonzero(short[0] | short[1])
+        if bad.size:
+            k = bad[0]
+            d = 0 if short[0][k] else 1
+            raise ValueError(f"anchor {anchors[k]} finds too few crossed entities in direction {d}")
+        out = []
+        for d, (at, first_left, first_right, need) in enumerate(picks):
+            steps = np.arange(need)
+            centre = [spans[:, d, :1]] if self.degrees[d] % 2 else []
+            out.append(
+                np.concatenate(
+                    [at[first_left[:, None] + steps], *centre, at[first_right[:, None] + steps]],
+                    axis=1,
+                )
+            )
+        return out
 
     # -- T-junctions and extensions -----------------------------------------
 
@@ -345,8 +412,34 @@ class TMesh:
         anchors whose local knot vectors cover it. Requires an
         analysis-suitable mesh.
         """
-        if self._bezier is not None:
-            return self._bezier
+        if self._bezier is None:
+            els = self._elements
+            count = np.bincount(els.element, minlength=len(els.box))
+            anchors = els.anchor.tolist()
+            ends = np.cumsum(count).tolist()
+            self._bezier = [
+                BezierElement(
+                    index=i,
+                    index_bounds=(tuple(b[0]), tuple(b[1])),
+                    bounds=(tuple(x[0]), tuple(x[1])),
+                    anchors=tuple(anchors[end - m : end]),
+                )
+                for i, (b, x, m, end) in enumerate(
+                    zip(els.box.tolist(), els.bounds.tolist(), count.tolist(), ends)
+                )
+            ]
+        return self._bezier
+
+    @cached_property
+    def _knot_table(self):
+        """Local knot index vectors of every anchor, one (n_anchors, p + 2)
+        array per direction."""
+        anchors = self.anchors()
+        return self._knot_indices(self._anchor_spans, anchors)
+
+    @cached_property
+    def _elements(self):
+        """The Bezier elements as arrays, and their (element, anchor) pairs."""
         if not self.is_analysis_suitable():
             raise ValueError("mesh is not analysis-suitable")
         wall = self._wall.copy()
@@ -371,13 +464,8 @@ class TMesh:
         # anchor k covers an element when the support of its local knots
         # holds the element; such an element shares a unit index square
         # with the box between k's first and last local knot indices
-        per_anchor = [self.local_knot_indices(a) for a in self.anchors()]
-        index = [
-            np.array([i[d] for i in per_anchor], dtype=np.int64).reshape(-1, p + 2)
-            for d, p in enumerate(self.degrees)
-        ]
-        self._local_knots = tuple(g[i - 1] for g, i in zip(G, index))
-        n_anchors = len(per_anchor)
+        index = self._knot_table
+        n_anchors = len(index[0])
         lo = np.stack([i[:, 0] for i in index], axis=1)
         size = np.stack([i[:, -1] for i in index], axis=1) - lo
         n_sq = size[:, 0] * size[:, 1]
@@ -387,22 +475,12 @@ class TMesh:
         # each pair once, by element then anchor (np.unique would import numpy.ma)
         pair = np.sort((e * n_anchors + k)[e >= 0])
         e, k = np.divmod(pair[np.diff(pair, prepend=-1) > 0], max(n_anchors, 1))
-        support = np.stack([g[:, [0, -1]] for g in self._local_knots], axis=1)[k]
-        covers = np.all(
-            (support[:, :, 0] <= bounds[e, :, 0] + tol) & (bounds[e, :, 1] <= support[:, :, 1] + tol),
-            axis=1,
+        support = np.stack([g[i[:, [0, -1]] - 1] for g, i in zip(G, index)], axis=1)[k]
+        inside = (support[:, :, 0] <= bounds[e, :, 0] + tol) & (
+            bounds[e, :, 1] <= support[:, :, 1] + tol
         )
-        per_element = np.split(k[covers], np.cumsum(np.bincount(e[covers], minlength=len(box)))[:-1])
-        self._bezier = [
-            BezierElement(
-                index=i,
-                index_bounds=tuple(map(tuple, b.tolist())),
-                bounds=tuple(map(tuple, x.tolist())),
-                anchors=tuple(a.tolist()),
-            )
-            for i, (b, x, a) in enumerate(zip(box, bounds, per_element))
-        ]
-        return self._bezier
+        covers = inside.all(axis=1)
+        return _Elements(box, bounds, e[covers], k[covers])
 
     # -- the element interface of SplineSpace --------------------------------
 
@@ -458,49 +536,50 @@ class TMesh:
         """Bounds, supports, C and R of every Bezier element, read-only,
         and the message of the error each malformed element raises.
 
-        Per direction, one kernel call gives the rows of every (element,
-        anchor) pair; a row of C is the Kronecker product of the anchor's
-        two rows.
+        Per direction, one kernel call gives the row of every distinct
+        (anchor, element interval); a row of C is the Kronecker product
+        of the anchor's two rows. An element's error is the fault of its
+        first pair with one, else a wrong count of supported functions.
         """
-        els = self.bezier_elements()
+        els = self._elements
+        e, k = els.element, els.anchor
+        n_el = len(els.box)
         n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
-        count = [len(el.anchors) for el in els]
-        k = np.array([k for el in els for k in el.anchors], dtype=np.int64)
-        B = np.array([el.bounds for el in els], dtype=np.float64).reshape(-1, 2, 2)
-        bounds = np.repeat(B, count, axis=0)
-        (rows1, fault1), (rows2, fault2) = (
-            _bernstein_rows(g[k], p, bounds[:, d, 0], bounds[:, d, 1])
-            for d, (g, p) in enumerate(zip(self._local_knots, self.degrees))
-        )
-        fault = np.stack([fault1, fault2], axis=1)
-        errors, good, sel, start = {}, [], [], 0
-        for el, m in zip(els, count):
-            f = fault[start : start + m].ravel()
-            f = f[f > 0]
-            msg = _ROW_FAULTS[f[0]] if f.size else None
-            if msg is None and m != n:
-                msg = f"element {el.index} supports {m} functions, expected {n}; mesh is malformed"
-            if msg is None:
-                good.append(el.index)
-                sel.extend(range(start, start + m))
-            else:
-                errors[el.index] = msg
-            start += m
-        S = np.zeros((len(els), n), dtype=np.int64)
-        C = np.zeros((len(els), n, n))
-        R = np.zeros((len(els), n, n))
-        if good:
+        rows, faults = [], []
+        for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table)):
+            span, base = els.box[e, d], self.N[d] + 1  # each pair's element interval
+            first, which = _distinct((k * base + span[:, 0]) * base + span[:, 1])
+            ends = els.bounds[e[first], d]
+            r, f = _bernstein_rows(G[idx[k[first]] - 1], p, ends[:, 0], ends[:, 1])
+            rows.append(r[which])
+            faults.append(f[which])
+        fault = np.where(faults[0] > 0, faults[0], faults[1])
+        bad = np.flatnonzero(fault)
+        bad = bad[np.diff(e[bad], prepend=-1) > 0]  # the first of each element
+        errors = {x: _ROW_FAULTS[f] for x, f in zip(e[bad].tolist(), fault[bad].tolist())}
+        count = np.bincount(e, minlength=n_el)
+        for x in np.flatnonzero(count != n).tolist():
+            errors.setdefault(
+                x, f"element {x} supports {count[x]} functions, expected {n}; mesh is malformed"
+            )
+        good = np.ones(n_el, dtype=bool)
+        good[list(errors)] = False
+        sel = good[e]
+        S = np.zeros((n_el, n), dtype=np.int64)
+        C = np.zeros((n_el, n, n))
+        R = np.zeros((n_el, n, n))
+        if good.any():
             S[good] = k[sel].reshape(-1, n)
-            r1, r2 = rows1[sel], rows2[sel]
-            C[good] = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
+            r1, r2 = rows[0][sel], rows[1][sel]
+            C[good] = Cg = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
             # one Newton step keeps R the inverse of C to working accuracy
             # where C is ill-conditioned (cond(C) near 1e4 for some bicubic
             # elements, where plain inversion errs by 1e-14 relative)
-            Ri = np.linalg.inv(C[good])
-            R[good] = Ri + Ri @ (np.eye(n) - C[good] @ Ri)
-        for a in (B, S, C, R):
+            Ri = np.linalg.inv(Cg)
+            R[good] = Ri + Ri @ (np.eye(n) - Cg @ Ri)
+        for a in (els.bounds, S, C, R):
             a.flags.writeable = False
-        return B, S, C, R, errors
+        return els.bounds, S, C, R, errors
 
     def is_nested(self, other):
         """True if every function of this mesh lives in `other`'s space.
@@ -548,17 +627,65 @@ def _by_direction(grids):
     return grids[0], grids[1].T
 
 
-def _integers(entry, n, name, expected):
-    """An input vertex (n = 2) or edge (n = 4, possibly as two vertices)
-    as a tuple of ints; ValueError naming the entry otherwise."""
+class _Elements(NamedTuple):
+    """The Bezier elements, by (j1, i1), and their (element, anchor)
+    pairs, by element and then anchor."""
+
+    box: np.ndarray  # (n, 2, 2) index bounds [element, direction, (first, last)]
+    bounds: np.ndarray  # (n, 2, 2) parametric bounds, the same way
+    element: np.ndarray  # the element of each pair
+    anchor: np.ndarray  # the anchor of each pair
+
+
+def _distinct(key):
+    """The first position of each distinct key, ascending by key, and the
+    index into those of every entry (np.unique would import numpy.ma)."""
+    order = np.argsort(key, kind="stable")
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    which = np.empty(len(key), dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _index_rows(entries, n, name, expected):
+    """Input vertices (n = 2) or edges (n = 4, each possibly as two
+    vertices) as an (m, n) int64 array, converted in one call.
+
+    Returns the array and None, or, when some entry is not n integers,
+    the rows of the entries before the first such one and its message,
+    so that the caller can report an earlier entry's fault first.
+    """
+    entries = list(entries)
     try:
-        flat = [x for v in entry for x in v] if n == 4 and len(entry) == 2 else list(entry)
-        ints = [int(x) for x in flat]
-        if len(ints) == n and ints == flat:
-            return tuple(ints)
+        a = np.array(entries)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} {entry!r} must be {expected}")
+        a = None
+    if a is not None and a.shape == (0,):
+        return np.zeros((0, n), dtype=np.int64), None
+    if (
+        a is not None
+        and a.dtype.kind == "i"
+        and a.shape[1:] in ((n,), (n // 2, 2))
+        and not _holds_bool(entries, a.ndim)
+    ):
+        return a.reshape(-1, n).astype(np.int64), None
+    rows = []
+    for entry in entries:
+        try:
+            flat = [x for v in entry for x in v] if n == 4 and len(entry) == 2 else list(entry)
+            ints = [int(x) for x in flat]
+            if len(ints) == n and ints == flat and not any(isinstance(x, bool) for x in flat):
+                # ints beyond int64 lie outside any index domain; they saturate
+                rows.append([max(-_INT64_MAX, min(_INT64_MAX, x)) for x in ints])
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        return np.array(rows, dtype=np.int64).reshape(-1, n), f"{name} {entry!r} must be {expected}"
+    return np.array(rows, dtype=np.int64).reshape(-1, n), None
 
 
 def _rectangles(wall, message):
@@ -583,7 +710,9 @@ def _rectangles(wall, message):
     i2 = np.minimum.accumulate(np.where(V, x, N1)[::-1], axis=0)[::-1][i1 + 1, j1]
     j2 = np.minimum.accumulate(np.where(H, y, N2)[:, ::-1], axis=1)[:, ::-1][i1, j1 + 1]
 
-    sums = [np.pad(w.cumsum(0).cumsum(1), ((1, 0), (1, 0))) for w in (V, H)]
+    sums = np.zeros((2, N1 + 3, N2 + 3), dtype=np.int64)
+    for w, s in zip(wall, sums):
+        np.cumsum(w.cumsum(0), 1, out=s[1:, 1:])
 
     def walls(d, xa, xb, ya, yb):
         """Walls of wall[d] over x in [xa, xb) and y in [ya, yb), per rectangle."""
@@ -647,7 +776,9 @@ def read_tmesh_json(source):
 
 
 def tmesh_to_dict(mesh):
-    edges = [_xy(d, c, lo) + _xy(d, c, hi) for d in (0, 1) for c, lo, hi in mesh._edges[d]]
+    edges = [
+        _xy(d, c, lo) + _xy(d, c, hi) for d in (0, 1) for c, lo, hi in mesh._edges[d].tolist()
+    ]
     return {
         "degrees": list(mesh.degrees),
         "knot_vectors": [G.tolist() for G in mesh.knot_vectors],

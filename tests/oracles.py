@@ -8,6 +8,8 @@ at-a-time paths that the package replaced with batched ones; the
 batched paths must agree with them.
 """
 
+import json
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -341,6 +343,89 @@ def tmesh_extraction_ref(mesh, e):
         rows.append(np.kron(r2, r1))
     C = np.vstack(rows)
     return C, np.linalg.inv(C)
+
+
+# ---------------------------------------------------------------------------
+# slow references: the exact CLI extract on Fraction objects, and the
+# T-mesh local knot indices one anchor at a time
+
+
+def fraction_inverse_ref(A):
+    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination,
+    as nested lists; ValueError if singular."""
+    n = len(A)
+    M = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("extraction operator is singular")
+        M[col], M[piv] = M[piv], M[col]
+        pv = M[col][col]
+        M[col] = [x / pv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def _format_matrix_ref(rows):
+    cells = [[str(x) for x in row] for row in rows]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("  [" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
+
+
+def extract_exact_ref(path, element):
+    """The stdout of `bezproj extract` on an exact spline file, computed
+    with one Fraction object per entry: every knot parsed as a Fraction,
+    the element's window cut from the Fraction knot vector, C the
+    Kronecker product of the Fraction factors and R that of their
+    Gauss-Jordan inverses."""
+    from bezproj.spline_space import (
+        _bezier_extraction,
+        _open_knots,
+        _span_windows,
+        read_spline_json,
+    )
+    from bezproj.tensor import reversed_kron
+
+    with open(path) as fh:
+        raw = json.load(fh)
+    space, _ = read_spline_json(raw)
+    factors = []
+    for G, kv, k in zip(raw["knot_vectors"], space.knot_vectors, space.unravel_element(element)):
+        U = np.array([Fraction(u) for u in G], dtype=object)
+        p = kv.degree
+        W = _span_windows(U, _open_knots(U, p, 0)[1], p)[k : k + 1]
+        factors.append(_bezier_extraction(W, W[:, p], W[:, p + 1])[0])
+    C = reversed_kron(factors)
+    R = reversed_kron([np.array(fraction_inverse_ref(F), dtype=object) for F in factors])
+    lines = []
+    if len(factors) > 1:
+        for d, F in enumerate(factors):
+            lines += [f"C factor, direction {d}:", _format_matrix_ref(F.tolist())]
+    lines += ["C:", _format_matrix_ref(C.tolist()), "R:", _format_matrix_ref(R.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def local_knot_indices_ref(mesh, anchor):
+    """Index vectors (i1, i2) of an anchor's local knot vectors, one
+    direction at a time: list the indices whose perpendicular entities
+    cross the anchor's band, then keep the nearest ceil((p+1)/2) on each
+    side of its centre (and the centre itself for odd p)."""
+    spans = (anchor.x_span, anchor.y_span)
+    out = []
+    for d, p in enumerate(mesh.degrees):
+        span, band = spans[d], spans[1 - d]
+        center = 0.5 * (span[0] + span[1])
+        need = (p + 1 + 1) // 2
+        covering = mesh._covering(d, *band)
+        left = [i for i in covering if i < center][-need:]
+        right = [i for i in covering if i > center][:need]
+        if len(left) < need or len(right) < need:
+            raise ValueError(f"anchor {anchor} finds too few crossed entities in direction {d}")
+        out.append(left + ([int(center)] if p % 2 else []) + right)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

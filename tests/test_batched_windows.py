@@ -2,7 +2,6 @@
 window transform, the span pairings of every plan builder, the stacked
 T-mesh element operators and the exact CLI reconstruction operator."""
 
-import dataclasses
 import json
 import os
 import warnings
@@ -12,12 +11,20 @@ from math import comb
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import dim_pairing_ref, interval_transform_ref, tmesh_extraction_ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    dim_pairing_ref,
+    extract_exact_ref,
+    fraction_inverse_ref,
+    interval_transform_ref,
+    tmesh_extraction_ref,
+)
 from test_tmesh import _transposed
 
 from bezproj import spline_ops
 from bezproj.bernstein import interval_transform
-from bezproj.cli import _fraction_inverse, main
+from bezproj.cli import main
 from bezproj.spline_space import KnotVector, SplineSpace
 from bezproj.tmesh import read_tmesh_json
 
@@ -166,10 +173,10 @@ def test_stacked_tmesh_operators_match_scalar_reference(fixtures_dir, name):
 def test_tmesh_element_errors_stay_with_their_element(fixtures_dir):
     path = os.path.join(fixtures_dir, "tmesh_d.json")
 
-    def mesh_with(e, **changes):
+    def mesh_with(**changes):
+        """tmesh_d with fields of the element arrays that its stacks read replaced."""
         mesh = read_tmesh_json(path)
-        els = mesh.bezier_elements()
-        els[e] = dataclasses.replace(els[e], **changes)
+        mesh._elements = mesh._elements._replace(**changes)
         return mesh
 
     mesh = read_tmesh_json(path)
@@ -177,14 +184,18 @@ def test_tmesh_element_errors_stay_with_their_element(fixtures_dir):
     with pytest.raises(IndexError, match=f"element {n} outside 0..{n - 1}"):
         mesh.element_extraction(n)
 
-    short = mesh_with(3, anchors=mesh.bezier_elements()[3].anchors[:-1])
+    els = mesh._elements
+    drop = np.flatnonzero(els.element == 3)[-1]
+    short = mesh_with(element=np.delete(els.element, drop), anchor=np.delete(els.anchor, drop))
     with pytest.raises(ValueError, match="element 3 supports 15 functions, expected 16"):
         short.element_extraction(3)
     assert np.array_equal(short.element_extraction(2)[0], mesh.element_extraction(2)[0])
 
-    _, y = mesh.bezier_elements()[5].bounds
+    # element 5 widened to the whole index and parametric range in x
     G1 = mesh.knot_vectors[0]
-    wide = mesh_with(5, bounds=((float(G1[0]), float(G1[-1])), y))
+    box, bounds = els.box.copy(), els.bounds.copy()
+    box[5, 0], bounds[5, 0] = (1, G1.size), (G1[0], G1[-1])
+    wide = mesh_with(box=box, bounds=bounds)
     with pytest.raises(ValueError, match="not a polynomial piece of the local function"):
         wide.element_extraction(5)
     assert np.array_equal(wide.element_extraction(4)[1], mesh.element_extraction(4)[1])
@@ -231,4 +242,52 @@ def test_exact_cli_reconstruction_equals_full_inverse(rng, tmp_path):
         assert result.exit_code == 0, result.output
         C, R = _printed(result.output, "C:"), _printed(result.output, "R:")
         assert len(C) == 16
-        assert R == _fraction_inverse(C)
+        assert R == fraction_inverse_ref(C)
+
+
+@st.composite
+def exact_spline_files(draw):
+    """Exact spline files in 1 to 3 directions, degree 1 to 4 each, with
+    repeated interior knots, negative knots and non-dyadic denominators
+    (up to 2^40 + 3, with knots far enough apart to stay apart as
+    floats); integral knots as JSON ints, the others as "n/d" strings."""
+    degrees, knot_vectors = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(1, 4))
+        den = draw(st.sampled_from([1, 3, 7, 10, 12, 97]))
+        shift = Fraction(draw(st.integers(0, 1)), 2**40 + 3)
+        lo = draw(st.integers(-3, 1))
+        ticks = draw(st.lists(st.integers(1, 4 * den - 1), unique=True, max_size=4))
+        values = [Fraction(lo)] * (p + 1)
+        for t in sorted(ticks):
+            values += [lo + Fraction(t, den) + shift] * draw(st.integers(1, p))
+        values += [Fraction(lo + 4)] * (p + 1)
+        degrees.append(p)
+        knot_vectors.append([int(v) if v.denominator == 1 else str(v) for v in values])
+    n = 1
+    for G, p in zip(knot_vectors, degrees):
+        n *= len(G) - p - 1
+    return {
+        "parametric_dim": len(degrees),
+        "physical_dim": 1,
+        "degrees": degrees,
+        "knot_vectors": knot_vectors,
+        "control_points": [[0.0]] * n,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_spline_files())
+def test_exact_extract_prints_what_fraction_arithmetic_prints(tmp_path_factory, data):
+    """bezproj extract on integer numerators prints, byte for byte, what
+    one Fraction object per entry prints, on the first, a middle and the
+    last element."""
+    path = tmp_path_factory.mktemp("exact") / "spline.json"
+    path.write_text(json.dumps(data))
+    n = 1
+    for G in data["knot_vectors"]:
+        n *= len(set(G)) - 1
+    for element in sorted({0, n // 2, n - 1}):
+        result = CliRunner().invoke(main, ["extract", "--in", str(path), "--element", str(element)])
+        assert result.exit_code == 0, result.output
+        assert result.output == extract_exact_ref(path, element)

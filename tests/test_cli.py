@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import bezier_extraction_ref
+from oracles import bezier_extraction_ref, fraction_inverse_ref
 
 from bezproj.benchmark import CSV_HEADER, expression_target
-from bezproj.cli import _fraction_inverse, main
+from bezproj.cli import main
 from bezproj.spline_space import (
     ControlNet,
     KnotVector,
@@ -291,7 +291,7 @@ def test_extract_exact_every_element_matches_knot_insertion(runner, tmp_path):
             assert printed == [[str(x) for x in row] for row in F]
         C = reversed_kron([np.array(F, dtype=object) for F in factors]).tolist()
         assert _parse_matrix(result.output, "C:") == [[str(x) for x in row] for row in C]
-        R = _fraction_inverse(C)
+        R = fraction_inverse_ref(C)
         assert _parse_matrix(result.output, "R:") == [[str(x) for x in row] for row in R]
 
 
@@ -387,6 +387,13 @@ def test_extract_rejects_overflowing_control_point(runner, tmp_path):
 
 def test_extract_rejects_fractional_degree(runner, tmp_path):
     _assert_rejected(_extract_linear(runner, tmp_path, degrees=[1.5]), "degrees")
+
+
+def test_extract_rejects_boolean_knots(runner, tmp_path):
+    """[false, false, true, true] would otherwise print the exact operators
+    of the knots 0, 0, 1, 1."""
+    result = _extract_linear(runner, tmp_path, knot_vectors=[[False, False, True, True]])
+    _assert_rejected(result, 'knot_vectors must hold numbers or "n/d" strings (booleans')
 
 
 # ---------------------------------------------------------- convergence
@@ -618,6 +625,16 @@ def test_tmesh_rejects_null_knot(runner, fixtures_dir, tmp_path):
     result = runner.invoke(main, ["tmesh", "anchors", "--in", str(path)])
     _assert_rejected(result, "knot_vectors")
     assert "Traceback" not in result.output
+
+
+def test_tmesh_rejects_boolean_vertex(runner, fixtures_dir, tmp_path):
+    with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
+        data = json.load(fh)
+    data["vertices"][0] = [True, True]
+    src = tmp_path / "bool_vertex.json"
+    src.write_text(json.dumps(data))
+    result = runner.invoke(main, ["tmesh", "anchors", "--in", str(src)])
+    _assert_rejected(result, "vertex [True, True] must be two integers")
 
 
 def test_tmesh_extract_out_of_range(runner, fixtures_dir):

@@ -7,9 +7,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bezier_extraction_ref
+from oracles import bezier_extraction_ref, fraction_inverse_ref
 
-from bezproj.cli import _fraction_inverse
 from bezproj.spline_space import KnotVector, univariate_extraction_exact
 
 
@@ -38,7 +37,7 @@ def test_extraction_float_and_exact_agree_and_invert(case):
         # the element's functions sum to one, so every Bernstein column does
         assert all(sum(row[k] for row in Cq) == 1 for k in range(p + 1))
         assert np.allclose(C.sum(axis=0), 1, rtol=0, atol=1e-13)
-        R = _fraction_inverse(Cq)
+        R = fraction_inverse_ref(Cq)
         CR = [
             [sum(Cq[i][k] * R[k][j] for k in range(p + 1)) for j in range(p + 1)]
             for i in range(p + 1)

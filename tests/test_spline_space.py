@@ -350,7 +350,16 @@ def test_evaluate_matches_index_tensor_reference(case):
         pts[0], pts[-1] = 0.0, 1.0
     got, ref = evaluate(sp, net, pts), evaluate_ref(sp, net, pts)
     assert got.shape == ref.shape == (m, dim)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # two summation orders of sum_A N_A(x) P_A differ by rounding, bounded
+    # per point by a multiple of sum_A |N_A(x)| |P_A| (N_A >= 0): a bound
+    # relative to max |ref| fails where the value cancels. A rational value
+    # is num / w of homogeneous sums, so its bound is (e_num + |ref| e_w) / w.
+    H = net.homogeneous()
+    bound = 1e-14 * evaluate_ref(sp, ControlNet(np.abs(H)), pts)
+    if rational:
+        w = evaluate_ref(sp, ControlNet(H[:, -1:]), pts)
+        bound = (bound[:, :-1] + np.abs(ref) * bound[:, -1:]) / w
+    assert np.all(np.abs(got - ref) <= bound)
 
 
 def test_evaluate_rejects_non_finite_points():
@@ -516,6 +525,32 @@ def test_spline_json_rejects_non_finite_entries():
         read_spline_json(data(control_points=[[0.0], [nan], [2.0]]))
     with pytest.raises(ValueError, match="weights must be finite"):
         read_spline_json(data(weights=[1, nan, 1]))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("control_points", [[True], [False]]),
+        ("control_points", [[0.5], [True]]),
+        ("weights", [True, True]),
+        ("knot_vectors", [[False, False, True, True]]),
+        ("knot_vectors", [[0, 0, "1", True]]),
+    ],
+    ids=["control points", "control point among numbers", "weights", "knots", "knot among strings"],
+)
+def test_spline_json_rejects_booleans(key, value):
+    """JSON true and false are not the numbers 1 and 0."""
+    data = {
+        "parametric_dim": 1,
+        "physical_dim": 1,
+        "degrees": [1],
+        "knot_vectors": [[0, 0, 1, 1]],
+        "control_points": [[0.0], [1.0]],
+        key: value,
+    }
+    message = f'{key} must hold numbers or "n/d" strings (booleans are not numbers)'
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_spline_json(data)
 
 
 def test_knot_vector_caches_stacked_operators(rng):

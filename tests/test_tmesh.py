@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import local_knot_indices_ref
 from scipy.interpolate import BSpline
 
 from bezproj.spline_space import KnotVector, SplineSpace
@@ -403,6 +404,29 @@ def test_tmesh_input_names_the_bad_field(degrees, knot_vectors, vertices, edges,
         TMesh(degrees, knot_vectors, vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([(1, 1), (True, True)], [], r"vertex \(True, True\) must be two integers"),
+        ([(1, 1), (1, 2)], [(1, 1, 1, True)], r"edge \(1, 1, 1, True\) must be two vertices"),
+        ([(1, 1), (1, 2)], [((1, 1), (True, 2))], r"edge \(\(1, 1\), \(True, 2\)\) must be two"),
+    ],
+    ids=["vertex", "edge", "edge as two vertices"],
+)
+def test_tmesh_rejects_boolean_indices(vertices, edges, message):
+    """JSON true is not the index 1."""
+    with pytest.raises(ValueError, match=message):
+        TMesh((2, 2), [G7, G7], vertices, edges)
+
+
+def test_read_tmesh_json_rejects_boolean_vertex(fixtures_dir):
+    with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
+        data = json.load(fh)
+    data["vertices"][3] = [True, True]
+    with pytest.raises(ValueError, match=r"^vertex \[True, True\] must be two integers$"):
+        read_tmesh_json(data)
+
+
 def test_read_tmesh_json_rejects_fractional_vertex(fixtures_dir):
     with open(os.path.join(fixtures_dir, "tmesh_a.json")) as fh:
         data = json.load(fh)
@@ -551,3 +575,38 @@ def test_half_refined_family_is_suitable_and_invertible(fixtures_dir, p, n):
     for el in els:
         C, R = mesh.element_extraction(el.index)
         assert np.max(np.abs(C @ R - I)) <= 1e-10
+
+
+def _knot_table_meshes(fixtures_dir):
+    """The six fixtures and their transposes, tensor meshes of degree 1 to
+    4 in each direction, and half-refined meshes with p = 2, 3 and n = 8, 16."""
+    names = ["tmesh_a", "tmesh_b", "tmesh_c", "tmesh_d", "tmesh_ext_left", "tmesh_ext_right"]
+    for name in names:
+        mesh = _load(fixtures_dir, name)
+        yield mesh
+        yield _transposed(mesh)
+    for p1 in range(1, 5):
+        for p2 in range(1, 5):
+            G1 = [0] * (p1 + 1) + [1, 2, 2, 3] + [4] * (p1 + 1)
+            G2 = [0] * (p2 + 1) + [0.5, 1, 3] + [4] * (p2 + 1)
+            yield TMesh.tensor((p1, p2), [G1, G2])
+    for p in (2, 3):
+        for n in (8, 16):
+            yield _generator(fixtures_dir).half_refined(p, n)
+
+
+def test_knot_table_matches_per_anchor_reference(fixtures_dir):
+    """The array pass that builds every anchor's local knot indices gives
+    what sweeping the covering entities one anchor at a time gives."""
+    count = 0
+    for mesh in _knot_table_meshes(fixtures_dir):
+        anchors = mesh.anchors()
+        ref = [local_knot_indices_ref(mesh, a) for a in anchors]
+        table = mesh._knot_table
+        for d, p in enumerate(mesh.degrees):
+            assert table[d].shape == (len(anchors), p + 2)
+            assert table[d].tolist() == [r[d] for r in ref]
+        for a, r in zip(anchors, ref):
+            assert mesh.local_knot_indices(a) == r
+        count += 1
+    assert count == 12 + 16 + 4
