@@ -23,9 +23,11 @@ import numpy as np
 from . import benchmark, spline_ops
 from .projection import TargetFunction, l2_error, lift_normals
 from .spline_space import (
+    _bernstein_blossoms,
+    _common_denominator,
     _exact_extraction,
-    _exact_knots,
     _exact_windows,
+    _window_knots,
     evaluate,
     parse_number,
     read_spline_json,
@@ -188,43 +190,11 @@ def _exact_read(raw):
     ):
         return None, raw
     try:
-        exact = [_exact_knots(g) for g in G]
+        exact = [_common_denominator(g) for g in G]
         floats = [[n / den for n in U] for U, den in exact]
     except (ValueError, ZeroDivisionError, OverflowError):
         return None, raw
     return exact, dict(raw, knot_vectors=floats)
-
-
-def _common_denominator(F):
-    """A matrix of Fractions as integer numerators over one denominator."""
-    den = math.lcm(*(f.denominator for f in F.flat))
-    N = [f.numerator * (den // f.denominator) for f in F.flat]
-    return np.array(N, dtype=object).reshape(F.shape), den
-
-
-def _integer_inverse(N, den):
-    """The inverse of the matrix N / den, as numerators over one
-    denominator, by fraction-free Gauss-Jordan (Bareiss) elimination.
-
-    Every division is exact, and at the end [N | I] has become
-    [d I | d N^-1] with d = +-det N, so (N / den)^-1 = den X / d.
-    """
-    n = len(N)
-    M = [row + [int(i == j) for j in range(n)] for i, row in enumerate(N.tolist())]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
-        if pivot is None:
-            raise ValueError("extraction operator is singular")
-        M[k], M[pivot] = M[pivot], M[k]
-        top = M[k]
-        for i in range(n):
-            if i != k:
-                f = M[i][k]
-                M[i] = [(top[k] * x - f * y) // prev for x, y in zip(M[i], top)]
-        prev = top[k]
-    sign = -1 if prev < 0 else 1
-    return np.array([row[n:] for row in M], dtype=object) * (sign * den), sign * prev
 
 
 def _ratio_rows(N, den):
@@ -257,7 +227,7 @@ def cmd_extract(in_path, element):
         spans = space.unravel_element(element)
         if exact:
             # integer numerator matrices, each over one denominator
-            factors = []
+            factors, duals = [], []
             for d, ((U, _), kv, k) in enumerate(zip(exact, space.knot_vectors, spans)):
                 W = _exact_windows(U, kv.degree)
                 if len(W) != kv.n_elements:
@@ -266,15 +236,14 @@ def cmd_extract(in_path, element):
                         "float elements; near-equal knots merge in floating point"
                     )
                 factors.append(_common_denominator(_exact_extraction(W[k : k + 1])[0]))
-            # C is a Kronecker product, so R is that of the factor inverses
-            C = _ratio_kron(factors)
-            R = _ratio_kron([_integer_inverse(N, den) for N, den in factors])
+                U, a, b = _window_knots(W[k : k + 1])
+                duals.append((_bernstein_blossoms(b - U, U - a)[0].T, (b - a).item() ** kv.degree))
+            C, R = _ratio_kron(factors), _ratio_kron(duals)
             factors = [_ratio_rows(N, den) for N, den in factors]
         else:
-            factors = [kv.extraction()[k] for kv, k in zip(space.knot_vectors, spans)]
-            C = reversed_kron(factors)
-            R = np.linalg.inv(C).tolist()
-            factors, C = [F.tolist() for F in factors], C.tolist()
+            factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
+            C = space.extraction([element])[0].tolist()
+            R = space.reconstruction([element])[0].tolist()
     except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     if len(factors) > 1:

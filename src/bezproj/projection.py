@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import bernstein
-from .spline_space import ControlNet, _checked_weights, evaluate_derivative
+from .spline_space import ControlNet, _checked_weights, _integer, evaluate_derivative
 from .tensor import _apply_along, _scatter_add, reversed_kron
 
 __all__ = [
@@ -91,10 +91,12 @@ def _quad_orders(space, quad_order, f_degree=None, rational=False):
         mult = 2 if rational else 1
         return tuple((mult * p + int(f_degree)) // 2 + 1 for p in space.degrees)
     if np.isscalar(quad_order):
-        return tuple(int(quad_order) for _ in space.degrees)
-    orders = tuple(int(q) for q in quad_order)
+        quad_order = [quad_order] * space.parametric_dim
+    orders = tuple(_integer(q, "quad_order") for q in quad_order)
     if len(orders) != space.parametric_dim:
         raise ValueError("quad_order length does not match parametric dimension")
+    if min(orders) < 1:
+        raise ValueError(f"quad_order must be >= 1, got {min(orders)}")
     return orders
 
 

@@ -11,6 +11,9 @@ the Bernstein basis of the element,
 
 so spline coefficients P pull back to Bernstein coefficients Q = C^T P,
 and the reconstruction operator R = C^{-1} pushes them forward again.
+Both are blossoms, so nothing is inverted: R[b, A] is N_A's de Boor-Fix
+dual functional of B_b, its blossom at N_A's interior knots (de Boor &
+Fix 1973).
 
 Indexing: arrays, element ids and function ids are zero-based. Global
 function and element orderings make the first parametric direction
@@ -73,6 +76,32 @@ def _bezier_extraction(W, a, b):
     return w
 
 
+def _bernstein_blossoms(lo, hi):
+    """Coefficients of z^0..z^p in prod_i (lo_i + z hi_i), over the last axis,
+    by + and *: for lo_i = b - u_i and hi_i = u_i - a, (b - a)^p times the
+    blossoms at the u_i of the Bernstein polynomials on [a, b]."""
+    c = np.zeros(lo.shape[:-1] + (lo.shape[-1] + 1,), dtype=lo.dtype)
+    c[..., 0] = 1
+    for i in range(lo.shape[-1]):
+        c[..., 1:] = c[..., 1:] * lo[..., i, None] + c[..., :-1] * hi[..., i, None]
+        c[..., :1] *= lo[..., i, None]
+    return c
+
+
+def _dual_functionals(U, a, b):
+    """_bernstein_blossoms over (b - a)^p on float knots, with the factors
+    scaled exactly by the power of two of b - a: no power of it over- or underflows."""
+    m, e = np.frexp(b - a)
+    return _bernstein_blossoms(np.ldexp(b - U, -e), np.ldexp(U - a, -e)) / m ** U.shape[-1]
+
+
+def _window_knots(W):
+    """Interior knots (m, p+1, p) of the functions of knot windows, span ends (m, 1, 1)."""
+    p = W.shape[1] // 2 - 1
+    U = W[:, np.arange(1, p + 2)[:, None] + np.arange(p)]
+    return U, W[:, p, None, None], W[:, p + 1, None, None]
+
+
 def _open_knots(knots, degree, snap_tol):
     """Validate an open knot vector of a float or Fraction (object) array.
 
@@ -117,13 +146,13 @@ def _span_windows(knots, multiplicities, p):
     return knots[last[:, None] + np.arange(-p, p + 2)]
 
 
-def _exact_knots(knots):
-    """Exact knots (ints, Fractions or "n/d" strings), each read once, as
-    integer numerators over one common denominator: an object array of
-    ints and the positive int denominator."""
-    F = [Fraction(u) for u in knots]
-    den = math.lcm(*(f.denominator for f in F))
-    return np.array([f.numerator * (den // f.denominator) for f in F], dtype=object), den
+def _common_denominator(values):
+    """Exact numbers (ints, Fractions or "n/d" strings), each read once,
+    as integer numerators over one common denominator: an object array
+    of ints shaped like values, and the positive int denominator."""
+    F = np.frompyfunc(Fraction, 1, 1)(np.array(values, dtype=object))
+    den = math.lcm(*(f.denominator for f in F.flat))
+    return np.frompyfunc(lambda f: f.numerator * (den // f.denominator), 1, 1)(F), den
 
 
 def _exact_windows(numerators, degree):
@@ -136,7 +165,7 @@ def _exact_windows(numerators, degree):
 def _exact_extraction(W):
     """Extraction operators of integer knot windows, as Fractions. A
     common scale of all knots leaves every operator unchanged, so the
-    numerators of :func:`_exact_knots` serve as knots."""
+    numerators of :func:`_common_denominator` serve as knots."""
     W = np.frompyfunc(Fraction, 1, 1)(W)
     p = W.shape[1] // 2 - 1
     return _bezier_extraction(W, W[:, p], W[:, p + 1])
@@ -207,9 +236,11 @@ class KnotVector:
         return self._extraction
 
     def reconstruction(self):
-        """Inverses of the extraction operators, stacked the same way."""
+        """Reconstruction operators R = C^-1 from the dual functionals,
+        stacked like the extraction operators. Computed once and cached."""
         if self._reconstruction is None:
-            self._reconstruction = np.linalg.inv(self.extraction())
+            W = _span_windows(self.knots, self.multiplicities, self.degree)
+            self._reconstruction = _dual_functionals(*_window_knots(W)).transpose(0, 2, 1)
         return self._reconstruction
 
 
@@ -221,7 +252,7 @@ def univariate_extraction_exact(knots, degree):
     for bit-exact output when inputs are rational; the float path lives
     on :meth:`KnotVector.extraction`.
     """
-    return _exact_extraction(_exact_windows(_exact_knots(knots)[0], degree)).tolist()
+    return _exact_extraction(_exact_windows(_common_denominator(knots)[0], degree)).tolist()
 
 
 class SplineSpace:
@@ -307,7 +338,7 @@ class SplineSpace:
         return reversed_kron([kv.extraction()[s] for kv, s in self._spans(ids)])
 
     def reconstruction(self, ids=None):
-        """Inverses of the extraction operators, stacked the same way."""
+        """Reconstruction operators R = C^-1 from dual functionals, stacked the same way."""
         return reversed_kron([kv.reconstruction()[s] for kv, s in self._spans(ids)])
 
     # Single-element readers of the same stacks, under the names that

@@ -40,6 +40,7 @@ import numpy as np
 
 from .spline_space import (
     _bezier_extraction,
+    _dual_functionals,
     _element_ids,
     _holds_bool,
     _integer,
@@ -120,6 +121,7 @@ class TMesh:
             if not (np.all(G[: p + 1] == G[0]) and np.all(G[-p - 1 :] == G[-1])):
                 raise ValueError("global knot vectors must be open")
         self.N = tuple(G.size for G in self.knot_vectors)
+        self._tol = 1e-12 * max(G[-1] - G[0] for G in self.knot_vectors)
 
         N = np.array(self.N)
         V, bad = _index_rows(vertices, 2, "vertex", "two integers")
@@ -455,8 +457,7 @@ class TMesh:
         order = np.lexsort((rects[:, 0], rects[:, 2]))
         box = rects[order].reshape(-1, 2, 2)  # [rectangle, direction, (first, last)]
         bounds = np.stack([G[d][box[:, d] - 1] for d in (0, 1)], axis=1)
-        tol = 1e-12 * max(g[-1] - g[0] for g in G)
-        keep = np.all(bounds[:, :, 1] - bounds[:, :, 0] > tol, axis=1)
+        keep = np.all(bounds[:, :, 1] - bounds[:, :, 0] > self._tol, axis=1)
         element = np.full(len(rects), -1)
         element[order[keep]] = np.arange(keep.sum())
         box, bounds = box[keep], bounds[keep]
@@ -476,8 +477,8 @@ class TMesh:
         pair = np.sort((e * n_anchors + k)[e >= 0])
         e, k = np.divmod(pair[np.diff(pair, prepend=-1) > 0], max(n_anchors, 1))
         support = np.stack([g[i[:, [0, -1]] - 1] for g, i in zip(G, index)], axis=1)[k]
-        inside = (support[:, :, 0] <= bounds[e, :, 0] + tol) & (
-            bounds[e, :, 1] <= support[:, :, 1] + tol
+        inside = (support[:, :, 0] <= bounds[e, :, 0] + self._tol) & (
+            bounds[e, :, 1] <= support[:, :, 1] + self._tol
         )
         covers = inside.all(axis=1)
         return _Elements(box, bounds, e[covers], k[covers])
@@ -506,7 +507,7 @@ class TMesh:
         return self._stacks[2][self._checked(ids)]
 
     def reconstruction(self, ids=None):
-        """Reconstruction operators R = C^{-1}, stacked like C."""
+        """Reconstruction operators R = C^{-1} from dual functionals, stacked like C."""
         return self._stacks[3][self._checked(ids)]
 
     def element_extraction(self, e):
@@ -536,10 +537,12 @@ class TMesh:
         """Bounds, supports, C and R of every Bezier element, read-only,
         and the message of the error each malformed element raises.
 
-        Per direction, one kernel call gives the row of every distinct
-        (anchor, element interval); a row of C is the Kronecker product
-        of the anchor's two rows. An element's error is the fault of its
-        first pair with one, else a wrong count of supported functions.
+        Per direction, one call of each blossom kernel gives the rows of
+        every distinct (anchor, element interval); a row of C is the
+        Kronecker product of the anchor's two rows, a column of R that of
+        its two dual-functional rows (Beirao da Veiga, Buffa, Cho & Sangalli
+        2012). An element's error is the fault of its first pair with one,
+        else a wrong count of supported functions.
         """
         els = self._elements
         e, k = els.element, els.anchor
@@ -549,9 +552,10 @@ class TMesh:
         for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table)):
             span, base = els.box[e, d], self.N[d] + 1  # each pair's element interval
             first, which = _distinct((k * base + span[:, 0]) * base + span[:, 1])
-            ends = els.bounds[e[first], d]
-            r, f = _bernstein_rows(G[idx[k[first]] - 1], p, ends[:, 0], ends[:, 1])
-            rows.append(r[which])
+            g, (a, b) = G[idx[k[first]] - 1], els.bounds[e[first], d].T
+            r, f = _bernstein_rows(g, p, a, b)
+            dual = _dual_functionals(g[:, 1 : p + 1], a[:, None], b[:, None])
+            rows.append(np.stack([r, dual])[:, which])
             faults.append(f[which])
         fault = np.where(faults[0] > 0, faults[0], faults[1])
         bad = np.flatnonzero(fault)
@@ -566,17 +570,10 @@ class TMesh:
         good[list(errors)] = False
         sel = good[e]
         S = np.zeros((n_el, n), dtype=np.int64)
-        C = np.zeros((n_el, n, n))
-        R = np.zeros((n_el, n, n))
-        if good.any():
-            S[good] = k[sel].reshape(-1, n)
-            r1, r2 = rows[0][sel], rows[1][sel]
-            C[good] = Cg = (r2[:, :, None] * r1[:, None, :]).reshape(-1, n, n)
-            # one Newton step keeps R the inverse of C to working accuracy
-            # where C is ill-conditioned (cond(C) near 1e4 for some bicubic
-            # elements, where plain inversion errs by 1e-14 relative)
-            Ri = np.linalg.inv(Cg)
-            R[good] = Ri + Ri @ (np.eye(n) - Cg @ Ri)
+        S[good] = k[sel].reshape(-1, n)
+        CR = np.zeros((2, n_el, n, n))
+        CR[:, good] = (rows[1][:, sel, :, None] * rows[0][:, sel, None, :]).reshape(2, -1, n, n)
+        C, R = CR[0], CR[1].transpose(0, 2, 1)
         for a in (els.bounds, S, C, R):
             a.flags.writeable = False
         return els.bounds, S, C, R, errors
@@ -584,7 +581,8 @@ class TMesh:
     def is_nested(self, other):
         """True if every function of this mesh lives in `other`'s space.
 
-        Checked structurally: same degrees and global knot vectors,
+        Checked structurally: same degrees and global knot vectors (within
+        1e-12 of the widest knot span, as the Bezier elements compare),
         vertices preserved, and every edge covered by edges of `other`.
         """
         if not isinstance(other, TMesh):
@@ -592,7 +590,7 @@ class TMesh:
         if self.degrees != other.degrees:
             raise ValueError("meshes have different degrees")
         for Ga, Gb in zip(self.knot_vectors, other.knot_vectors):
-            if Ga.size != Gb.size or not np.allclose(Ga, Gb):
+            if Ga.size != Gb.size or np.any(np.abs(Ga - Gb) > self._tol):
                 raise ValueError("meshes have different global knot vectors")
         return self.vertices <= other.vertices and not (self._wall & ~other._wall).any()
 

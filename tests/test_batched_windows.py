@@ -20,7 +20,7 @@ from oracles import (
     interval_transform_ref,
     tmesh_extraction_ref,
 )
-from test_tmesh import _transposed
+from test_tmesh import _generator, _transposed
 
 from bezproj import spline_ops
 from bezproj.bernstein import interval_transform
@@ -158,9 +158,14 @@ def test_dim_pairing_keeps_its_coverage_check():
 # ----------------------------------------------------------------- T-mesh
 
 
-@pytest.mark.parametrize("name", ["tmesh_c", "tmesh_d", "tmesh_ext_right"])
+@pytest.mark.parametrize(
+    "name", ["tmesh_c", "tmesh_d", "tmesh_ext_right", "half_refined_2_8", "half_refined_3_8"]
+)
 def test_stacked_tmesh_operators_match_scalar_reference(fixtures_dir, name):
-    mesh = read_tmesh_json(os.path.join(fixtures_dir, name + ".json"))
+    if name.startswith("half_refined"):
+        mesh = _generator(fixtures_dir).half_refined(*map(int, name.split("_")[2:]))
+    else:
+        mesh = read_tmesh_json(os.path.join(fixtures_dir, name + ".json"))
     for mesh in (mesh, _transposed(mesh)):
         for el in mesh.bezier_elements():
             C, R = mesh.element_extraction(el.index)

@@ -322,6 +322,23 @@ def test_extract_decimal_fallback(runner, tmp_path):
     assert "/" not in result.output.split("C:")[1]
 
 
+def test_extract_float_prints_the_library_operators(runner, tmp_path):
+    """With float knots, extract prints, entry for entry, the C and R that
+    the library applies to each element, R = space.reconstruction()."""
+    src = tmp_path / "float_surface.json"
+    space = SplineSpace([
+        KnotVector([0, 0, 0, 0.3, 0.45, 1, 1, 1], 2),
+        KnotVector([0, 0, 0, 0.1, 0.7, 0.7, 1, 1, 1], 2),
+    ])
+    write_spline_json(src, space, ControlNet(np.zeros((space.n_funcs, 1))))
+    for e in range(space.n_elements):
+        result = runner.invoke(main, ["extract", "--in", str(src), "--element", str(e)])
+        assert result.exit_code == 0, result.output
+        for label, ops in (("C:", space.extraction), ("R:", space.reconstruction)):
+            printed = np.array(_parse_matrix(result.output, label), dtype=float)
+            assert np.array_equal(printed, ops([e])[0]), (e, label)
+
+
 def test_in_process_extract_frees_captured_output(tmp_path):
     src = tmp_path / "curve.json"
     _quadratic_curve(src)
@@ -487,6 +504,16 @@ def test_convergence_reports_expression_evaluation_errors(runner):
     assert "Error: target expression 'x(1)' failed to evaluate: TypeError" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_convergence_rejects_quad_order_below_one(runner, order):
+    result = runner.invoke(
+        main, ["convergence", "--levels", "2", "--projector", "bezier", "--quad-order", order]
+    )
+    assert result.exit_code == 1
+    assert f"Error: quad_order must be >= 1, got {order}" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_convergence_out_file(runner, tmp_path):

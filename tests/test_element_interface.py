@@ -6,6 +6,7 @@ views they replace.
 """
 
 import itertools
+import json
 import os
 
 import numpy as np
@@ -132,3 +133,23 @@ def test_arrays_reject_ids_that_are_not_integers(fixtures_dir, ids):
         for read in (space.bounds, space.supports, space.extraction, space.reconstruction):
             with pytest.raises(IndexError, match="^element ids must be integers"):
                 read(ids)
+
+
+@pytest.mark.parametrize("scale", [2.0**-400, 2.0**400], ids=["2^-400", "2^400"])
+def test_reconstruction_at_extreme_knot_scales(fixtures_dir, scale):
+    """R does not depend on the scale of the knots: scaled by a power of
+    two, every operator is the same bit for bit, and no power of an
+    element length over- or underflows on the way to it."""
+    with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
+        data = json.load(fh)
+    mesh = read_tmesh_json(data)
+    knots = np.r_[[0] * 6, 1, 2, 2, 3, [4] * 6]
+    pairs = [
+        (mesh, read_tmesh_json(dict(data, knot_vectors=[scale * g for g in mesh.knot_vectors]))),
+        (SplineSpace([KnotVector(knots, 5)] * 2), SplineSpace([KnotVector(scale * knots, 5)] * 2)),
+    ]
+    for space, scaled in pairs:
+        assert np.array_equal(scaled.extraction(), space.extraction())
+        assert np.array_equal(scaled.reconstruction(), space.reconstruction())
+        C, R = space.extraction(), space.reconstruction()
+        assert np.max(np.abs(C @ R - np.eye(C.shape[1]))) <= 1e-12

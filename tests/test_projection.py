@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -199,6 +201,39 @@ def test_declared_degree_uses_minimal_exact_quadrature():
     full = bezier_project(lambda pts: 3 * pts[:, 0] ** 2 - pts[:, 0] + 1, sp,
                           quad_order=12)
     assert np.allclose(got.coefficients, full.coefficients, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "quad_order, message",
+    [
+        (0, "quad_order must be >= 1, got 0"),
+        (-1, "quad_order must be >= 1, got -1"),
+        ((3, 0), "quad_order must be >= 1, got 0"),
+        (2.5, "quad_order must be integers, got 2.5"),
+        (True, "quad_order must be integers, got True"),
+        ((3, 2.5), "quad_order must be integers, got 2.5"),
+    ],
+    ids=["zero", "negative", "zero-in-pair", "fraction", "bool", "fraction-in-pair"],
+)
+def test_quad_order_is_checked_where_it_enters(quad_order, message):
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)] * 2)
+
+    def f(pts):
+        return pts[:, 0] * pts[:, 1]
+
+    net = ControlNet(np.zeros((sp.n_funcs, 1)))
+    for call in (
+        lambda: bezier_project(f, sp, quad_order=quad_order),
+        lambda: global_l2_project(f, sp, quad_order=quad_order),
+        lambda: l2_error(f, sp, net, quad_order=quad_order),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            call()
+    # an integral float is an integer count
+    assert np.array_equal(
+        bezier_project(f, sp, quad_order=4.0).coefficients,
+        bezier_project(f, sp, quad_order=4).coefficients,
+    )
 
 
 def test_gauss_rules_are_cached_and_read_only():

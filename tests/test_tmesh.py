@@ -276,6 +276,21 @@ def test_fixture_nested_in_tensor_mesh(fixtures_dir):
         mesh.is_nested(other)
 
 
+@pytest.mark.parametrize("scale, apart", [(1e-9, 0.5e-9), (1e9, 1e4)])
+def test_is_nested_compares_knots_within_the_span_tolerance(scale, apart):
+    """Global knots differ when more than 1e-12 of the knot span apart, at
+    any scale: np.allclose took these knots for equal, by its absolute
+    tolerance 1e-8 at scale 1e-9 and its relative 1e-5 at 1e9."""
+    G = np.array([0, 0, 0, 1, 2, 3, 3, 3]) * scale
+    mesh = TMesh.tensor((2, 2), [G, G])
+    H = G.copy()
+    H[3] += apart
+    with pytest.raises(ValueError, match="different global knot vectors"):
+        TMesh.tensor((2, 2), [H, G]).is_nested(mesh)
+    H[3] = G[3] + 1e-13 * scale
+    assert TMesh.tensor((2, 2), [H, G]).is_nested(mesh)
+
+
 def test_tmesh_json_roundtrip(tmp_path, fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_a")
     d = tmesh_to_dict(mesh)
