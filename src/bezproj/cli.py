@@ -324,13 +324,14 @@ def cmd_check_as(in_path):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     bad = mesh.analysis_violations()
-    _echo(f"analysis-suitable: {'yes' if not bad else 'no'}")
-    for ev, eh in bad:
+    junction = mesh.extensions().junction.tolist()
+    _echo(f"analysis-suitable: {'no' if len(bad) else 'yes'}")
+    for v, h in bad.tolist():
         _echo(
-            f"  extension of junction {ev.junction} intersects "
-            f"extension of junction {eh.junction}"
+            f"  extension of junction {tuple(junction[v])} intersects "
+            f"extension of junction {tuple(junction[h])}"
         )
-    if bad:
+    if len(bad):
         raise SystemExit(1)
 
 
@@ -343,8 +344,8 @@ def cmd_anchors(in_path):
         anchors = mesh.anchors()
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    for k, a in enumerate(anchors):
-        _echo(f"{k}: {a.kind} x={list(a.x_span)} y={list(a.y_span)}")
+    for k, (x, y) in enumerate(anchors.tolist()):
+        _echo(f"{k}: {mesh.anchor_kind} x={x} y={y}")
 
 
 @tmesh.command("local-kv")
@@ -357,12 +358,12 @@ def cmd_local_kv(in_path, anchor):
         anchors = mesh.anchors()
         if not 0 <= anchor < len(anchors):
             raise ValueError(f"anchor {anchor} outside 0..{len(anchors) - 1}")
-        idx1, idx2 = mesh.local_knot_indices(anchors[anchor])
-        g1, g2 = mesh.local_knot_vectors(anchors[anchor])
+        idx1, idx2 = mesh.local_knot_indices(anchor)
+        g1, g2 = mesh.local_knot_vectors(anchor)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    _echo(f"indices 1: {list(idx1)}")
-    _echo(f"indices 2: {list(idx2)}")
+    _echo(f"indices 1: {idx1.tolist()}")
+    _echo(f"indices 2: {idx2.tolist()}")
     _echo(f"knots 1: {g1.tolist()}")
     _echo(f"knots 2: {g2.tolist()}")
 
@@ -377,9 +378,9 @@ def cmd_tmesh_extract(in_path, element):
         C, R = mesh.element_extraction(element)
     except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
-    el = mesh.bezier_elements()[element]
-    _echo(f"bounds: {el.bounds[0]} x {el.bounds[1]}")
-    _echo(f"anchors: {list(el.anchors)}")
+    (x, y), anchors = mesh.bounds([element])[0].tolist(), mesh.supports([element])[0]
+    _echo(f"bounds: {tuple(x)} x {tuple(y)}")
+    _echo(f"anchors: {anchors.tolist()}")
     _echo("C:")
     _echo(_format_matrix(np.round(C, 14).tolist()))
     _echo("R:")

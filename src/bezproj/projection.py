@@ -54,7 +54,7 @@ class TargetFunction:
         self._f = f
         self._vectorized = vectorized
         if degree is not None:
-            degree = int(degree)
+            degree = _integer(degree, "degree")
             if degree < 0:
                 raise ValueError("declared degree must be >= 0")
         self.degree = degree
@@ -89,7 +89,7 @@ def _quad_orders(space, quad_order, f_degree=None, rational=False):
         if f_degree is None:
             return tuple(p + 3 for p in space.degrees)
         mult = 2 if rational else 1
-        return tuple((mult * p + int(f_degree)) // 2 + 1 for p in space.degrees)
+        return tuple((mult * p + f_degree) // 2 + 1 for p in space.degrees)
     if np.isscalar(quad_order):
         quad_order = [quad_order] * space.parametric_dim
     orders = tuple(_integer(q, "quad_order") for q in quad_order)
@@ -244,13 +244,21 @@ def global_l2_project(f, space, weights=None, quad_order=None):
 
     For all elements at once, the local basis at the Gauss points is the
     design times C^T; one scatter-add each assembles the dense mass
-    matrix and right-hand side for one dense solve.
+    matrix and right-hand side for one dense solve. The mass matrix needs
+    p + 1 Gauss points per direction; a quad_order below that raises.
     """
     f = _as_target(f)
     weights = _checked_weights(weights, space.n_funcs, "space dimension")
     orders = _quad_orders(
         space, quad_order, f_degree=f.degree, rational=weights is not None
     )
+    if quad_order is None:
+        orders = tuple(max(q, p + 1) for q, p in zip(orders, space.degrees))
+    for q, p in zip(orders, space.degrees):
+        if q < p + 1:
+            raise ValueError(
+                f"quad_order must be >= p + 1 = {p + 1} for the global mass matrix, got {q}"
+            )
     X, rules = _target_on_grid(f, space, orders)
     wq = reversed_kron([w for _, w, _ in rules])
     design = reversed_kron([B for _, _, B in rules])

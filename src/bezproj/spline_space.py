@@ -356,17 +356,18 @@ class SplineSpace:
         return self.reconstruction([e])[0]
 
 
-def _element_ids(ids, n):
-    """Element ids as a 1-D int array (all n for None), each in 0..n-1."""
+def _element_ids(ids, n, what="element"):
+    """Element (or other) ids as a 1-D int array (all n for None), each in
+    0..n-1; IndexError names what."""
     if ids is None:
         return np.arange(n)
     ids = np.asarray(ids).reshape(-1)
     if ids.size and not np.issubdtype(ids.dtype, np.integer):
-        raise IndexError(f"element ids must be integers, got {ids.dtype} {ids[:1].tolist()}")
+        raise IndexError(f"{what} ids must be integers, got {ids.dtype} {ids[:1].tolist()}")
     ids = ids.astype(np.int64)
     bad = np.flatnonzero((ids < 0) | (ids >= n))
     if bad.size:
-        raise IndexError(f"element {ids[bad[0]]} outside 0..{n - 1}")
+        raise IndexError(f"{what} {ids[bad[0]]} outside 0..{n - 1}")
     return ids
 
 

@@ -4,20 +4,24 @@ A T-mesh lives in the integer index domain [1, N1] x [1, N2] of a pair
 of global knot vectors (N_d knots in direction d). Vertices sit on
 integer coordinates; edges are axis-aligned segments between vertices,
 listed pre-split (no vertex in an edge interior, no unsplit crossings).
-Cells are the rectangles of the induced partition.
+Cells are the rectangles of the induced partition. The mesh is held,
+and answers every query, as arrays.
 
-Anchors are the mesh entities carrying basis functions; their kind
-follows the degree parities (odd: vertices along that direction, even:
-cells/edge spans). Each anchor owns one local knot vector per direction,
-collected by sweeping a line through the anchor and keeping the nearest
-entities that fully cross the anchor's perpendicular extent.
+Anchors are the mesh entities carrying basis functions: `anchors()`
+gives their (n, 2, 2) index spans and `anchor_kind` their one kind,
+which follows the degree parities (odd: vertices along that direction,
+even: cells/edge spans). Each anchor, named by its position, owns one
+local knot vector per direction, collected by sweeping a line through
+the anchor and keeping the nearest entities that fully cross the
+anchor's perpendicular extent.
 
-T-junction extensions classify the mesh: if no vertical extension
-touches a horizontal one (endpoint contact counts as touching), the
-mesh is analysis-suitable, its functions are locally linearly
-independent, and every Bezier element (cell of the mesh plus the face
-extensions) supports exactly (p1+1)(p2+1) functions, which makes the
-element extraction operators square and invertible.
+T-junction extensions (`extensions()`) classify the mesh: if no
+vertical extension touches a horizontal one (endpoint contact counts as
+touching), the mesh is analysis-suitable, its functions are locally
+linearly independent, and every Bezier element (cell of the mesh plus
+the face extensions; `bezier_elements()` gives their index boxes)
+supports exactly (p1+1)(p2+1) functions, which makes the element
+extraction operators square and invertible.
 
 Every rule reads the same in both parametric directions, so each query
 takes a direction d (0: x, 1: y). The edges of direction d sit at one
@@ -32,7 +36,6 @@ knot vectors.
 """
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -50,56 +53,13 @@ from .spline_space import (
 
 __all__ = [
     "TMesh",
-    "Anchor",
-    "Extension",
-    "BezierElement",
     "read_tmesh_json",
     "write_tmesh_json",
     "tmesh_to_dict",
 ]
 
-
-@dataclass(frozen=True)
-class Anchor:
-    """One anchor entity; spans are index-space intervals (may be points)."""
-
-    kind: str
-    x_span: tuple
-    y_span: tuple
-
-    @property
-    def center(self):
-        return (
-            0.5 * (self.x_span[0] + self.x_span[1]),
-            0.5 * (self.y_span[0] + self.y_span[1]),
-        )
-
-
-@dataclass(frozen=True)
-class Extension:
-    """Extensions of one T-junction, as index-space segments."""
-
-    junction: tuple
-    orientation: str  # 'v' or 'h': direction the extension line runs
-    face: tuple  # ((x1, y1), (x2, y2))
-    edge: tuple
-
-    @property
-    def full(self):
-        (a1, b1), (a2, b2) = self.face, self.edge
-        xs = (a1[0], a2[0], b1[0], b2[0])
-        ys = (a1[1], a2[1], b1[1], b2[1])
-        return ((min(xs), min(ys)), (max(xs), max(ys)))
-
-
-@dataclass(frozen=True)
-class BezierElement:
-    """One element of the extended (Bezier) mesh."""
-
-    index: int
-    index_bounds: tuple  # ((i1, i2), (j1, j2))
-    bounds: tuple  # parametric ((a1, b1), (a2, b2))
-    anchors: tuple  # positions into TMesh.anchors()
+# the kind of anchor by the parities of the two degrees
+_ANCHOR_KINDS = (("cell", "hedge"), ("vedge", "vertex"))
 
 
 class TMesh:
@@ -110,6 +70,7 @@ class TMesh:
         self.degrees = tuple(_integer(p, "degrees") for p in degrees)
         if min(self.degrees) < 1:
             raise ValueError("degrees must be >= 1")
+        self.anchor_kind = _ANCHOR_KINDS[self.degrees[0] % 2][self.degrees[1] % 2]
         self.knot_vectors = tuple(_number_array(G, "knot_vectors", 1) for G in knot_vectors)
         for G, p in zip(self.knot_vectors, self.degrees):
             if not np.all(np.isfinite(G)):
@@ -155,31 +116,8 @@ class TMesh:
         )
 
         self._validate()
-        self._anchors = None
-        self._anchor_knots = {}
-        self._extensions = None
-        self._bezier = None
 
     # -- structure ---------------------------------------------------------
-
-    # The input as Python tuples, built on first use from the arrays the
-    # mesh works on: a tuple per entry would cost every later pass of the
-    # garbage collector.
-
-    @cached_property
-    def vertices(self):
-        """The set of vertices (i, j)."""
-        return set(map(tuple, np.argwhere(self._vertex).tolist()))
-
-    @cached_property
-    def v_edges(self):
-        """The vertical edges (x, y1, y2), in input order."""
-        return list(map(tuple, self._edges[0].tolist()))
-
-    @cached_property
-    def h_edges(self):
-        """The horizontal edges (y, x1, x2), in input order."""
-        return list(map(tuple, self._edges[1].tolist()))
 
     def _validate(self):
         """Check the edges and build the wall grid and the cells.
@@ -198,9 +136,7 @@ class TMesh:
         ends = np.zeros((2, 2) + shape, dtype=bool)
         for d, word in enumerate(("vertical", "horizontal")):
             c, lo, hi = self._edges[d].T
-            n = hi - lo
-            edge = np.repeat(np.arange(n.size), n)
-            t = lo[edge] + np.arange(edge.size) - np.repeat(np.cumsum(n) - n, n)
+            edge, t = _unit_segments(lo, hi)
             ct = (c[edge], t)  # the unit segments [t, t + 1] of every edge
             start = t > lo[edge]  # segments that start at an interior point
             inner = (ct[0][start], t[start])
@@ -231,225 +167,184 @@ class TMesh:
         if dangling.size:
             i, j = (int(k) for k in dangling[0])
             raise ValueError(f"vertex {(i, j)} is dangling (degree {degree[i, j]})")
-        rects, _ = _rectangles(self._wall, "mesh cells do not form a rectangular partition")
-        self._cells = [tuple(r) for r in rects.tolist()]
+        # the (i1, i2, j1, j2) rectangles of the partition
+        self._cells, _ = _rectangles(self._wall, "mesh cells do not form a rectangular partition")
 
-    def cells(self):
-        """Index-space rectangles (i1, i2, j1, j2) of the partition."""
-        return list(self._cells)
+    def _crossings(self, d, lo, hi, cuts):
+        """The entities of direction d that cross the bands [lo, hi] of the
+        other direction, counted by prefix sums of the wall grid once per
+        distinct band; a point band is also crossed by a vertex on it or
+        by an edge ending there.
 
-    def _covering(self, d, lo, hi):
-        """Indices c, ascending, at which entities of direction d span the
-        closed band [lo, hi] of the other direction; a point band is also
-        spanned by a vertex."""
-        w = _by_direction(self._wall)[d]
-        if lo < hi:
-            return np.flatnonzero(w[:, lo:hi].all(axis=1)).tolist()
-        point = w[:, lo - 1 : lo + 1].any(axis=1) | self._vertex[_xy(d, slice(None), lo)]
-        return np.flatnonzero(point).tolist()
+        Returns the crossed indices of all distinct bands in one array,
+        ascending per band, and per entry: the position of its band's
+        first one there, how many lie below each of the cuts (index
+        arrays, one entry each) and how many there are.
+        """
+        w = _by_direction(self._wall)[d]  # [c, t]
+        bands, which = _distinct(lo * w.shape[1] + hi)
+        lo, hi = lo[bands], hi[bands]
+        prefix = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.int64)
+        np.cumsum(w, axis=1, out=prefix[:, 1:])
+        point = w[:, lo - 1] | w[:, lo] | (self._vertex, self._vertex.T)[d][:, lo]
+        crossed = np.where(lo < hi, prefix[:, hi] - prefix[:, lo] == hi - lo, point).T
+        below = np.zeros((len(bands), w.shape[0] + 1), dtype=np.int64)
+        np.cumsum(crossed, axis=1, out=below[:, 1:])  # crossed indices below c
+        at = np.flatnonzero(crossed.ravel()) % w.shape[0]
+        start = np.cumsum(below[:, -1]) - below[:, -1]
+        return at, start[which], [below[which, c] for c in cuts], below[which, -1]
 
     # -- anchors -----------------------------------------------------------
 
     def anchors(self):
-        """All anchors, ordered by (y center, x center).
+        """Index spans of all anchors, (n, 2, 2) int64 and read-only:
+        [anchor, direction, (lo, hi)], ordered by (y centre, x centre).
 
-        An odd direction places anchors on one index, an even direction
-        on an interval between two; both keep (p + 1) // 2 indices clear
-        of each end of the domain.
+        Their kind is anchor_kind. An odd direction places anchors on one
+        index, an even direction on an interval between two; both keep
+        (p + 1) // 2 indices clear of each end of the domain.
         """
-        if self._anchors is not None:
-            return self._anchors
-        odd = [p % 2 for p in self.degrees]
-        if all(odd):
-            kind, spans = "vertex", np.repeat(np.argwhere(self._vertex)[:, :, None], 2, axis=2)
-        elif not any(odd):
-            kind, spans = "cell", np.array(self._cells, dtype=np.int64).reshape(-1, 2, 2)
+        return self._anchor_spans
+
+    @cached_property
+    def _anchor_spans(self):
+        if self.anchor_kind == "vertex":
+            spans = np.repeat(np.argwhere(self._vertex)[:, :, None], 2, axis=2)
+        elif self.anchor_kind == "cell":
+            spans = self._cells.reshape(-1, 2, 2)
         else:
-            d = odd.index(1)
-            kind = ("vedge", "hedge")[d]
-            c, lo, hi = self._edges[d].T
-            spans = np.stack(_xy(d, np.stack([c, c], axis=1), np.stack([lo, hi], axis=1)), axis=1)
+            d = ("vedge", "hedge").index(self.anchor_kind)
+            spans = self._edges[d][:, np.array(_xy(d, [0, 0], [1, 2]))]  # (c, c), (lo, hi)
         h = np.array([(p + 1) // 2 for p in self.degrees])
         clear = (h < spans[:, :, 0]) & (spans[:, :, 1] <= np.array(self.N) - h)
         spans = spans[clear.all(axis=1)]
         twice_center = spans.sum(axis=2)
         spans = spans[np.lexsort((twice_center[:, 0], twice_center[:, 1]))]
-        self._anchor_spans = spans
-        self._anchors = [Anchor(kind, tuple(x), tuple(y)) for x, y in spans.tolist()]
-        return self._anchors
+        spans.flags.writeable = False
+        return spans
 
-    def local_knot_indices(self, anchor):
-        """Index vectors (i1, i2) of an anchor's local knot vectors.
-
-        Per direction: sweep outward from the anchor center, keeping the
-        nearest ceil((p+1)/2) indices on each side whose perpendicular
-        entities fully cross the anchor's extent; odd degrees include
-        the anchor's own index.
-        """
-        spans = np.array([[anchor.x_span, anchor.y_span]], dtype=np.int64)
-        return tuple(idx[0].tolist() for idx in self._knot_indices(spans, [anchor]))
-
-    def local_knot_vectors(self, anchor):
-        """Local knot vectors (g1, g2) of an anchor, length p_d + 2 each."""
-        key = (anchor.kind, anchor.x_span, anchor.y_span)
-        if key not in self._anchor_knots:
-            self._anchor_knots[key] = tuple(
-                G[np.array(idx) - 1]
-                for G, idx in zip(self.knot_vectors, self.local_knot_indices(anchor))
+    def local_knot_indices(self, k):
+        """Index vectors (i1, i2) of anchor k's local knot vectors, its
+        read-only rows of the knot table; ValueError if it finds too few
+        crossed entities, IndexError unless 0 <= k < n_funcs."""
+        index, short = self._knot_table
+        (k,) = _element_ids([k], len(short), "anchor")
+        if short[k].any():
+            x, y = self.anchors()[k].tolist()
+            raise ValueError(
+                f"anchor {k} ({self.anchor_kind} x={x} y={y}) "
+                f"finds too few crossed entities in direction {np.argmax(short[k])}"
             )
-        return self._anchor_knots[key]
+        return tuple(i[k] for i in index)
 
-    def _knot_indices(self, spans, anchors):
-        """The local knot index vectors of anchors with the given (n, 2, 2)
-        index spans: one (n, p_d + 2) array per direction d.
-
-        The entities of direction d that cross an anchor's band (its span
-        in the other direction) are counted by prefix sums of the wall
-        grid, once per distinct band; each anchor then takes the nearest
-        ceil((p+1)/2) of them on each side of its centre. The first anchor
-        without enough raises ValueError naming it (anchors[k]).
-        """
-        short, picks = [], []
-        for d, p in enumerate(self.degrees):
-            w = _by_direction(self._wall)[d]  # [c, t]
-            bands, which = _distinct(spans[:, 1 - d, 0] * w.shape[1] + spans[:, 1 - d, 1])
-            lo, hi = spans[bands, 1 - d].T
-            prefix = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.int64)
-            np.cumsum(w, axis=1, out=prefix[:, 1:])
-            # a point band is also crossed by a vertex on it or by an edge ending there
-            point = w[:, lo - 1] | w[:, lo] | (self._vertex, self._vertex.T)[d][:, lo]
-            crossed = np.where(lo < hi, prefix[:, hi] - prefix[:, lo] == hi - lo, point).T
-            below = np.zeros((len(bands), w.shape[0] + 1), dtype=np.int64)
-            np.cumsum(crossed, axis=1, out=below[:, 1:])  # crossed indices below c
-            at = np.flatnonzero(crossed.ravel()) % w.shape[0]  # ascending per band
-            start = (np.cumsum(below[:, -1]) - below[:, -1])[which]
-            twice_center = spans[:, d].sum(axis=1)
-            left = below[which, (twice_center + 1) // 2]  # crossed below the centre
-            right = below[which, twice_center // 2 + 1]  # crossed at or below it
-            need = (p + 2) // 2
-            short.append((left < need) | (below[which, -1] - right < need))
-            # the nearest `need` on each side start at these positions of `at`
-            picks.append((at, start + left - need, start + right, need))
-        bad = np.flatnonzero(short[0] | short[1])
-        if bad.size:
-            k = bad[0]
-            d = 0 if short[0][k] else 1
-            raise ValueError(f"anchor {anchors[k]} finds too few crossed entities in direction {d}")
-        out = []
-        for d, (at, first_left, first_right, need) in enumerate(picks):
-            steps = np.arange(need)
-            centre = [spans[:, d, :1]] if self.degrees[d] % 2 else []
-            out.append(
-                np.concatenate(
-                    [at[first_left[:, None] + steps], *centre, at[first_right[:, None] + steps]],
-                    axis=1,
-                )
-            )
-        return out
-
-    # -- T-junctions and extensions -----------------------------------------
-
-    def t_junctions(self):
-        """Interior vertices with exactly three incident edge directions.
-
-        Returns [(vertex, missing_direction)] with the missing direction
-        one of 'up', 'down', 'left', 'right'.
-        """
-        inner = np.zeros(self._vertex.shape, dtype=bool)
-        inner[2:-2, 2:-2] = True
-        out = []
-        for x, y in np.argwhere(inner & (self._ends.sum(axis=(0, 1)) == 3)).tolist():
-            ((a, k),) = np.argwhere(~self._ends[:, :, x, y])
-            out.append(((x, y), _SIDES[a][k]))
-        return out
-
-    def _walk(self, start, d, step, count):
-        """Walk from start along direction d counting crossed entities.
-
-        Returns the direction-d coordinate of the count-th crossed
-        entity of direction d (vertex or crossing edge); stops at the
-        domain boundary, which is always an entity.
-        """
-        c, t = start[d], start[1 - d]
-        ahead = [k for k in self._covering(d, t, t) if (k - c) * step > 0][::step]
-        return ahead[:count][-1] if ahead and count else c
-
-    def extensions(self):
-        """Face and edge extensions of every T-junction."""
-        if self._extensions is not None:
-            return self._extensions
-        out = []
-        for v, missing in self.t_junctions():
-            d = int(missing in _SIDES[1])
-            step = 1 - 2 * _SIDES[d].index(missing)
-            p = self.degrees[d]
-            # faces cross ceil((p+1)/2) entities, edges ceil((p-1)/2)
-            ends = (self._walk(v, d, step, (p + 1) // 2), self._walk(v, d, -step, p // 2))
-            face, edge = (tuple(_xy(d, c, v[1 - d]) for c in sorted((v[d], e))) for e in ends)
-            out.append(Extension(v, "hv"[d], face, edge))
-        self._extensions = out
-        return out
-
-    def analysis_violations(self):
-        """Pairs of perpendicular T-junction extensions that touch."""
-        vs, hs = ([e for e in self.extensions() if e.orientation == o] for o in "vh")
-        bad = []
-        for ev in vs:
-            (vx, vy1), (_, vy2) = ev.full
-            for eh in hs:
-                (hx1, hy), (hx2, _) = eh.full
-                if hx1 <= vx <= hx2 and vy1 <= hy <= vy2:
-                    bad.append((ev, eh))
-        return bad
-
-    def is_analysis_suitable(self):
-        return not self.analysis_violations()
-
-    # -- Bezier mesh and extraction -----------------------------------------
-
-    def bezier_elements(self):
-        """Elements of the extended mesh (cells plus face extensions).
-
-        Zero-parametric-area cells are dropped. Each element records the
-        anchors whose local knot vectors cover it. Requires an
-        analysis-suitable mesh.
-        """
-        if self._bezier is None:
-            els = self._elements
-            count = np.bincount(els.element, minlength=len(els.box))
-            anchors = els.anchor.tolist()
-            ends = np.cumsum(count).tolist()
-            self._bezier = [
-                BezierElement(
-                    index=i,
-                    index_bounds=(tuple(b[0]), tuple(b[1])),
-                    bounds=(tuple(x[0]), tuple(x[1])),
-                    anchors=tuple(anchors[end - m : end]),
-                )
-                for i, (b, x, m, end) in enumerate(
-                    zip(els.box.tolist(), els.bounds.tolist(), count.tolist(), ends)
-                )
-            ]
-        return self._bezier
+    def local_knot_vectors(self, k):
+        """Local knot vectors (g1, g2) of anchor k, length p_d + 2 each."""
+        return tuple(G[i - 1] for G, i in zip(self.knot_vectors, self.local_knot_indices(k)))
 
     @cached_property
     def _knot_table(self):
         """Local knot index vectors of every anchor, one (n_anchors, p + 2)
-        array per direction."""
-        anchors = self.anchors()
-        return self._knot_indices(self._anchor_spans, anchors)
+        array per direction, and the (n_anchors, 2) mask of the anchors
+        and directions with too few crossed entities, all read-only; a
+        masked anchor's rows are left unspecified.
+
+        Each anchor keeps the nearest ceil((p+1)/2) of the entities
+        crossing its band on each side of its centre, and its centre for
+        odd p.
+        """
+        spans, index, short = self.anchors(), [], []
+        for d, p in enumerate(self.degrees):
+            twice_center = spans[:, d].sum(axis=1)
+            cuts = ((twice_center + 1) // 2, twice_center // 2 + 1)
+            # crossed below the centre, and at or below it
+            at, start, (left, right), total = self._crossings(d, *spans[:, 1 - d].T, cuts)
+            need = (p + 2) // 2
+            short.append((left < need) | (total - right < need))
+            # the nearest `need` on each side start at these positions of `at`
+            pick = np.stack([start + left - need, start + right], axis=1)[:, :, None]
+            side = at[np.clip(pick + np.arange(need), 0, at.size - 1)]
+            centre = [spans[:, d, :1]] if p % 2 else []
+            index.append(np.concatenate([side[:, 0], *centre, side[:, 1]], axis=1))
+        short = np.stack(short, axis=1)
+        for a in (*index, short):
+            a.flags.writeable = False
+        return index, short
+
+    # -- T-junctions and extensions -----------------------------------------
+
+    def extensions(self):
+        """Extensions of every T-junction, by junction (x, y): arrays
+        junction (n, 2), direction (n,), face and edge (n, 2, 2).
+
+        A T-junction is an interior vertex with edges leaving it on three
+        sides; its extensions run along the direction d of the missing
+        side. The face, towards that side, ends at the ceil((p+1)/2)-th
+        entity of direction d it crosses and the edge, away from it, at
+        the ceil((p-1)/2)-th; either stops at the domain boundary.
+        """
+        return self._extensions
+
+    @cached_property
+    def _extensions(self):
+        junction = np.argwhere(self._ends[:, :, 2:-2, 2:-2].sum(axis=(0, 1)) == 3) + 2
+        missing = ~self._ends[:, :, junction[:, 0], junction[:, 1]].reshape(4, -1)
+        direction, backwards = np.divmod(missing.argmax(axis=0), 2)
+        face, edge = (np.zeros((len(junction), 2, 2), dtype=np.int64) for _ in range(2))
+        for d in set(direction.tolist()):
+            sel, p = direction == d, self.degrees[d]
+            c, t = junction[sel, d], junction[sel, 1 - d]
+            at, start, (lower, upper), total = self._crossings(d, t, t, (c, c + 1))
+
+            def end(forwards, count):
+                """The count-th crossed entity from c, or the last one."""
+                n = np.minimum(count, np.where(forwards, total - upper, lower))
+                pos = np.where(forwards, start + upper + n - 1, start + lower - n)
+                return np.where(n > 0, at[np.clip(pos, 0, at.size - 1)], c)
+
+            towards = backwards[sel] == 0
+            for out, e in ((face, end(towards, (p + 1) // 2)), (edge, end(~towards, p // 2))):
+                out[sel, :, d] = np.sort(np.stack([c, e], axis=1), axis=1)
+                out[sel, :, 1 - d] = t[:, None]
+        for a in (junction, direction, face, edge):
+            a.flags.writeable = False
+        return _Extensions(junction, direction, face, edge)
+
+    def analysis_violations(self):
+        """Positions (i, j) into extensions() of every vertical extension i
+        and horizontal extension j whose full extents, face and edge
+        together, touch (endpoint contact counts): (m, 2), by i, then j."""
+        ext = self.extensions()
+        ends = np.concatenate([ext.face, ext.edge], axis=1)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)  # corners of the full extents
+        v, h = np.flatnonzero(ext.direction == 1), np.flatnonzero(ext.direction == 0)
+        x, y1, y2 = lo[v, 0, None], lo[v, 1, None], hi[v, 1, None]
+        touch = (lo[h, 0] <= x) & (x <= hi[h, 0]) & (y1 <= lo[h, 1]) & (lo[h, 1] <= y2)
+        i, j = np.nonzero(touch)
+        return np.stack([v[i], h[j]], axis=1)
+
+    def is_analysis_suitable(self):
+        return not len(self.analysis_violations())
+
+    # -- Bezier mesh and extraction -----------------------------------------
+
+    def bezier_elements(self):
+        """Index boxes [element, direction, (first, last)] of the elements
+        of the extended mesh (cells plus face extensions) of nonzero
+        parametric area, by (j1, i1); (n, 2, 2), read-only. Requires an
+        analysis-suitable mesh."""
+        return self._elements.box
 
     @cached_property
     def _elements(self):
         """The Bezier elements as arrays, and their (element, anchor) pairs."""
         if not self.is_analysis_suitable():
             raise ValueError("mesh is not analysis-suitable")
-        wall = self._wall.copy()
-        for ext in self.extensions():
-            # an extension walking along direction d adds an edge of direction 1 - d
-            f = "vh".index(ext.orientation)
-            a, b = ext.face
-            _by_direction(wall)[f][a[f], a[1 - f] : b[1 - f]] = True
+        ext, wall = self.extensions(), self._wall.copy()
+        for d in (0, 1):
+            # a face walking along direction d adds edges of direction 1 - d
+            face = ext.face[ext.direction == d]
+            which, t = _unit_segments(face[:, 0, d], face[:, 1, d])
+            _by_direction(wall)[1 - d][face[which, 0, 1 - d], t] = True
         rects, label = _rectangles(wall, "extended mesh is not a rectangular partition")
 
         # elements: the rectangles of nonzero parametric area, by (j1, i1)
@@ -461,17 +356,19 @@ class TMesh:
         element = np.full(len(rects), -1)
         element[order[keep]] = np.arange(keep.sum())
         box, bounds = box[keep], bounds[keep]
+        box.flags.writeable = False
 
         # anchor k covers an element when the support of its local knots
         # holds the element; such an element shares a unit index square
         # with the box between k's first and last local knot indices
-        index = self._knot_table
+        index, short = self._knot_table
+        if short.any():  # the ValueError of the first anchor short of crossed entities
+            self.local_knot_indices(np.argwhere(short)[0, 0])
         n_anchors = len(index[0])
         lo = np.stack([i[:, 0] for i in index], axis=1)
         size = np.stack([i[:, -1] for i in index], axis=1) - lo
         n_sq = size[:, 0] * size[:, 1]
-        k = np.repeat(np.arange(n_anchors), n_sq)
-        sq = np.arange(n_sq.sum()) - np.repeat(np.cumsum(n_sq) - n_sq, n_sq)
+        k, sq = _unit_segments(np.zeros_like(n_sq), n_sq)
         e = element[label[lo[k, 0] + sq % size[k, 0], lo[k, 1] + sq // size[k, 0]]]
         # each pair once, by element then anchor (np.unique would import numpy.ma)
         pair = np.sort((e * n_anchors + k)[e >= 0])
@@ -511,14 +408,9 @@ class TMesh:
         return self._stacks[3][self._checked(ids)]
 
     def element_extraction(self, e):
-        """Extraction operator (C, R) of one Bezier element, as read-only
-        views of the cached stacks.
-
-        Row k of C holds the Bernstein coefficients of the k-th
-        overlapping anchor's function on the element; anchors follow the
-        mesh-wide ordering. For an analysis-suitable mesh C is square
-        and R = C^{-1}.
-        """
+        """Extraction and reconstruction operators (C, R) of Bezier
+        element e, as read-only views of the cached stacks; row k of C is
+        the function of anchor supports([e])[0, k]."""
         self._checked([e])
         return self._stacks[2][e], self._stacks[3][e]
 
@@ -549,7 +441,7 @@ class TMesh:
         n_el = len(els.box)
         n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
         rows, faults = [], []
-        for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table)):
+        for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table[0])):
             span, base = els.box[e, d], self.N[d] + 1  # each pair's element interval
             first, which = _distinct((k * base + span[:, 0]) * base + span[:, 1])
             g, (a, b) = G[idx[k[first]] - 1], els.bounds[e[first], d].T
@@ -592,27 +484,17 @@ class TMesh:
         for Ga, Gb in zip(self.knot_vectors, other.knot_vectors):
             if Ga.size != Gb.size or np.any(np.abs(Ga - Gb) > self._tol):
                 raise ValueError("meshes have different global knot vectors")
-        return self.vertices <= other.vertices and not (self._wall & ~other._wall).any()
+        return not ((self._vertex & ~other._vertex).any() or (self._wall & ~other._wall).any())
 
     @classmethod
     def tensor(cls, degrees, knot_vectors):
         """Full tensor-product mesh on the given global knot vectors."""
-        N1 = len(knot_vectors[0])
-        N2 = len(knot_vectors[1])
-        vertices = [(i, j) for i in range(1, N1 + 1) for j in range(1, N2 + 1)]
-        edges = []
-        for i in range(1, N1 + 1):
-            for j in range(1, N2):
-                edges.append((i, j, i, j + 1))
-        for j in range(1, N2 + 1):
-            for i in range(1, N1):
-                edges.append((i, j, i + 1, j))
+        N1, N2 = (len(G) for G in knot_vectors)
+        vertices = np.argwhere(np.ones((N1, N2), dtype=bool)) + 1
+        i, j = np.mgrid[1 : N1 + 1, 1:N2].reshape(2, -1)  # vertical unit edges, by x
+        y, x = np.mgrid[1 : N2 + 1, 1:N1].reshape(2, -1)  # horizontal ones, by y
+        edges = np.concatenate([np.stack([i, j, i, j + 1], axis=1), np.stack([x, y, x + 1, y], 1)])
         return cls(degrees, knot_vectors, vertices, edges)
-
-
-# the sides by which an edge leaves a vertex along each direction:
-# forwards, backwards
-_SIDES = (("right", "left"), ("up", "down"))
 
 
 def _xy(d, c, t):
@@ -625,6 +507,15 @@ def _by_direction(grids):
     return grids[0], grids[1].T
 
 
+class _Extensions(NamedTuple):
+    """The extensions of every T-junction, by junction (x, y)."""
+
+    junction: np.ndarray  # (n, 2) the junction (x, y)
+    direction: np.ndarray  # (n,) the direction d the extensions run along
+    face: np.ndarray  # (n, 2, 2) the face's two ends (x, y), ascending along d
+    edge: np.ndarray  # (n, 2, 2) the edge's, the same way
+
+
 class _Elements(NamedTuple):
     """The Bezier elements, by (j1, i1), and their (element, anchor)
     pairs, by element and then anchor."""
@@ -633,6 +524,14 @@ class _Elements(NamedTuple):
     bounds: np.ndarray  # (n, 2, 2) parametric bounds, the same way
     element: np.ndarray  # the element of each pair
     anchor: np.ndarray  # the anchor of each pair
+
+
+def _unit_segments(lo, hi):
+    """The unit segments [t, t + 1] of integer intervals [lo, hi]: the
+    interval of each, and its t."""
+    n = hi - lo
+    which = np.repeat(np.arange(n.size), n)
+    return which, lo[which] + np.arange(which.size) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _distinct(key):
@@ -657,7 +556,8 @@ def _index_rows(entries, n, name, expected):
     the rows of the entries before the first such one and its message,
     so that the caller can report an earlier entry's fault first.
     """
-    entries = list(entries)
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)
     try:
         a = np.array(entries)
     except (TypeError, ValueError, OverflowError):
@@ -774,14 +674,13 @@ def read_tmesh_json(source):
 
 
 def tmesh_to_dict(mesh):
-    edges = [
-        _xy(d, c, lo) + _xy(d, c, hi) for d in (0, 1) for c, lo, hi in mesh._edges[d].tolist()
-    ]
+    # (x1, y1, x2, y2) from the (c, lo, hi) rows of each direction
+    edges = np.concatenate([mesh._edges[0][:, [0, 1, 0, 2]], mesh._edges[1][:, [1, 0, 2, 0]]])
     return {
         "degrees": list(mesh.degrees),
         "knot_vectors": [G.tolist() for G in mesh.knot_vectors],
-        "vertices": sorted(mesh.vertices),
-        "edges": sorted(edges),
+        "vertices": np.argwhere(mesh._vertex).tolist(),
+        "edges": edges[np.lexsort(edges.T[::-1])].tolist(),
     }
 
 

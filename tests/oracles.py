@@ -331,13 +331,11 @@ def local_function_bernstein_row_ref(g, p, a, b):
 
 def tmesh_extraction_ref(mesh, e):
     """(C, R) of T-mesh element e, one anchor and direction at a time."""
-    el = mesh.bezier_elements()[e]
     p1, p2 = mesh.degrees
-    (a1, b1), (a2, b2) = el.bounds
-    anchors = mesh.anchors()
+    (a1, b1), (a2, b2) = mesh.bounds([e])[0]
     rows = []
-    for k in el.anchors:
-        g1, g2 = mesh.local_knot_vectors(anchors[k])
+    for k in mesh.supports([e])[0]:
+        g1, g2 = mesh.local_knot_vectors(k)
         r1 = local_function_bernstein_row_ref(g1, p1, a1, b1)
         r2 = local_function_bernstein_row_ref(g2, p2, a2, b2)
         rows.append(np.kron(r2, r1))
@@ -347,7 +345,8 @@ def tmesh_extraction_ref(mesh, e):
 
 # ---------------------------------------------------------------------------
 # slow references: the exact CLI extract on Fraction objects, and the
-# T-mesh local knot indices one anchor at a time
+# T-mesh local knot indices and extensions one anchor or junction at a
+# time, on Python sets of the mesh's vertices and unit edge segments
 
 
 def fraction_inverse_ref(A):
@@ -408,24 +407,129 @@ def extract_exact_ref(path, element):
     return "\n".join(lines) + "\n"
 
 
-def local_knot_indices_ref(mesh, anchor):
-    """Index vectors (i1, i2) of an anchor's local knot vectors, one
-    direction at a time: list the indices whose perpendicular entities
-    cross the anchor's band, then keep the nearest ceil((p+1)/2) on each
-    side of its centre (and the centre itself for odd p)."""
-    spans = (anchor.x_span, anchor.y_span)
+def _skeleton_ref(mesh):
+    """The vertex set of a T-mesh and, per direction d, the set of unit
+    segments (c, t), each [t, t + 1] at index c, of its edges of direction
+    d (0: vertical, 1: horizontal), read from the mesh's JSON lists."""
+    from bezproj.tmesh import tmesh_to_dict
+
+    data = tmesh_to_dict(mesh)
+    units = (set(), set())
+    for x1, y1, x2, y2 in data["edges"]:
+        d = 0 if x1 == x2 else 1
+        c, a, b = (x1, y1, y2) if d == 0 else (y1, x1, x2)
+        units[d].update((c, t) for t in range(min(a, b), max(a, b)))
+    return set(map(tuple, data["vertices"])), units
+
+
+def _covering_ref(mesh, d, lo, hi, skeleton=None):
+    """Indices c, ascending, at which entities of direction d span the
+    closed band [lo, hi] of the other direction; a point band is also
+    spanned by a vertex or by an edge ending on it."""
+    vertices, units = skeleton or _skeleton_ref(mesh)
+    out = []
+    for c in range(1, mesh.N[d] + 1):
+        if lo < hi:
+            hit = all((c, t) in units[d] for t in range(lo, hi))
+        else:
+            vertex = (c, lo) if d == 0 else (lo, c)
+            hit = (c, lo - 1) in units[d] or (c, lo) in units[d] or vertex in vertices
+        if hit:
+            out.append(c)
+    return out
+
+
+def local_knot_indices_ref(mesh, spans, skeleton=None):
+    """Index vectors (i1, i2) of the local knot vectors of the anchor with
+    index spans ((x1, x2), (y1, y2)), one direction at a time: list the
+    indices whose perpendicular entities cross the anchor's band, then
+    keep the nearest ceil((p+1)/2) on each side of its centre (and the
+    centre itself for odd p)."""
+    skeleton = skeleton or _skeleton_ref(mesh)
     out = []
     for d, p in enumerate(mesh.degrees):
         span, band = spans[d], spans[1 - d]
         center = 0.5 * (span[0] + span[1])
         need = (p + 1 + 1) // 2
-        covering = mesh._covering(d, *band)
+        covering = _covering_ref(mesh, d, *band, skeleton=skeleton)
         left = [i for i in covering if i < center][-need:]
         right = [i for i in covering if i > center][:need]
         if len(left) < need or len(right) < need:
-            raise ValueError(f"anchor {anchor} finds too few crossed entities in direction {d}")
+            raise ValueError(f"anchor {spans} finds too few crossed entities in direction {d}")
         out.append(left + ([int(center)] if p % 2 else []) + right)
     return tuple(out)
+
+
+def _walk_ref(mesh, start, d, step, count, skeleton):
+    """Walk from start along direction d counting crossed entities: the
+    direction-d coordinate of the count-th crossed entity of direction d
+    (vertex or crossing edge); stops at the domain boundary, which is
+    always an entity."""
+    c, t = start[d], start[1 - d]
+    covering = _covering_ref(mesh, d, t, t, skeleton=skeleton)
+    ahead = [k for k in covering if (k - c) * step > 0][::step]
+    return ahead[:count][-1] if ahead and count else c
+
+
+def extensions_ref(mesh):
+    """[(junction, d, face, edge)] of every T-junction, one junction at a
+    time, by junction (x, y).
+
+    A T-junction is an interior vertex with edges leaving it on exactly
+    three sides. Its extensions run along the direction d of the missing
+    side: the face towards it, across ceil((p_d+1)/2) crossed entities,
+    and the edge away from it, across ceil((p_d-1)/2). Each is a pair of
+    (x, y) points, ascending along d.
+    """
+    skeleton = vertices, units = _skeleton_ref(mesh)
+    out = []
+    for x, y in sorted(vertices):
+        if not (2 <= x <= mesh.N[0] - 1 and 2 <= y <= mesh.N[1] - 1):
+            continue
+        # sides[d][k]: an edge leaves along direction d, forwards (k = 0) or backwards
+        sides = (
+            ((y, x) in units[1], (y, x - 1) in units[1]),
+            ((x, y) in units[0], (x, y - 1) in units[0]),
+        )
+        missing = [(d, k) for d in (0, 1) for k in (0, 1) if not sides[d][k]]
+        if len(missing) != 1:
+            continue
+        ((d, k),) = missing
+        v, step, p = (x, y), 1 - 2 * k, mesh.degrees[d]
+        ends = (
+            _walk_ref(mesh, v, d, step, (p + 1) // 2, skeleton),
+            _walk_ref(mesh, v, d, -step, p // 2, skeleton),
+        )
+        face, edge = (
+            tuple((c, v[1]) if d == 0 else (v[0], c) for c in sorted((v[d], e))) for e in ends
+        )
+        out.append((v, d, face, edge))
+    return out
+
+
+def analysis_violations_ref(mesh):
+    """[(i, j)] positions into extensions_ref(mesh) of every vertical
+    extension i and horizontal extension j whose full extents (face and
+    edge together) touch, by i and then j."""
+    exts = extensions_ref(mesh)
+
+    def full(ext):
+        _, _, face, edge = ext
+        pts = face + edge
+        return [min(q[a] for q in pts) for a in (0, 1)], [max(q[a] for q in pts) for a in (0, 1)]
+
+    bad = []
+    for i, ev in enumerate(exts):
+        if ev[1] != 1:
+            continue
+        (vx, vy1), (_, vy2) = full(ev)
+        for j, eh in enumerate(exts):
+            if eh[1] != 0:
+                continue
+            (hx1, hy), (hx2, _) = full(eh)
+            if hx1 <= vx <= hx2 and vy1 <= hy <= vy2:
+                bad.append((i, j))
+    return bad
 
 
 # ---------------------------------------------------------------------------

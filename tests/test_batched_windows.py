@@ -167,9 +167,9 @@ def test_stacked_tmesh_operators_match_scalar_reference(fixtures_dir, name):
     else:
         mesh = read_tmesh_json(os.path.join(fixtures_dir, name + ".json"))
     for mesh in (mesh, _transposed(mesh)):
-        for el in mesh.bezier_elements():
-            C, R = mesh.element_extraction(el.index)
-            C_ref, R_ref = tmesh_extraction_ref(mesh, el.index)
+        for e in range(mesh.n_elements):
+            C, R = mesh.element_extraction(e)
+            C_ref, R_ref = tmesh_extraction_ref(mesh, e)
             assert _rel(C, C_ref) <= 1e-14
             assert _rel(R, R_ref) <= 1e-14
             assert not C.flags.writeable and not R.flags.writeable

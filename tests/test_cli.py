@@ -506,6 +506,16 @@ def test_convergence_reports_expression_evaluation_errors(runner):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_convergence_global_rejects_quad_order_below_p_plus_one(runner):
+    """It printed numpy's "Singular matrix", which does not name the option."""
+    result = runner.invoke(
+        main,
+        ["convergence", "--quad-order", "1", "--projector", "global", "--levels", "2",
+         "--degrees", "2"],
+    )
+    _assert_rejected(result, "Error: quad_order must be >= p + 1 = 3")
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_convergence_rejects_quad_order_below_one(runner, order):
     result = runner.invoke(
@@ -608,10 +618,7 @@ def test_tmesh_anchors_listing(runner, fixtures_dir):
 def test_tmesh_local_kv(runner, fixtures_dir):
     path = os.path.join(fixtures_dir, "tmesh_a.json")
     mesh = read_tmesh_json(path)
-    idx = next(
-        k for k, a in enumerate(mesh.anchors())
-        if a.x_span == (4, 8) and a.y_span == (3, 7)
-    )
+    (idx,) = np.flatnonzero((mesh.anchors() == [(4, 8), (3, 7)]).all(axis=(1, 2)))
     result = runner.invoke(
         main, ["tmesh", "local-kv", "--in", path, "--anchor", str(idx)]
     )
@@ -662,6 +669,27 @@ def test_tmesh_rejects_boolean_vertex(runner, fixtures_dir, tmp_path):
     src.write_text(json.dumps(data))
     result = runner.invoke(main, ["tmesh", "anchors", "--in", str(src)])
     _assert_rejected(result, "vertex [True, True] must be two integers")
+
+
+def test_tmesh_local_kv_names_a_short_anchor(runner, fixtures_dir, tmp_path):
+    """An anchor without enough crossed entities is named by its position
+    and its spans, as `tmesh anchors` lists it."""
+    G = [0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 7]
+    frame = [(1, 1, 1, 14), (1, 14, 7, 14), (7, 14, 14, 14), (14, 1, 14, 14)]
+    edges = frame + [(1, 1, 7, 1), (7, 1, 14, 1), (7, 1, 7, 7), (7, 7, 7, 14)]
+    vertices = [(1, 1), (7, 1), (14, 1), (1, 14), (7, 14), (14, 14), (7, 7)]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(
+        {"degrees": [3, 3], "knot_vectors": [G, G], "vertices": vertices, "edges": edges}
+    ))
+    listing = runner.invoke(main, ["tmesh", "anchors", "--in", str(path)])
+    assert listing.stdout == "0: vertex x=[7, 7] y=[7, 7]\n"
+    result = runner.invoke(main, ["tmesh", "local-kv", "--in", str(path), "--anchor", "0"])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == (
+        "Error: anchor 0 (vertex x=[7, 7] y=[7, 7]) finds too few crossed entities in "
+        "direction 0\n"
+    )
 
 
 def test_tmesh_extract_out_of_range(runner, fixtures_dir):

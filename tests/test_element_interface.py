@@ -90,16 +90,21 @@ def _mesh(fixtures_dir, name):
 @pytest.mark.parametrize("name", ["tmesh_c", "tmesh_d", "tmesh_ext_right"])
 def test_tmesh_arrays_match_its_elements(fixtures_dir, name):
     mesh = _mesh(fixtures_dir, name)
-    els = mesh.bezier_elements()
-    assert (mesh.n_elements, mesh.n_funcs) == (len(els), len(mesh.anchors()))
+    boxes = mesh.bezier_elements()
+    assert (mesh.n_elements, mesh.n_funcs) == (len(boxes), len(mesh.anchors()))
     bounds, support = mesh.bounds(), mesh.supports()
     C, R = mesh.extraction(), mesh.reconstruction()
-    for e, el in enumerate(els):
-        assert bounds[e].tolist() == [list(b) for b in el.bounds]
-        assert support[e].tolist() == list(el.anchors)
+    # the bounds are the global knots at the index boxes' ends
+    G = mesh.knot_vectors
+    assert np.array_equal(bounds, np.stack([G[d][boxes[:, d] - 1] for d in (0, 1)], axis=1))
+    # the supports are the element's (element, anchor) pairs, in order
+    els = mesh._elements
+    assert np.array_equal(els.element, np.repeat(np.arange(len(boxes)), support.shape[1]))
+    assert np.array_equal(support.ravel(), els.anchor)
+    for e in range(len(boxes)):
         Ce, Re = mesh.element_extraction(e)
         assert np.array_equal(C[e], Ce) and np.array_equal(R[e], Re)
-    ids = [len(els) - 1, 0]
+    ids = [len(boxes) - 1, 0]
     assert np.array_equal(mesh.extraction(ids), C[ids])
     assert np.array_equal(mesh.supports(ids), support[ids])
 

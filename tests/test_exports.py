@@ -40,6 +40,8 @@ def test_per_element_api_is_gone():
     gone = {
         "Element", "ElementOperators", "eval_basis_multi", "bernstein_integral",
         "local_bernstein_projection", "smoothing_weights", "multi_index_2d", "multi_index_3d",
+        # a T-mesh is held and queried as arrays only
+        "Anchor", "Extension", "BezierElement", "v_edges", "h_edges", "_covering", "_walk",
     }
     # thin readers of the arrays, kept unexported under names perfbench traces
     traced = {"gramian_inverse_multi", "bspline_basis_matrix", "local_spline_coefficients"}
@@ -54,6 +56,9 @@ def test_per_element_api_is_gone():
                               "local_knot_vector", "function_elements", "local_index_of"],
         bezproj.KnotVector: ["find_span", "element_support", "function_support", "local_knots",
                              "element_index", "element_bounds"],
+        bezproj.TMesh: ["vertices", "v_edges", "h_edges", "_covering", "_walk", "t_junctions",
+                        "cells"],
     }
     for cls, names in methods.items():
         assert not [n for n in names if hasattr(cls, n)], cls
+

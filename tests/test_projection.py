@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from bezproj.benchmark import uniform_space
 from bezproj.bernstein import bernstein_matrix
 from bezproj.projection import (
     ProjectionReport,
@@ -263,6 +264,15 @@ def test_target_function_validates_output_shape():
         TargetFunction(lambda pts: pts, degree=-1)
 
 
+@pytest.mark.parametrize("degree", [1.5, True, "2"], ids=["fraction", "bool", "text"])
+def test_target_function_degree_must_be_an_integer(degree):
+    """A declared degree sets the quadrature order; 1.5 and True were read
+    as 1, which under-integrates a degree-2 target."""
+    with pytest.raises(ValueError, match=r"^degree must be integers, got "):
+        TargetFunction(lambda pts: pts[:, 0], degree=degree)
+    assert TargetFunction(lambda pts: pts[:, 0], degree=2.0).degree == 2
+
+
 def test_target_function_rejects_non_finite_values():
     sp = _space([0, 0, 0, 0.5, 1, 1, 1], 2)
     for bad in (np.nan, np.inf):
@@ -311,6 +321,31 @@ def test_global_projection_matches_element_loop_reference(rng, dim, rational, qu
     got = global_l2_project(f, sp, weights=w, quad_order=quad_order).points
     ref = global_l2_project_ref(f, sp, weights=w, quad_order=quad_order)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_global_projection_of_a_declared_constant():
+    """A declared degree lowers the Gauss count to what the right-hand side
+    needs, but the mass matrix still gets p + 1 points per direction: one
+    point made it singular."""
+    f = TargetFunction(lambda pts: np.full(len(pts), 2.0), degree=0)
+    got = global_l2_project(f, uniform_space(1, 8))
+    assert np.allclose(got.points, 2.0, rtol=0, atol=1e-13)
+
+
+def test_global_projection_rejects_a_quad_order_below_p_plus_one():
+    """One Gauss point per cubic element returned garbage without a word
+    (a first coefficient of 2.18 for 1.8e-4); the local projector and the
+    error measure still accept it."""
+    sp = uniform_space(3, 4)
+
+    def f(pts):
+        return np.sin(3 * pts[:, 0])
+
+    with pytest.raises(ValueError, match=r"^quad_order must be >= p \+ 1 = 4 .*, got 1$"):
+        global_l2_project(f, sp, quad_order=1)
+    assert abs(global_l2_project(f, sp, quad_order=4).points[0, 0]) < 1e-3
+    net = bezier_project(f, sp, quad_order=1).net
+    assert np.isfinite(l2_error(f, sp, net, quad_order=1))
 
 
 def test_global_rational_constant():

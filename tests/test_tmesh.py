@@ -5,7 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from oracles import local_knot_indices_ref
+from oracles import (
+    _skeleton_ref,
+    analysis_violations_ref,
+    extensions_ref,
+    local_knot_indices_ref,
+)
 from scipy.interpolate import BSpline
 
 from bezproj.spline_space import KnotVector, SplineSpace
@@ -17,10 +22,29 @@ def _load(fixtures_dir, name):
 
 
 def _anchor_by_span(mesh, x_span, y_span):
-    for a in mesh.anchors():
-        if a.x_span == x_span and a.y_span == y_span:
-            return a
-    raise AssertionError(f"no anchor with spans {x_span} x {y_span}")
+    """The position of the anchor with the given index spans."""
+    (hit,) = np.flatnonzero((mesh.anchors() == [x_span, y_span]).all(axis=(1, 2)))
+    return hit
+
+
+# the sides of a vertex along each direction: forwards, backwards
+_SIDES = (("right", "left"), ("up", "down"))
+
+
+def _t_junctions(mesh):
+    """[(junction, missing side)] of every T-junction: its face extension
+    points to the missing side."""
+    ext = mesh.extensions()
+    return [
+        # a face ending at its junction runs backwards
+        (tuple(v), _SIDES[d][int(face[1][d] == v[d])])
+        for v, d, face in zip(ext.junction.tolist(), ext.direction.tolist(), ext.face.tolist())
+    ]
+
+
+def _junction_position(mesh, junction):
+    (hit,) = np.flatnonzero((mesh.extensions().junction == junction).all(axis=1))
+    return hit
 
 
 def _blend_eval(g1, g2, x, y):
@@ -39,7 +63,7 @@ def test_local_knots_even_even(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_a")
     assert mesh.degrees == (2, 2)
     a = _anchor_by_span(mesh, (4, 8), (3, 7))
-    assert a.kind == "cell"
+    assert mesh.anchor_kind == "cell"
     i1, i2 = mesh.local_knot_indices(a)
     assert list(i1) == [3, 4, 8, 10]
     assert list(i2) == [2, 3, 7, 9]
@@ -52,7 +76,7 @@ def test_local_knots_odd_even(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_b")
     assert mesh.degrees == (3, 2)
     a = _anchor_by_span(mesh, (9, 9), (7, 9))
-    assert a.kind == "vedge"
+    assert mesh.anchor_kind == "vedge"
     i1, i2 = mesh.local_knot_indices(a)
     assert list(i1) == [5, 8, 9, 11, 12]
     assert list(i2) == [6, 7, 9, 10]
@@ -65,7 +89,7 @@ def test_local_knots_even_odd(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_c")
     assert mesh.degrees == (2, 3)
     a = _anchor_by_span(mesh, (4, 7), (8, 8))
-    assert a.kind == "hedge"
+    assert mesh.anchor_kind == "hedge"
     i1, i2 = mesh.local_knot_indices(a)
     assert list(i1) == [3, 4, 7, 8]
     assert list(i2) == [3, 4, 8, 9, 10]
@@ -78,7 +102,7 @@ def test_local_knots_odd_odd(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_d")
     assert mesh.degrees == (3, 3)
     a = _anchor_by_span(mesh, (8, 8), (8, 8))
-    assert a.kind == "vertex"
+    assert mesh.anchor_kind == "vertex"
     i1, i2 = mesh.local_knot_indices(a)
     assert list(i1) == [4, 5, 8, 9, 11]
     assert list(i2) == [3, 4, 8, 9, 10]
@@ -96,16 +120,15 @@ def test_anchor_kinds_follow_degree_parity(fixtures_dir):
     }
     for name, kind in kinds.items():
         mesh = _load(fixtures_dir, name)
-        got = {a.kind for a in mesh.anchors()}
-        assert got == {kind}
+        assert mesh.anchor_kind == kind
 
 
 def test_local_knot_vectors_structurally_sound(fixtures_dir):
     for name in ("tmesh_a", "tmesh_b", "tmesh_c", "tmesh_d"):
         mesh = _load(fixtures_dir, name)
         p1, p2 = mesh.degrees
-        for a in mesh.anchors():
-            g1, g2 = mesh.local_knot_vectors(a)
+        for k in range(mesh.n_funcs):
+            g1, g2 = mesh.local_knot_vectors(k)
             assert len(g1) == p1 + 2 and len(g2) == p2 + 2
             assert np.all(np.diff(g1) >= 0) and np.all(np.diff(g2) >= 0)
             assert g1[0] < g1[-1] and g2[0] < g2[-1]
@@ -116,7 +139,7 @@ def test_local_knot_vectors_structurally_sound(fixtures_dir):
 
 def test_t_junctions_even_even_case(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_a")
-    got = {(tuple(v), d) for v, d in mesh.t_junctions()}
+    got = set(_t_junctions(mesh))
     assert got == {((8, 6), "left"), ((9, 6), "up"), ((9, 7), "down")}
 
 
@@ -127,7 +150,7 @@ def test_even_even_case_has_crossing_extensions(fixtures_dir):
 
 def test_extensions_left_fixture_violations(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_ext_left")
-    junctions = {tuple(v): d for v, d in mesh.t_junctions()}
+    junctions = dict(_t_junctions(mesh))
     assert junctions == {
         (4, 7): "left",
         (8, 7): "right",
@@ -136,32 +159,34 @@ def test_extensions_left_fixture_violations(fixtures_dir):
         (10, 9): "up",
     }
     bad = mesh.analysis_violations()
-    assert len(bad) == 3
-    pairs = {(ev.junction, eh.junction) for ev, eh in bad}
+    assert bad.shape == (3, 2)
+    ext = mesh.extensions()
+    pairs = {tuple(map(tuple, ext.junction[pair].tolist())) for pair in bad}
     assert pairs == {((10, 9), (8, 7)), ((10, 9), (9, 9)), ((10, 9), (9, 10))}
     # the vertical extension spans, face and edge sides together
-    ev = next(e for e in mesh.extensions() if e.junction == (10, 9))
-    assert ev.orientation == "v"
-    assert ev.full == ((10, 4), (10, 11))
+    k = _junction_position(mesh, (10, 9))
+    assert ext.direction[k] == 1
+    ends = np.concatenate([ext.face[k], ext.edge[k]])
+    assert (ends.min(axis=0).tolist(), ends.max(axis=0).tolist()) == ([10, 4], [10, 11])
     assert not mesh.is_analysis_suitable()
 
 
 def test_extensions_right_fixture_is_suitable(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_ext_right")
-    assert {tuple(v) for v, _ in mesh.t_junctions()} == {
+    assert {v for v, _ in _t_junctions(mesh)} == {
         (4, 7), (8, 7), (9, 9), (9, 10),
     }
-    assert all(e.orientation == "h" for e in mesh.extensions())
+    assert (mesh.extensions().direction == 0).all()
     assert mesh.is_analysis_suitable()
-    assert mesh.analysis_violations() == []
+    assert mesh.analysis_violations().shape == (0, 2)
 
 
 def test_extension_lengths_for_cubic(fixtures_dir):
     # cubic: faces advance ceil((p+1)/2) = 2 crossings, edges ceil((p-1)/2) = 1
     mesh = _load(fixtures_dir, "tmesh_ext_left")
-    ev = next(e for e in mesh.extensions() if e.junction == (10, 9))
-    (fx1, fy1), (fx2, fy2) = ev.face
-    (ex1, ey1), (ex2, ey2) = ev.edge
+    ext, k = mesh.extensions(), _junction_position(mesh, (10, 9))
+    (fx1, fy1), (fx2, fy2) = ext.face[k].tolist()
+    (ex1, ey1), (ex2, ey2) = ext.edge[k].tolist()
     assert fx1 == fx2 == ex1 == ex2 == 10
     assert (fy1, fy2) == (9, 11)  # two crossings upward
     assert (ey1, ey2) == (4, 9)  # one crossing downward
@@ -174,19 +199,17 @@ def test_bezier_elements_partition_and_extraction(fixtures_dir):
     mesh = _load(fixtures_dir, "tmesh_ext_right")
     p1, p2 = mesh.degrees
     els = mesh.bezier_elements()
-    assert els, "no elements returned"
+    assert len(els), "no elements returned"
+    assert els.shape == (mesh.n_elements, 2, 2)
 
     # the nonzero-area elements tile the parametric rectangle
-    area = sum(
-        (b1 - a1) * (b2 - a2) for (a1, b1), (a2, b2) in (e.bounds for e in els)
-    )
+    size = np.diff(mesh.bounds(), axis=2)[:, :, 0]
     G1, G2 = mesh.knot_vectors
-    assert area == pytest.approx((G1[-1] - G1[0]) * (G2[-1] - G2[0]))
+    assert np.sum(size[:, 0] * size[:, 1]) == pytest.approx((G1[-1] - G1[0]) * (G2[-1] - G2[0]))
 
-    anchors = mesh.anchors()
-    for el in els:
-        assert len(el.anchors) == (p1 + 1) * (p2 + 1)
-        C, R = mesh.element_extraction(el.index)
+    assert mesh.supports().shape == (len(els), (p1 + 1) * (p2 + 1))
+    for e in range(len(els)):
+        C, R = mesh.element_extraction(e)
         assert C.shape == ((p1 + 1) * (p2 + 1),) * 2
         assert np.allclose(C @ R, np.eye(C.shape[0]), atol=1e-9)
         # partition of unity: blending functions sum to one elementwise
@@ -200,16 +223,14 @@ def test_extraction_matches_scipy_blending_functions(fixtures_dir):
 
     mesh = _load(fixtures_dir, "tmesh_ext_right")
     p1, p2 = mesh.degrees
-    anchors = mesh.anchors()
-    for el in mesh.bezier_elements():
-        (a1, b1), (a2, b2) = el.bounds
+    for e, ((a1, b1), (a2, b2)) in enumerate(mesh.bounds().tolist()):
         xs = a1 + (b1 - a1) * np.array([0.21, 0.57, 0.83])
         ys = a2 + (b2 - a2) * np.array([0.13, 0.49, 0.91])
-        C, _ = mesh.element_extraction(el.index)
+        C, _ = mesh.element_extraction(e)
         D1 = bernstein_matrix(p1, 2 * (xs - a1) / (b1 - a1) - 1)
         D2 = bernstein_matrix(p2, 2 * (ys - a2) / (b2 - a2) - 1)
-        for row, k in enumerate(el.anchors):
-            g1, g2 = mesh.local_knot_vectors(anchors[k])
+        for row, k in enumerate(mesh.supports([e])[0]):
+            g1, g2 = mesh.local_knot_vectors(k)
             for ix, x in enumerate(xs):
                 for iy, y in enumerate(ys):
                     design = np.kron(D2[iy], D1[ix])
@@ -226,14 +247,14 @@ def test_tensor_mesh_recovers_tensor_extraction():
         mesh = TMesh.tensor((p1, p2), [kv1.knots, kv2.knots])
         sp = SplineSpace([kv1, kv2])
 
-        assert mesh.t_junctions() == []
+        assert mesh.extensions().junction.shape == (0, 2)
         assert mesh.is_analysis_suitable()
         assert (mesh.n_funcs, mesh.n_elements) == (sp.n_funcs, sp.n_elements)
         # both order elements with the first direction fastest
         assert np.array_equal(mesh.bounds(), sp.bounds())
         # an anchor's tensor index is its rank among the anchor centers
         # per direction, the first direction fastest
-        centers = np.array([a.center for a in mesh.anchors()])
+        centers = mesh.anchors().sum(axis=2) / 2
         rank = [np.unique(c, return_inverse=True)[1] for c in centers.T]
         tensor_id = rank[0] + kv1.n * rank[1]
         assert np.array_equal(tensor_id[mesh.supports()], sp.supports())
@@ -248,8 +269,8 @@ def test_tensor_mesh_local_knots_match_slices():
     mesh = TMesh.tensor((2, 2), [kv1.knots, kv2.knots])
     sp = SplineSpace([kv1, kv2])
     seen = set()
-    for a in mesh.anchors():
-        g1, g2 = mesh.local_knot_vectors(a)
+    for k in range(mesh.n_funcs):
+        g1, g2 = mesh.local_knot_vectors(k)
         hits = [
             (i, j)
             for i in range(kv1.n)
@@ -258,7 +279,7 @@ def test_tensor_mesh_local_knots_match_slices():
             and np.allclose(kv2.knots[j : j + 4], g2)
             and (i, j) not in seen
         ]
-        assert hits, f"anchor {a} matches no tensor function"
+        assert hits, f"anchor {k} matches no tensor function"
         seen.add(hits[0])
     assert len(seen) == sp.n_funcs
 
@@ -298,10 +319,8 @@ def test_tmesh_json_roundtrip(tmp_path, fixtures_dir):
     write_tmesh_json(path, mesh)
     back = read_tmesh_json(path)
     assert back.degrees == mesh.degrees
-    assert back.vertices == mesh.vertices
-    assert {(v, dd) for v, dd in back.t_junctions()} == {
-        (v, dd) for v, dd in mesh.t_junctions()
-    }
+    assert tmesh_to_dict(back) == d
+    assert _t_junctions(back) == _t_junctions(mesh)
     assert json.loads(path.read_text())["degrees"] == list(d["degrees"])
 
 
@@ -386,12 +405,27 @@ def test_tmesh_query_errors(fixtures_dir):
     )
     edges = [e for e in edges if e != (1, 14, 14, 14)] + [(1, 14, 7, 14), (7, 14, 14, 14)]
     mesh = TMesh((3, 3), [G14, G14], vertices, edges)
-    (anchor,) = mesh.anchors()
-    assert (anchor.x_span, anchor.y_span) == ((7, 7), (7, 7))
-    with pytest.raises(
-        ValueError, match=r"finds too few crossed entities in direction 0$"
-    ):
-        mesh.local_knot_vectors(anchor)
+    assert mesh.anchors().tolist() == [[[7, 7], [7, 7]]]
+    message = (
+        r"^anchor 0 \(vertex x=\[7, 7\] y=\[7, 7\]\) "
+        r"finds too few crossed entities in direction 0$"
+    )
+    for read in (lambda: mesh.local_knot_vectors(0), mesh.bezier_elements):
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(43, "anchor 43 outside 0..42"), (-1, "anchor -1 outside 0..42"),
+     (True, "anchor ids must be integers, got bool"), (1.0, "anchor ids must be integers")],
+    ids=["past the end", "negative", "bool", "float"],
+)
+def test_anchor_positions_must_be_integers_in_range(fixtures_dir, k, message):
+    mesh = _load(fixtures_dir, "tmesh_d")
+    for read in (mesh.local_knot_indices, mesh.local_knot_vectors):
+        with pytest.raises(IndexError, match=f"^{message}"):
+            read(k)
 
 
 def test_tmesh_validation():
@@ -485,26 +519,36 @@ def test_read_tmesh_json_names_the_bad_field(fixtures_dir, change, message):
 
 def _transposed(mesh):
     """The same mesh with the two parametric directions swapped."""
-    edges = [(y, x, y2, x) for x, y, y2 in mesh.v_edges]
-    edges += [(y, x1, y, x2) for y, x1, x2 in mesh.h_edges]
+    data = tmesh_to_dict(mesh)
     return TMesh(
         mesh.degrees[::-1],
         mesh.knot_vectors[::-1],
-        [(j, i) for i, j in mesh.vertices],
-        edges,
+        [(j, i) for i, j in data["vertices"]],
+        [(y1, x1, y2, x2) for x1, y1, x2, y2 in data["edges"]],
     )
 
 
 _SWAP_KIND = {"vertex": "vertex", "cell": "cell", "vedge": "hedge", "hedge": "vedge"}
-_SWAP_SIDE = {"up": "right", "right": "up", "down": "left", "left": "down"}
 
 
-def _swap_anchor(a):
-    return (_SWAP_KIND[a.kind], a.y_span, a.x_span)
+def _keys(boxes):
+    """Hashable keys of (n, 2, 2) index spans or boxes."""
+    return [tuple(map(tuple, b)) for b in boxes.tolist()]
 
 
-def _swap_segment(seg):
-    return tuple(sorted(pt[::-1] for pt in seg))
+def _extension_set(mesh, swap=False):
+    """{(junction, direction, face, edge)} of a mesh, with the two
+    directions swapped if asked; the ends of a segment keep their order."""
+    ext = mesh.extensions()
+    flip = slice(None, None, -1 if swap else 1)
+    return set(
+        zip(
+            map(tuple, ext.junction[:, flip].tolist()),
+            (1 - ext.direction if swap else ext.direction).tolist(),
+            _keys(ext.face[:, :, flip]),
+            _keys(ext.edge[:, :, flip]),
+        )
+    )
 
 
 def _transpose_meshes(fixtures_dir):
@@ -518,31 +562,23 @@ def _transpose_meshes(fixtures_dir):
 def test_transpose_symmetry(fixtures_dir):
     for mesh in _transpose_meshes(fixtures_dir):
         tr = _transposed(mesh)
-        anchors = mesh.anchors()
-        tr_anchors = tr.anchors()
-        assert {_swap_anchor(a) for a in anchors} == {
-            (a.kind, a.x_span, a.y_span) for a in tr_anchors
-        }
-        assert {(v[::-1], _SWAP_SIDE[m]) for v, m in mesh.t_junctions()} == set(
-            tr.t_junctions()
-        )
-        assert {
-            (e.junction[::-1], "vh"["hv".index(e.orientation)], _swap_segment(e.face),
-             _swap_segment(e.edge))
-            for e in mesh.extensions()
-        } == {(e.junction, e.orientation, e.face, e.edge) for e in tr.extensions()}
+        assert tr.anchor_kind == _SWAP_KIND[mesh.anchor_kind]
+        anchors = _keys(mesh.anchors()[:, ::-1])
+        assert set(anchors) == set(_keys(tr.anchors()))
+        assert _extension_set(mesh, swap=True) == _extension_set(tr)
         assert mesh.is_analysis_suitable() == tr.is_analysis_suitable()
         if not mesh.is_analysis_suitable():
             continue
         p1, p2 = mesh.degrees
-        tr_pos = {(a.kind, a.x_span, a.y_span): k for k, a in enumerate(tr_anchors)}
-        tr_els = {el.index_bounds[::-1]: el for el in tr.bezier_elements()}
-        assert len(tr_els) == len(mesh.bezier_elements())
-        for el in mesh.bezier_elements():
-            tel = tr_els[el.index_bounds]
-            rows = [tel.anchors.index(tr_pos[_swap_anchor(anchors[k])]) for k in el.anchors]
-            C, _ = mesh.element_extraction(el.index)
-            Ct, _ = tr.element_extraction(tel.index)
+        tr_pos = {a: k for k, a in enumerate(_keys(tr.anchors()))}
+        tr_els = {b: e for e, b in enumerate(_keys(tr.bezier_elements()[:, ::-1]))}
+        assert len(tr_els) == mesh.n_elements
+        for e, box in enumerate(_keys(mesh.bezier_elements())):
+            te = tr_els[box]
+            tr_support = tr.supports([te])[0].tolist()
+            rows = [tr_support.index(tr_pos[anchors[k]]) for k in mesh.supports([e])[0]]
+            C, _ = mesh.element_extraction(e)
+            Ct, _ = tr.element_extraction(te)
             # column b2 (p1 + 1) + b1 of C is column b1 (p2 + 1) + b2 of Ct
             swapped = C.reshape(-1, p2 + 1, p1 + 1).transpose(0, 2, 1).reshape(C.shape)
             assert np.allclose(Ct[rows], swapped, rtol=0, atol=1e-14)
@@ -583,18 +619,18 @@ def test_half_refined_family_is_suitable_and_invertible(fixtures_dir, p, n):
     mesh = _generator(fixtures_dir).half_refined(p, n)
     assert mesh.is_analysis_suitable()
     # n // 2 stopped lines, each with one T-junction on the middle line
-    assert len(mesh.t_junctions()) == n // 2
-    els = mesh.bezier_elements()
-    assert len(els) > n * n * 3 // 4
+    assert len(mesh.extensions().junction) == n // 2
+    assert mesh.n_elements > n * n * 3 // 4
     I = np.eye((p + 1) ** 2)
-    for el in els:
-        C, R = mesh.element_extraction(el.index)
+    for e in range(mesh.n_elements):
+        C, R = mesh.element_extraction(e)
         assert np.max(np.abs(C @ R - I)) <= 1e-10
 
 
-def _knot_table_meshes(fixtures_dir):
+def _reference_meshes(fixtures_dir):
     """The six fixtures and their transposes, tensor meshes of degree 1 to
-    4 in each direction, and half-refined meshes with p = 2, 3 and n = 8, 16."""
+    4 in each direction, and half-refined meshes with p = 2, 3 and n = 8,
+    16, 32 and their transposes."""
     names = ["tmesh_a", "tmesh_b", "tmesh_c", "tmesh_d", "tmesh_ext_left", "tmesh_ext_right"]
     for name in names:
         mesh = _load(fixtures_dir, name)
@@ -606,22 +642,63 @@ def _knot_table_meshes(fixtures_dir):
             G2 = [0] * (p2 + 1) + [0.5, 1, 3] + [4] * (p2 + 1)
             yield TMesh.tensor((p1, p2), [G1, G2])
     for p in (2, 3):
-        for n in (8, 16):
-            yield _generator(fixtures_dir).half_refined(p, n)
+        for n in (8, 16, 32):
+            mesh = _generator(fixtures_dir).half_refined(p, n)
+            yield mesh
+            yield _transposed(mesh)
+
+
+_N_REFERENCE_MESHES = 12 + 16 + 12
 
 
 def test_knot_table_matches_per_anchor_reference(fixtures_dir):
     """The array pass that builds every anchor's local knot indices gives
     what sweeping the covering entities one anchor at a time gives."""
     count = 0
-    for mesh in _knot_table_meshes(fixtures_dir):
-        anchors = mesh.anchors()
-        ref = [local_knot_indices_ref(mesh, a) for a in anchors]
-        table = mesh._knot_table
+    for mesh in _reference_meshes(fixtures_dir):
+        skeleton = _skeleton_ref(mesh)
+        ref = [local_knot_indices_ref(mesh, s, skeleton) for s in mesh.anchors().tolist()]
+        index, short = mesh._knot_table
+        assert not short.any()
         for d, p in enumerate(mesh.degrees):
-            assert table[d].shape == (len(anchors), p + 2)
-            assert table[d].tolist() == [r[d] for r in ref]
-        for a, r in zip(anchors, ref):
-            assert mesh.local_knot_indices(a) == r
+            assert index[d].shape == (len(ref), p + 2)
+            assert index[d].tolist() == [r[d] for r in ref]
+        for k, r in enumerate(ref):
+            assert tuple(i.tolist() for i in mesh.local_knot_indices(k)) == r
         count += 1
-    assert count == 12 + 16 + 4
+    assert count == _N_REFERENCE_MESHES
+
+
+def _boundary_walk_meshes():
+    """A quintic mesh whose four extension segments all cross fewer
+    entities than their counts and stop at the domain boundary, and its
+    transpose."""
+    G = [0] * 6 + [1, 2] + [3] * 6
+    vertices = [(x, y) for x in (1, 4, 11, 14) for y in (1, 14)]
+    vertices += [(1, 7), (4, 7), (11, 8), (14, 8)]
+    edges = [(a, y, b, y) for y in (1, 14) for a, b in ((1, 4), (4, 11), (11, 14))]
+    edges += [(1, 1, 1, 7), (1, 7, 1, 14), (14, 1, 14, 8), (14, 8, 14, 14)]
+    edges += [(4, 1, 4, 7), (4, 7, 4, 14), (11, 1, 11, 8), (11, 8, 11, 14)]
+    edges += [(1, 7, 4, 7), (11, 8, 14, 8)]  # T-junctions at (4, 7) and (11, 8)
+    mesh = TMesh((5, 5), [G, G], vertices, edges)
+    return [mesh, _transposed(mesh)]
+
+
+def test_extension_arrays_match_the_walk_reference(fixtures_dir):
+    """The extension arrays and the analysis-suitability pairs equal, in
+    order, what walking from one T-junction at a time and testing every
+    vertical against every horizontal extension gives."""
+    count = violating = 0
+    for mesh in [*_reference_meshes(fixtures_dir), *_boundary_walk_meshes()]:
+        ext, ref = mesh.extensions(), extensions_ref(mesh)
+        assert ext.junction.tolist() == [list(r[0]) for r in ref]
+        assert ext.direction.tolist() == [r[1] for r in ref]
+        assert ext.face.tolist() == [[list(q) for q in r[2]] for r in ref]
+        assert ext.edge.tolist() == [[list(q) for q in r[3]] for r in ref]
+        bad = mesh.analysis_violations()
+        assert bad.shape[1:] == (2,) and bad.dtype == np.int64
+        assert bad.tolist() == [list(r) for r in analysis_violations_ref(mesh)]
+        violating += len(bad) > 0
+        count += 1
+    # tmesh_a, tmesh_b and tmesh_ext_left, and their transposes
+    assert (count, violating) == (_N_REFERENCE_MESHES + 2, 6)
