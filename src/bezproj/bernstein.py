@@ -1,11 +1,10 @@
 """Bernstein-basis algebra on the biunit interval [-1, 1].
 
-Everything in this module is small dense linear algebra built from exact
-integer binomial coefficients: basis evaluation, Gramians and their
-closed-form inverses, interval transformation matrices, and degree
-elevation / reduction matrices. Matrices are returned as float64 arrays;
-each entry is computed as a ratio of exact integers and converted to
-float once, so entries are correctly rounded for any practical degree.
+Basis evaluation, Gramians and their closed-form inverses, interval
+transforms, degree elevation / reduction, and the blossom kernel that
+spline extraction and reconstruction share, as float64 arrays. Gramians,
+their inverses and elevation are exact integer ratios rounded once;
+interval transforms are blossoms of the float window ends (Ramshaw 1989).
 
 Basis ordering is B_1 .. B_{p+1} (left endpoint function first). Arrays
 are stored zero-based, so ``basis[0]`` is the function that equals 1 at
@@ -49,15 +48,23 @@ def _condition_guard(p):
         )
 
 
-def _basis_value(p, i, xi):
-    """B_{i+1}^p at xi, zero-based i, no domain clamping.
+def _bernstein_blossoms(lo, hi):
+    """Coefficients of z^0..z^p in prod_i (lo_i + z hi_i), over the last axis,
+    by + and *: for lo_i = b - u_i and hi_i = u_i - a, (b - a)^p times the
+    blossoms at the u_i of the Bernstein polynomials on [a, b]."""
+    c = np.zeros(lo.shape[:-1] + (lo.shape[-1] + 1,), dtype=lo.dtype)
+    c[..., 0] = 1
+    for i in range(lo.shape[-1]):
+        c[..., 1:] = c[..., 1:] * lo[..., i, None] + c[..., :-1] * hi[..., i, None]
+        c[..., :1] *= lo[..., i, None]
+    return c
 
-    Evaluation outside [-1, 1] is deliberate: interval transforms need the
-    polynomial extension of the basis.
-    """
-    lo = (1.0 - xi) / 2.0
-    hi = (1.0 + xi) / 2.0
-    return comb(p, i) * lo ** (p - i) * hi**i
+
+def _dual_functionals(U, a, b):
+    """_bernstein_blossoms over (b - a)^p on float knots, with the factors
+    scaled exactly by the power of two of b - a: no power of it over- or underflows."""
+    m, e = np.frexp(b - a)
+    return _bernstein_blossoms(np.ldexp(b - U, -e), np.ldexp(U - a, -e)) / m ** U.shape[-1]
 
 
 def eval_basis(p, xi):
@@ -70,7 +77,7 @@ def eval_basis(p, xi):
     xi = float(xi)
     if xi < -1.0 or xi > 1.0:
         raise ValueError(f"evaluation point {xi} outside [-1, 1]")
-    return np.array([_basis_value(p, i, xi) for i in range(p + 1)])
+    return bernstein_matrix(p, xi)[0]
 
 
 def bernstein_matrix(p, xi):
@@ -151,8 +158,8 @@ def interval_transform(p, a, b):
     then stacks one matrix per window, shape ``a.shape + (p+1, p+1)``,
     computed in one array pass. Scalar a and b give one matrix.
 
-    Row 0 of A evaluates the basis at a, row p evaluates it at b, and
-    every row sums to one: A[j, k] = sum_i B^j_i(b) B^{p-j}_{k-i}(a).
+    Row j of A is the blossom of the basis at (a^(p-j), b^j): row 0 is
+    its value at a, row p its value at b, and every row sums to one.
     """
     _check_degree(p)
     _condition_guard(p)
@@ -161,41 +168,25 @@ def interval_transform(p, a, b):
     if bad.size:
         i = bad[0]
         raise ValueError(f"need a < b, got window [{float(a.flat[i])}, {float(b.flat[i])}]")
-    e = np.arange(p + 1)
-
-    def terms(x, deg):
-        """terms(x, deg)[n, j, i] = B^{deg[j]}_i(x[n]), zero for i > deg[j]."""
-        lo = ((1.0 - x.ravel()) / 2.0)[:, None] ** e
-        hi = ((1.0 + x.ravel()) / 2.0)[:, None] ** e
-        binom = np.array([[comb(int(d), k) for k in range(p + 1)] for d in deg], dtype=np.float64)
-        return binom * lo[:, np.clip(deg[:, None] - e, 0, p)] * hi[:, None, :]
-
-    X = terms(b, e)  # B^j_i(b)
-    Y = terms(a, p - e)  # B^{p-j}_m(a)
-    A = np.zeros(X.shape)
-    for s in range(p + 1):
-        A[:, :, s:] += X[:, :, s, None] * Y[:, :, : p + 1 - s]
-    return A.reshape(a.shape + (p + 1, p + 1))
+    at_b = np.arange(p) >= p - np.arange(p + 1)[:, None]
+    U = np.where(at_b, b[..., None, None], a[..., None, None])
+    return _bernstein_blossoms((1.0 - U) / 2.0, (1.0 + U) / 2.0)
 
 
 def elevation_matrix(p, q):
     """Degree elevation matrix E with B^p = E B^q for q >= p.
 
     E is (p+1) x (q+1); coefficients map contravariantly, c_q = E.T @ c_p.
-    Built by chaining one-step elevations, each bidiagonal with
-    E[i, i] = (p + 1 - i) / (p + 1) and E[i, i + 1] = (i + 1) / (p + 1).
+    In closed form, E[i, i + k] = C(p, i) C(q - p, k) / C(q, i + k).
     """
     _check_degree(p)
     _check_degree(q)
     if q < p:
         raise ValueError(f"target degree {q} below source degree {p}")
-    E = np.eye(p + 1)
-    for r in range(p, q):
-        step = np.zeros((r + 1, r + 2))
-        for i in range(r + 1):
-            step[i, i] = (r + 1 - i) / (r + 1)
-            step[i, i + 1] = (i + 1) / (r + 1)
-        E = E @ step
+    E = np.zeros((p + 1, q + 1))
+    for i in range(p + 1):
+        for k in range(q - p + 1):
+            E[i, i + k] = comb(p, i) * comb(q - p, k) / comb(q, i + k)
     return E
 
 

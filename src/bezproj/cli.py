@@ -21,9 +21,9 @@ import click
 import numpy as np
 
 from . import benchmark, spline_ops
+from .bernstein import _bernstein_blossoms
 from .projection import TargetFunction, l2_error, lift_normals
 from .spline_space import (
-    _bernstein_blossoms,
     _common_denominator,
     _exact_extraction,
     _exact_windows,

@@ -312,6 +312,8 @@ def l2_error(f, space, net, quad_order=None, relative=False):
     ref2 = float(np.sum(wgrid * np.sum(vals**2, axis=-1)))
     err = np.sqrt(err2)
     if relative:
+        if ref2 == 0.0:
+            raise ValueError("target has zero L2 norm; the relative error is undefined")
         return err / np.sqrt(ref2)
     return err
 

@@ -13,7 +13,7 @@ so spline coefficients P pull back to Bernstein coefficients Q = C^T P,
 and the reconstruction operator R = C^{-1} pushes them forward again.
 Both are blossoms, so nothing is inverted: R[b, A] is N_A's de Boor-Fix
 dual functional of B_b, its blossom at N_A's interior knots (de Boor &
-Fix 1973).
+Fix 1973); the Bernstein blossom kernels live in :mod:`bezproj.bernstein`.
 
 Indexing: arrays, element ids and function ids are zero-based. Global
 function and element orderings make the first parametric direction
@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bernstein import bernstein_matrix
+from .bernstein import _dual_functionals, bernstein_matrix
 from .tensor import reversed_kron
 
 __all__ = [
@@ -74,25 +74,6 @@ def _bezier_extraction(W, a, b):
         w[:, r:] = alpha * x
         w[:, r - 1 : p] += push
     return w
-
-
-def _bernstein_blossoms(lo, hi):
-    """Coefficients of z^0..z^p in prod_i (lo_i + z hi_i), over the last axis,
-    by + and *: for lo_i = b - u_i and hi_i = u_i - a, (b - a)^p times the
-    blossoms at the u_i of the Bernstein polynomials on [a, b]."""
-    c = np.zeros(lo.shape[:-1] + (lo.shape[-1] + 1,), dtype=lo.dtype)
-    c[..., 0] = 1
-    for i in range(lo.shape[-1]):
-        c[..., 1:] = c[..., 1:] * lo[..., i, None] + c[..., :-1] * hi[..., i, None]
-        c[..., :1] *= lo[..., i, None]
-    return c
-
-
-def _dual_functionals(U, a, b):
-    """_bernstein_blossoms over (b - a)^p on float knots, with the factors
-    scaled exactly by the power of two of b - a: no power of it over- or underflows."""
-    m, e = np.frexp(b - a)
-    return _bernstein_blossoms(np.ldexp(b - U, -e), np.ldexp(U - a, -e)) / m ** U.shape[-1]
 
 
 def _window_knots(W):
@@ -429,6 +410,18 @@ class ControlNet:
         return cls(H[:, :-1] / w[:, None], w)
 
 
+def _locate(kv, x):
+    """Element of each point x along kv, right-continuous at breakpoints,
+    and the point's biunit coordinate in it."""
+    a, b = kv.domain
+    if np.any(x < a) or np.any(x > b):
+        raise ValueError("evaluation point outside the parametric domain")
+    s = np.searchsorted(kv.breakpoints, x, side="right") - 1
+    np.clip(s, 0, kv.n_elements - 1, out=s)
+    lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
+    return s, (2.0 * x - lo - hi) / (hi - lo)
+
+
 def evaluate(space, net, points):
     """Evaluate the spline (rational if weighted) at parametric points.
 
@@ -455,14 +448,7 @@ def evaluate(space, net, points):
     local = [(0, 1.0)]  # (offset from first, (m, 1) values) per local function
     stride = 1
     for d, kv in enumerate(space.knot_vectors):
-        a, b = kv.domain
-        x = pts[:, d]
-        if np.any(x < a) or np.any(x > b):
-            raise ValueError("evaluation point outside the parametric domain")
-        s = np.searchsorted(kv.breakpoints, x, side="right") - 1
-        np.clip(s, 0, kv.n_elements - 1, out=s)
-        lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
-        xi = (2.0 * x - lo - hi) / (hi - lo)
+        s, xi = _locate(kv, pts[:, d])
         N = np.einsum("mab,mb->ma", kv.extraction()[s], bernstein_matrix(kv.degree, xi))
         first += stride * kv.supports()[s, 0]
         # the first direction cycles fastest
@@ -487,38 +473,26 @@ def evaluate(space, net, points):
 def evaluate_derivative(space, net, points):
     """First derivative of a univariate spline curve at parametric points.
 
-    Only parametric dimension 1 is supported; rational curves use the
-    quotient rule on the homogeneous components.
+    Only parametric dimension 1 is supported. Each point's element is
+    differentiated in Bernstein form, N' = C[s] dB(xi) 2 / (hi - lo) with
+    dB_j = (p/2)(B^{p-1}_{j-1} - B^{p-1}_j), right-continuous at breakpoints
+    like :func:`evaluate`; rational curves use the quotient rule.
     """
     if space.parametric_dim != 1:
         raise ValueError("derivative evaluation implemented for curves only")
     kv = space.knot_vectors[0]
-    p = kv.degree
-    U = kv.knots
     H = net.homogeneous()
-    n = kv.n
-
-    # hodograph: degree p-1 on the interior knots
-    denom = U[p + 1 : p + n] - U[1:n]
-    Q = p * (H[1:] - H[:-1]) / denom[:, None]
-
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if p > 1:
-        dH = evaluate(SplineSpace([KnotVector(U[1:-1], p - 1)]), ControlNet(Q), pts)
-    else:
-        # a polyline's hodograph is piecewise constant: Q[e] is the slope
-        # of element e (right-continuous at breakpoints, like evaluate)
-        evaluate(space, net, pts)  # validates the points
-        s = np.searchsorted(kv.breakpoints, pts[:, 0], side="right") - 1
-        dH = Q[np.clip(s, 0, kv.n_elements - 1)]
+    val = evaluate(space, ControlNet(H), pts)  # validates the points
+    s, xi = _locate(kv, pts[:, 0])
+    B = np.pad(bernstein_matrix(kv.degree - 1, xi), ((0, 0), (1, 1)))
+    dB = (kv.degree / np.diff(kv.breakpoints)[s])[:, None] * (B[:, :-1] - B[:, 1:])
+    dN = np.einsum("mab,mb->ma", kv.extraction()[s], dB)
+    dH = np.einsum("ma,mad->md", dN, H[kv.supports()[s]])
     if not net.is_rational:
         return dH
-    val_h = evaluate(SplineSpace([kv]), ControlNet(H), pts)
-    w = val_h[:, -1:]
-    num = val_h[:, :-1]
-    dw = dH[:, -1:]
-    dnum = dH[:, :-1]
-    return (dnum - (num / w) * dw) / w
+    w, dw = val[:, -1:], dH[:, -1:]
+    return (dH[:, :-1] - val[:, :-1] / w * dw) / w
 
 
 def bspline_basis_matrix(knots, p, xs):
@@ -604,10 +578,10 @@ def read_spline_json(source):
     """
     data = _read_json(source)
     space = _space_from_dict(data)
-    if int(data["parametric_dim"]) != space.parametric_dim:
+    if _integer(data["parametric_dim"], "parametric_dim") != space.parametric_dim:
         raise ValueError("parametric_dim does not match knot_vectors")
     points = _number_array(data["control_points"], "control_points", 2)
-    if points.shape[1] != int(data["physical_dim"]):
+    if points.shape[1] != _integer(data["physical_dim"], "physical_dim"):
         raise ValueError("physical_dim does not match control_points")
     weights = None
     if data.get("weights") is not None:

@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bernstein import _dual_functionals
 from .spline_space import (
     _bezier_extraction,
-    _dual_functionals,
     _element_ids,
     _holds_bool,
     _integer,

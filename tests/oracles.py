@@ -655,6 +655,33 @@ def evaluate_ref(space, net, points):
     return out
 
 
+def evaluate_derivative_ref(space, net, points):
+    """First derivative of a spline curve through its hodograph, as
+    evaluate_derivative computed it before it differentiated each element
+    in Bernstein form: the degree p-1 spline on the interior knots with
+    coefficients p (P_{i+1} - P_i) / (u_{i+p+1} - u_{i+1}), and the
+    quotient rule for rational curves. The hodograph's knot vector is
+    invalid when an interior knot has multiplicity p."""
+    from bezproj.spline_space import ControlNet, KnotVector, SplineSpace, evaluate
+
+    kv = space.knot_vectors[0]
+    p, U, n = kv.degree, kv.knots, kv.n
+    H = net.homogeneous()
+    Q = p * (H[1:] - H[:-1]) / (U[p + 1 : p + n] - U[1:n])[:, None]
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if p > 1:
+        dH = evaluate(SplineSpace([KnotVector(U[1:-1], p - 1)]), ControlNet(Q), pts)
+    else:
+        # a polyline's hodograph is piecewise constant, right-continuous
+        s = np.searchsorted(kv.breakpoints, pts[:, 0], side="right") - 1
+        dH = Q[np.clip(s, 0, kv.n_elements - 1)]
+    if not net.is_rational:
+        return dH
+    val = evaluate(space, ControlNet(H), pts)
+    w, dw = val[:, -1:], dH[:, -1:]
+    return (dH[:, :-1] - val[:, :-1] / w * dw) / w
+
+
 # ---------------------------------------------------------------------------
 # slow references: projection one element at a time
 

@@ -9,7 +9,7 @@ element.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bezproj.projection import TargetFunction, bezier_project, smoothing_weight_table
@@ -163,10 +163,26 @@ def surfaces(draw):
     space = SplineSpace(kvs)
     seed = draw(st.integers(0, 2**31 - 1))
     rational = draw(st.booleans())
+    return _surface(space, seed, rational)
+
+
+def _surface(space, seed, rational):
+    """space with a seeded net; the weights stay near one, but an inexact
+    projection of a rational net can still give a nonpositive weight."""
     gen = np.random.default_rng(seed)
-    # weights near one keep projected weights positive
     w = gen.uniform(0.8, 1.25, size=space.n_funcs) if rational else None
     return space, ControlNet(gen.normal(size=(space.n_funcs, 2)), w)
+
+
+# coarsening this rational net after elevating it gives a nonpositive weight
+_NONPOSITIVE = _surface(
+    SplineSpace([
+        KnotVector([0] * 4 + [0.55] * 3 + [1] * 4, 3),
+        KnotVector([0] * 3 + [0.1, 0.1, 0.8, 0.8, 0.85, 0.85] + [1] * 3, 2),
+    ]),
+    1568063286,
+    True,
+)
 
 
 def _exact_plan(space, kind):
@@ -192,6 +208,16 @@ def _last_plan(space, kind):
     return plan_h_refine(space)
 
 
+def _run_or_error(apply):
+    """The net apply returns, or the message of the nonpositive-weight error it raises."""
+    try:
+        return apply()
+    except ValueError as exc:
+        if str(exc) != "projection produced nonpositive weights":
+            raise
+        return str(exc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     surfaces(),
@@ -199,9 +225,11 @@ def _last_plan(space, kind):
     st.sampled_from(["coarsen", "reduce", "refine"]),
     st.sampled_from(MODES),
 )
+@example(_NONPOSITIVE, ["p"], "coarsen", "approximate")
 def test_compose_matches_sequential_apply(case, kinds, last, mode):
     """A chain of exact plans ending in any plan: fusing the chain and
-    running it step by step give the same net."""
+    running it step by step give the same net, or both raise the
+    nonpositive-weight error."""
     space, net = case
     plans = []
     cur = space
@@ -209,11 +237,21 @@ def test_compose_matches_sequential_apply(case, kinds, last, mode):
         plans.append(_exact_plan(cur, kind))
         cur = plans[-1].target
     plans.append(_last_plan(cur, last))
-    step = net
-    for plan in plans:
-        step = apply_plan(plan, step, mode)
-    fused = apply_plan(compose(*plans), net, mode)
+
+    def stepwise():
+        step = net
+        for plan in plans:
+            step = apply_plan(plan, step, mode)
+        return step
+
+    step = _run_or_error(stepwise)
+    fused = _run_or_error(lambda: apply_plan(compose(*plans), net, mode))
+    if isinstance(step, str) or isinstance(fused, str):
+        assert fused == step
+        return
     _close(fused.points, step.points, rel=1e-10)
+    if net.is_rational:
+        _close(fused.weights, step.weights, rel=1e-10)
 
 
 @settings(max_examples=30, deadline=None)

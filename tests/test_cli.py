@@ -406,6 +406,12 @@ def test_extract_rejects_fractional_degree(runner, tmp_path):
     _assert_rejected(_extract_linear(runner, tmp_path, degrees=[1.5]), "degrees")
 
 
+@pytest.mark.parametrize("key", ["parametric_dim", "physical_dim"])
+def test_extract_rejects_non_integer_dimensions(runner, tmp_path, key):
+    result = _extract_linear(runner, tmp_path, **{key: 1.7 if key == "parametric_dim" else 2.5})
+    _assert_rejected(result, f"{key} must be integers")
+
+
 def test_extract_rejects_boolean_knots(runner, tmp_path):
     """[false, false, true, true] would otherwise print the exact operators
     of the knots 0, 0, 1, 1."""
@@ -571,6 +577,18 @@ def test_lift_normals_cli(runner, tmp_path):
     assert vecs.shape == (3, 2)
     # circle: lifted normal field is the inward-pointing position field
     assert np.allclose(vecs, -np.array(payload["control_points"]), atol=1e-10)
+
+
+def test_lift_normals_cli_on_a_c0_curve(runner, tmp_path):
+    """The hodograph of a curve with a C0 breakpoint was not a valid spline."""
+    src = tmp_path / "c0.json"
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)])
+    write_spline_json(src, sp, ControlNet([[0, 0], [1, 1], [2, 0], [3, 1], [4, 0]]))
+    dst = tmp_path / "normals.json"
+    result = runner.invoke(main, ["lift-normals", "--in", str(src), "--out", str(dst)])
+    assert result.exit_code == 0, result.output
+    vecs = np.array(json.loads(dst.read_text())["normal_vectors"])
+    assert vecs.shape == (5, 2) and np.all(np.isfinite(vecs))
 
 
 def test_lift_normals_rejects_surface(runner, tmp_path):

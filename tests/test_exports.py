@@ -1,6 +1,8 @@
 """Every exported name resolves, and the README documents the exports."""
 
+import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import re
@@ -62,3 +64,17 @@ def test_per_element_api_is_gone():
     for cls, names in methods.items():
         assert not [n for n in names if hasattr(cls, n)], cls
 
+
+def _defined(name):
+    """Names of the functions and classes that a module's source defines, at any depth."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    return {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_bernstein_kernels_are_defined_once():
+    """The blossom kernels live in bernstein.py; Bernstein values come from
+    bernstein_matrix alone."""
+    defined = {name: _defined(name) for name in MODULES}
+    for kernel in ("_bernstein_blossoms", "_dual_functionals"):
+        assert [m for m, names in defined.items() if kernel in names] == ["bezproj.bernstein"]
+    assert not [m for m, names in defined.items() if "_basis_value" in names]

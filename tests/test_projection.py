@@ -378,6 +378,14 @@ def test_l2_error_relative_and_array_input():
     assert rerr == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("points", [[[0.0], [0.0]], [[0.0], [1.0]]], ids=["zero net", "net"])
+def test_l2_error_relative_to_a_zero_target_is_undefined(points):
+    """0 / 0 gave NaN and x / 0 gave inf."""
+    sp = _space([0, 0, 1, 1], 1)
+    with pytest.raises(ValueError, match="^target has zero L2 norm; the relative error is undefined$"):
+        l2_error(lambda pts: np.zeros_like(pts[:, 0]), sp, ControlNet(points), relative=True)
+
+
 def test_l2_error_zero_for_exact_member():
     sp = _space([0, 0, 0, 0.5, 1, 1, 1], 2)
     net = ControlNet(np.array([[0.0], [0.25], [0.75], [1.0]]))

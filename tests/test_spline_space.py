@@ -23,6 +23,7 @@ from oracles import (
     bernstein_design_ref,
     bezier_extraction_ref,
     bspline_design,
+    evaluate_derivative_ref,
     evaluate_ref,
     extraction_by_collocation,
     fraction_inverse_ref,
@@ -432,6 +433,53 @@ def test_evaluate_derivative_of_polyline_is_its_slopes():
         evaluate_derivative(sp, ControlNet(pts), [[1.5]])
 
 
+@st.composite
+def derivative_cases(draw):
+    """A random open knot vector of degree 1 to 5 whose interior knots
+    stay below multiplicity p (polylines may have simple knots), the
+    physical dimension, whether the net is rational, and a seed."""
+    p = draw(st.integers(1, 5))
+    den = draw(st.integers(2, 16))
+    interior = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=4))
+    U = [0.0] * (p + 1)
+    for t in sorted(interior):
+        U += [t / den] * draw(st.integers(1, max(1, p - 1)))
+    U += [1.0] * (p + 1)
+    return U, p, draw(st.integers(1, 3)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivative_cases())
+def test_evaluate_derivative_matches_hodograph_reference(case):
+    U, p, dim, rational, seed = case
+    rng = np.random.default_rng(seed)
+    kv = KnotVector(U, p)
+    sp = SplineSpace([kv])
+    net = ControlNet(rng.normal(size=(kv.n, dim)), rng.uniform(0.5, 2.0, kv.n) if rational else None)
+    # points on breakpoints (domain ends included) and in between
+    pts = np.concatenate([kv.breakpoints, rng.uniform(0.0, 1.0, 20)])[:, None]
+    got, ref = evaluate_derivative(sp, net, pts), evaluate_derivative_ref(sp, net, pts)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _c0_parabolas():
+    """Two parabolic arcs meeting at a C0 breakpoint, where the degree-1
+    hodograph's knot vector would repeat 0.5 twice."""
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)])
+    return sp, ControlNet([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0]])
+
+
+def test_evaluate_derivative_at_a_c0_breakpoint():
+    from bezproj.projection import lift_normals
+
+    sp, net = _c0_parabolas()
+    d = evaluate_derivative(sp, net, [[0.25], [0.5], [0.75]])
+    # right-continuous at 0.5, like evaluate
+    assert np.array_equal(d, [[4.0, 0.0], [4.0, 4.0], [4.0, 0.0]])
+    lifted = lift_normals(sp, net).points
+    assert lifted.shape == (5, 2) and np.all(np.isfinite(lifted))
+
+
 def test_lift_normals_of_polyline():
     from bezproj.projection import lift_normals
 
@@ -568,6 +616,22 @@ def test_spline_json_rejects_booleans(key, value):
     }
     message = f'{key} must hold numbers or "n/d" strings (booleans are not numbers)'
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_spline_json(data)
+
+
+@pytest.mark.parametrize("key", ["parametric_dim", "physical_dim"])
+@pytest.mark.parametrize("value", [True, 1.7, "1"], ids=["bool", "fraction", "string"])
+def test_spline_json_rejects_non_integer_dimensions(key, value):
+    """int() took true as 1, truncated 1.7 to 1 and parsed "1"."""
+    data = {
+        "parametric_dim": 1,
+        "physical_dim": 1,
+        "degrees": [1],
+        "knot_vectors": [[0, 0, 1, 1]],
+        "control_points": [[0.0], [1.0]],
+        key: value,
+    }
+    with pytest.raises(ValueError, match=f"^{key} must be integers, got {re.escape(repr(value))}$"):
         read_spline_json(data)
 
 
