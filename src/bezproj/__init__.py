@@ -15,7 +15,7 @@ from .bernstein import (
     interval_transform,
     reduction_matrix,
 )
-from .benchmark import BenchmarkConfig, quarter_cylinder, run_convergence, uniform_space
+from .benchmark import quarter_cylinder, run_convergence, uniform_space
 from .projection import (
     TargetFunction,
     bezier_project,
@@ -116,7 +116,6 @@ __all__ = [
     "read_tmesh_json",
     "write_tmesh_json",
     # benchmarks
-    "BenchmarkConfig",
     "run_convergence",
     "uniform_space",
     "quarter_cylinder",

@@ -17,7 +17,7 @@ space is the rational space of the refined geometry.
 """
 
 import ast
-from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .spline_space import ControlNet, KnotVector, SplineSpace, evaluate
 from .spline_ops import apply_plan, compose, plan_h_refine, plan_p_elevate
 
 __all__ = [
-    "BenchmarkConfig",
-    "sine_target",
     "expression_target",
     "uniform_space",
     "quarter_cylinder",
@@ -36,10 +34,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "degree,h,n_elements,error_bezier,error_global,rate_bezier,rate_global"
-
-
-def sine_target():
-    return TargetFunction(lambda pts: np.sin(2.0 * np.pi * pts[:, 0]))
 
 
 _EXPR_NAMESPACE = {
@@ -104,34 +98,6 @@ def expression_target(expr):
     return TargetFunction(f)
 
 
-@dataclass
-class BenchmarkConfig:
-    """Validated configuration of one convergence run.
-
-    target is "sine", "govindjee", or an expression in x for a custom
-    univariate target on [0, 1].
-    """
-
-    target: str = "sine"
-    degrees: tuple = (2, 3)
-    levels: int = 5
-    weighting: str = "approximate"
-    projector: str = "both"
-    quad_order: int = None
-
-    def __post_init__(self):
-        self.degrees = tuple(int(p) for p in self.degrees)
-        if self.levels < 2:
-            raise ValueError("a convergence rate needs at least 2 levels")
-        if any(not 1 <= p <= 5 for p in self.degrees):
-            raise ValueError("degrees must lie in [1, 5]")
-        if self.projector not in ("bezier", "global", "both"):
-            raise ValueError(f"unknown projector {self.projector!r}")
-
-    def run(self):
-        return run_convergence(**asdict(self))
-
-
 def uniform_space(degree, n_elements, lo=0.0, hi=1.0):
     """Maximally smooth uniform univariate space on [lo, hi]."""
     bp = np.linspace(lo, hi, n_elements + 1)
@@ -171,24 +137,10 @@ def _govindjee_target(radius=1.0, length=2.0):
 
 def _govindjee_rung(space0, net0, degree, n):
     """Space and weights for an n x n rung at the given (equal) degree."""
-    plans = []
-    if (degree, degree) != space0.degrees:
-        inc = [degree - p for p in space0.degrees]
-        if min(inc) < 0:
-            raise ValueError(f"degree {degree} below the geometry degree")
-        plans.append(plan_p_elevate(space0, inc))
-        cur = plans[-1].target
-    else:
-        cur = space0
     interior = np.linspace(0.0, 1.0, n + 1)[1:-1]
-    if interior.size:
-        plans.append(plan_h_refine(cur, {0: interior, 1: interior}))
-        cur = plans[-1].target
-    if plans:
-        net = apply_plan(compose(*plans), net0)
-    else:
-        net = net0
-    return cur, net.weights
+    up = plan_p_elevate(space0, [degree - q for q in space0.degrees])
+    plan = compose(up, plan_h_refine(up.target, {0: interior, 1: interior}))
+    return plan.target, apply_plan(plan, net0).weights
 
 
 def _rates(hs, errs):
@@ -211,33 +163,34 @@ def run_convergence(
 ):
     """Run a refinement ladder; returns a list of row dicts.
 
-    Row keys match CSV_HEADER. Unavailable entries (first-rung rates,
-    or the column of a projector that was not run) are None.
+    target is "sine", "govindjee", or an expression in x for a custom
+    univariate target on [0, 1]. Row keys match CSV_HEADER. Unavailable
+    entries (first-rung rates, or the column of a projector that was not
+    run) are None.
     """
-    if target == "sine":
-        base = 8
-        f = sine_target()
-    elif target == "govindjee":
-        base = 4
-        space0, net0, f = _govindjee_target()
-    else:
-        base = 8
-        f = expression_target(target)
+    degrees = tuple(degrees)
+    if levels < 2:
+        raise ValueError("a convergence rate needs at least 2 levels")
+    if any(not (isinstance(p, (int, np.integer)) and 1 <= p <= 5) for p in degrees):
+        raise ValueError("degrees must lie in [1, 5]")
     do_b = projector in ("bezier", "both")
     do_g = projector in ("global", "both")
     if not (do_b or do_g):
         raise ValueError(f"unknown projector {projector!r}")
-
+    if target == "govindjee":
+        space0, net0, f = _govindjee_target()
+        if degrees and min(degrees) < max(space0.degrees):
+            raise ValueError(f"degree {min(degrees)} below the geometry degree")
+        base, rung = 4, partial(_govindjee_rung, space0, net0)
+    else:
+        f = expression_target("sin(2*pi*x)" if target == "sine" else target)
+        base, rung = 8, lambda p, n: (uniform_space(p, n), None)
     rows = []
     for p in degrees:
         hs, errs_b, errs_g, counts = [], [], [], []
         for lv in range(levels):
             n = base * 2**lv
-            if target == "govindjee":
-                space, weights = _govindjee_rung(space0, net0, p, n)
-            else:
-                space = uniform_space(p, n)
-                weights = None
+            space, weights = rung(p, n)
             hs.append(1.0 / n)
             counts.append(space.n_elements)
             if do_b:

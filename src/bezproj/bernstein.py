@@ -3,8 +3,9 @@
 Basis evaluation, Gramians and their closed-form inverses, interval
 transforms, degree elevation / reduction, and the blossom kernel that
 spline extraction and reconstruction share, as float64 arrays. Gramians,
-their inverses and elevation are exact integer ratios rounded once;
-interval transforms are blossoms of the float window ends (Ramshaw 1989).
+their inverses, elevation and reduction are exact integer ratios rounded
+once; interval transforms are blossoms of the float window ends
+(Ramshaw 1989).
 
 Basis ordering is B_1 .. B_{p+1} (left endpoint function first). Arrays
 are stored zero-based, so ``basis[0]`` is the function that equals 1 at
@@ -12,7 +13,7 @@ xi = -1.
 """
 
 import warnings
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -125,19 +126,19 @@ def gramian_inverse(p):
     Gi = np.empty((p + 1, p + 1))
     for j in range(p + 1):
         for k in range(j, p + 1):
-            s = 0
-            for i in range(1, min(j, k) + 2):
-                s += (
-                    (2 * i - 1)
-                    * comb(p - i + 1, p - j)
-                    * comb(p - i + 1, p - k)
-                    * comb(p + i, p - j)
-                    * comb(p + i, p - k)
-                )
-            val = (-1) ** (j + k) * s / (2 * comb(p, j) * comb(p, k))
+            val = _gramian_inverse_sum(p, j, k) / (2 * comb(p, j) * comb(p, k))
             Gi[j, k] = val
             Gi[k, j] = val
     return Gi
+
+
+def _gramian_inverse_sum(p, j, k):
+    """The integer s with gramian_inverse(p)[j, k] = s / (2 C(p,j) C(p,k))."""
+    return (-1) ** (j + k) * sum(
+        (2 * i - 1) * comb(p - i + 1, p - j) * comb(p - i + 1, p - k)
+        * comb(p + i, p - j) * comb(p + i, p - k)
+        for i in range(1, min(j, k) + 2)
+    )
 
 
 def gramian_inverse_multi(degrees):
@@ -191,23 +192,26 @@ def elevation_matrix(p, q):
 
 
 def reduction_matrix(p, q):
-    """Degree reduction matrix D, the pseudoinverse counterpart of elevation.
+    """Degree reduction matrix D, (p+1) x (q+1) for q <= p: c_q = D.T @ c_p
+    is the L2-best degree-q polynomial, and also the best l2 approximation
+    of the coefficients by elevated ones (Lutterkort, Peters & Reif 1999).
 
-    D is (p+1) x (q+1) for q <= p and satisfies E @ D = I where
-    E = elevation_matrix(q, p): reducing an exactly-degree-q polynomial
-    recovers it. For genuinely degree-p input, c_q = D.T @ c_p is the
-    best l2 coefficient approximation, which coincides with the L2-best
-    polynomial up to the equivalence of the two norms on a fixed degree.
+    D = M G_q^{-1}, with M[i, k] = 2 C(p,i) C(q,k) / ((p+q+1) C(p+q,i+k))
+    the mixed Gramian of the two bases, each entry one ratio of exact
+    integers rounded once. E @ D = I for E = elevation_matrix(q, p).
     """
     _check_degree(p)
     _check_degree(q)
     if q > p:
         raise ValueError(f"target degree {q} above source degree {p}")
     _condition_guard(p)
-    D = np.eye(p + 1)
-    for r in range(p, q, -1):
-        E = elevation_matrix(r - 1, r)
-        # one-step reduction: E.T (E E.T)^-1, shape (r+1, r)
-        step = E.T @ np.linalg.inv(E @ E.T)
-        D = D @ step
+    n = p + q
+    f = [factorial(m) for m in range(n + 2)]
+    s = [[_gramian_inverse_sum(q, k, j) for j in range(q + 1)] for k in range(q + 1)]
+    D = np.empty((p + 1, q + 1))
+    for i in range(p + 1):
+        for j in range(q + 1):
+            # (n+1) C(n, i+k) = (n+1)! / ((i+k)! (n-i-k)!)
+            num = sum(s[k][j] * f[i + k] * f[n - i - k] for k in range(q + 1))
+            D[i, j] = comb(p, i) * num / (f[n + 1] * comb(q, j))
     return D

@@ -270,7 +270,7 @@ def cmd_extract(in_path, element):
 def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, out_path):
     """Run a refinement ladder and report L2 errors and observed rates."""
     try:
-        config = benchmark.BenchmarkConfig(
+        rows = benchmark.run_convergence(
             target=target,
             degrees=[int(tok) for tok in degrees.split(",") if tok.strip()],
             levels=levels,
@@ -278,7 +278,6 @@ def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, o
             projector=projector,
             quad_order=quad_order,
         )
-        rows = config.run()
     except ValueError as exc:
         _fail(exc)
     text = benchmark.rows_to_csv(rows)
@@ -355,12 +354,9 @@ def cmd_local_kv(in_path, anchor):
     """Print an anchor's local knot index vectors and knot vectors."""
     try:
         mesh = read_tmesh_json(in_path)
-        anchors = mesh.anchors()
-        if not 0 <= anchor < len(anchors):
-            raise ValueError(f"anchor {anchor} outside 0..{len(anchors) - 1}")
         idx1, idx2 = mesh.local_knot_indices(anchor)
         g1, g2 = mesh.local_knot_vectors(anchor)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     _echo(f"indices 1: {idx1.tolist()}")
     _echo(f"indices 2: {idx2.tolist()}")

@@ -204,7 +204,19 @@ def _dim_pairing(kv_src, kv_tgt, p_src, p_tgt):
     return SpanPairing(tgt, src, F)
 
 
-def _build_plan(name, source, target, exact):
+def _contains(kvs, kvt):
+    """Whether one direction's target space contains the source's: the
+    degree does not drop, and every source breakpoint is a target one, as
+    _breakpoint_index matches them, of no higher continuity."""
+    if kvt.degree < kvs.degree:
+        return False
+    i = _breakpoint_index(kvt, kvs.breakpoints)
+    smooth_t = kvt.degree - kvt.multiplicities[i]
+    return bool(np.all((i >= 0) & (smooth_t <= kvs.degree - kvs.multiplicities)))
+
+
+def _build_plan(name, source, target):
+    """Plan from source to target; exact iff the target space contains the source's."""
     if source.parametric_dim != target.parametric_dim:
         raise ValueError("parametric dimensions differ")
     for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
@@ -217,6 +229,7 @@ def _build_plan(name, source, target, exact):
         _dim_pairing(kvs, kvt, kvs.degree, kvt.degree)
         for kvs, kvt in zip(source.knot_vectors, target.knot_vectors)
     )
+    exact = all(map(_contains, source.knot_vectors, target.knot_vectors))
     return OpPlan(name=name, source=source, target=target, pairings=pairings, exact=exact)
 
 
@@ -393,7 +406,7 @@ def _reject(values, reason, *messages):
         raise ValueError(messages[int(reason[bad[0]]) - 1].format(list(values)[bad[0]]))
 
 
-def _edit_plan(name, space, args, edit, exact):
+def _edit_plan(name, space, args, edit):
     """Plan to the space whose direction d has the (breakpoints,
     multiplicities, degree) that edit(knot_vector, args[d]) returns. A
     direction left as it was keeps its knot vector, extraction cached."""
@@ -404,7 +417,7 @@ def _edit_plan(name, space, args, edit, exact):
         knots = np.repeat(bp[order], mult[order])
         same = p == kv.degree and np.array_equal(knots, kv.knots)
         kvs.append(kv if same else KnotVector(knots, p))
-    return _build_plan(name, space, SplineSpace(kvs), exact)
+    return _build_plan(name, space, SplineSpace(kvs))
 
 
 def plan_h_refine(space, splits=None):
@@ -423,7 +436,7 @@ def plan_h_refine(space, splits=None):
         _reject(pts, ~inside, f"insertion point {{}} not strictly inside ({a}, {b})")
         return np.r_[bp, pts], np.r_[kv.multiplicities, np.ones(pts.size, int)], kv.degree
 
-    return _edit_plan("h-refine", space, _per_dim_arg(space, splits, "splits"), edit, exact=True)
+    return _edit_plan("h-refine", space, _per_dim_arg(space, splits, "splits"), edit)
 
 
 def plan_h_coarsen(space, remove):
@@ -440,10 +453,10 @@ def plan_h_coarsen(space, remove):
             mult[i] = 0
         return kv.breakpoints, mult, kv.degree
 
-    return _edit_plan("h-coarsen", space, _per_dim_arg(space, remove, "remove"), edit, exact=False)
+    return _edit_plan("h-coarsen", space, _per_dim_arg(space, remove, "remove"), edit)
 
 
-def _degree_plan(name, space, steps, what, sign, exact):
+def _degree_plan(name, space, steps, what, sign):
     """Change the degree and every multiplicity by sign * steps."""
     steps = [0 if s is None else int(s) for s in _per_dim_arg(space, steps, what, scalars=True)]
     if min(steps) < 0:
@@ -455,7 +468,7 @@ def _degree_plan(name, space, steps, what, sign, exact):
             raise ValueError(f"cannot reduce degree {kv.degree} by {s}")
         return kv.breakpoints, np.maximum(kv.multiplicities + sign * s, 0), kv.degree + sign * s
 
-    return _edit_plan(name, space, steps, edit, exact)
+    return _edit_plan(name, space, steps, edit)
 
 
 def plan_p_elevate(space, inc=1):
@@ -463,7 +476,7 @@ def plan_p_elevate(space, inc=1):
 
     A per-dimension increment of 0 leaves that direction unchanged.
     """
-    return _degree_plan("p-elevate", space, inc, "inc", 1, exact=True)
+    return _degree_plan("p-elevate", space, inc, "inc", 1)
 
 
 def plan_p_reduce(space, dec=1):
@@ -473,7 +486,7 @@ def plan_p_reduce(space, dec=1):
     continuity class at every surviving breakpoint is preserved. A
     per-dimension decrement of 0 leaves that direction unchanged.
     """
-    return _degree_plan("p-reduce", space, dec, "dec", -1, exact=False)
+    return _degree_plan("p-reduce", space, dec, "dec", -1)
 
 
 def plan_k_roughen(space, values=None, inc=1):
@@ -491,7 +504,7 @@ def plan_k_roughen(space, values=None, inc=1):
         np.add.at(mult, i, inc)
         return kv.breakpoints, mult, kv.degree
 
-    return _edit_plan("k-roughen", space, _per_dim_arg(space, values, "values"), edit, exact=True)
+    return _edit_plan("k-roughen", space, _per_dim_arg(space, values, "values"), edit)
 
 
 def plan_k_smooth(space, values=None, dec=1):
@@ -517,7 +530,7 @@ def plan_k_smooth(space, values=None, dec=1):
         np.add.at(mult, i, -dec)
         return kv.breakpoints, mult, kv.degree
 
-    return _edit_plan("k-smooth", space, values, edit, exact=False)
+    return _edit_plan("k-smooth", space, values, edit)
 
 
 def plan_reparameterize(space, new_interior):
@@ -537,27 +550,21 @@ def plan_reparameterize(space, new_interior):
         return bp, kv.multiplicities, kv.degree
 
     args = _per_dim_arg(space, new_interior, "new_interior")
-    return _edit_plan("reparameterize", space, args, edit, exact=False)
+    return _edit_plan("reparameterize", space, args, edit)
 
 
 def plan_generic(source, target):
     """Plan between spaces sharing breakpoints, degrees free to differ.
 
     Used for degree and continuity changes where elements coincide
-    geometrically. Exact iff the target contains the source space: in
-    every direction its degree is no lower and its continuity at no
-    breakpoint higher.
+    geometrically.
     """
-    exact = True
     for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
         if kvs.n_elements != kvt.n_elements or np.any(
             _breakpoint_index(kvt, kvs.breakpoints) != np.arange(kvs.n_elements + 1)
         ):
             raise ValueError("generic projection needs matching breakpoints")
-        exact = exact and kvt.degree >= kvs.degree and bool(np.all(
-            kvt.degree - kvt.multiplicities <= kvs.degree - kvs.multiplicities
-        ))
-    return _build_plan("generic", source, target, exact=exact)
+    return _build_plan("generic", source, target)
 
 
 def project_generic(source, target, net, weight_mode="approximate"):

@@ -410,12 +410,25 @@ class ControlNet:
         return cls(H[:, :-1] / w[:, None], w)
 
 
+def _checked_points(space, net, points):
+    """points as an (m, d) array; ValueError unless they fit space and net."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[1] != space.parametric_dim:
+        raise ValueError("point dimension mismatch")
+    if net.n != space.n_funcs:
+        raise ValueError("control net size does not match space dimension")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
+    for x, kv in zip(pts.T, space.knot_vectors):
+        a, b = kv.domain
+        if np.any(x < a) or np.any(x > b):
+            raise ValueError("evaluation point outside the parametric domain")
+    return pts
+
+
 def _locate(kv, x):
     """Element of each point x along kv, right-continuous at breakpoints,
     and the point's biunit coordinate in it."""
-    a, b = kv.domain
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError("evaluation point outside the parametric domain")
     s = np.searchsorted(kv.breakpoints, x, side="right") - 1
     np.clip(s, 0, kv.n_elements - 1, out=s)
     lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
@@ -432,13 +445,7 @@ def evaluate(space, net, points):
     its first supported one, so the sum runs over the local functions:
     one control-point gather each, weighted by its tensor-product value.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != space.parametric_dim:
-        raise ValueError("point dimension mismatch")
-    if net.n != space.n_funcs:
-        raise ValueError("control net size does not match space dimension")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("evaluation points must be finite")
+    pts = _checked_points(space, net, points)
     # only read: a polynomial net's points are not copied, which would
     # cost O(n_funcs) per call whatever the number of points
     H = net.homogeneous() if net.is_rational else net.points
@@ -476,21 +483,21 @@ def evaluate_derivative(space, net, points):
     Only parametric dimension 1 is supported. Each point's element is
     differentiated in Bernstein form, N' = C[s] dB(xi) 2 / (hi - lo) with
     dB_j = (p/2)(B^{p-1}_{j-1} - B^{p-1}_j), right-continuous at breakpoints
-    like :func:`evaluate`; rational curves use the quotient rule.
+    like :func:`evaluate`; rational curves use the quotient rule on C[s] B(xi).
     """
     if space.parametric_dim != 1:
         raise ValueError("derivative evaluation implemented for curves only")
     kv = space.knot_vectors[0]
-    H = net.homogeneous()
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    val = evaluate(space, ControlNet(H), pts)  # validates the points
+    pts = _checked_points(space, net, points)
     s, xi = _locate(kv, pts[:, 0])
+    C = kv.extraction()[s]
+    H = (net.homogeneous() if net.is_rational else net.points)[kv.supports()[s]]
     B = np.pad(bernstein_matrix(kv.degree - 1, xi), ((0, 0), (1, 1)))
     dB = (kv.degree / np.diff(kv.breakpoints)[s])[:, None] * (B[:, :-1] - B[:, 1:])
-    dN = np.einsum("mab,mb->ma", kv.extraction()[s], dB)
-    dH = np.einsum("ma,mad->md", dN, H[kv.supports()[s]])
+    dH = np.einsum("ma,mad->md", np.einsum("mab,mb->ma", C, dB), H)
     if not net.is_rational:
         return dH
+    val = np.einsum("ma,mad->md", np.einsum("mab,mb->ma", C, bernstein_matrix(kv.degree, xi)), H)
     w, dw = val[:, -1:], dH[:, -1:]
     return (dH[:, :-1] - val[:, :-1] / w * dw) / w
 

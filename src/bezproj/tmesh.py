@@ -471,11 +471,10 @@ class TMesh:
         return els.bounds, S, C, R, errors
 
     def is_nested(self, other):
-        """True if every function of this mesh lives in `other`'s space.
-
-        Checked structurally: same degrees and global knot vectors (within
-        1e-12 of the widest knot span, as the Bezier elements compare),
-        vertices preserved, and every edge covered by edges of `other`.
+        """True if this mesh is nested in `other`: vertices preserved and
+        every edge covered by edges of `other`; ValueError unless degrees
+        and global knot vectors agree (within 1e-12 of the widest span).
+        Nested meshes need not span nested spaces, which is not checked.
         """
         if not isinstance(other, TMesh):
             raise TypeError("is_nested expects a TMesh")

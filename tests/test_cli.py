@@ -148,6 +148,21 @@ def test_op_reparam_needs_knots(runner, tmp_path):
     assert "reparam needs --knots" in result.output
 
 
+def test_op_reparam_onto_current_breakpoints_is_exact(runner, tmp_path):
+    src = tmp_path / "curve.json"
+    dst = tmp_path / "same.json"
+    space, net = _quadratic_curve(src)
+    result = runner.invoke(
+        main, ["op", "reparam", "--in", str(src), "--out", str(dst), "--knots", "0.4"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "exact: yes" in result.output
+    assert "L2 change" not in result.output
+    out_space, out_net = read_spline_json(dst)
+    assert out_space == space
+    assert np.allclose(out_net.points, net.points, atol=1e-14)
+
+
 def test_op_rejects_excess_knot_groups(runner, tmp_path):
     src = tmp_path / "curve.json"
     _quadratic_curve(src)

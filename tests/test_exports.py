@@ -1,6 +1,8 @@
-"""Every exported name resolves, and the README documents the exports."""
+"""Every exported name resolves, the README documents the exports, and
+removed names and calls stay gone."""
 
 import ast
+import glob
 import importlib
 import inspect
 import os
@@ -78,3 +80,37 @@ def test_bernstein_kernels_are_defined_once():
     for kernel in ("_bernstein_blossoms", "_dual_functionals"):
         assert [m for m, names in defined.items() if kernel in names] == ["bezproj.bernstein"]
     assert not [m for m, names in defined.items() if "_basis_value" in names]
+
+
+def test_convergence_has_one_entry_point():
+    """The ladder is run_convergence alone; the sine target is an expression."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        assert not [n for n in ("BenchmarkConfig", "sine_target") if hasattr(module, n)], name
+
+
+def test_no_matrix_inversion_in_the_package():
+    src = os.path.dirname(bezproj.__file__)
+    calls = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "inv":
+                    calls.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not calls, f"inv called at {calls}"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(levels=1), "a convergence rate needs at least 2 levels"),
+    (dict(degrees=(7,)), r"degrees must lie in \[1, 5\]"),
+    (dict(degrees=(2.5,)), r"degrees must lie in \[1, 5\]"),
+    (dict(projector="neither"), "unknown projector 'neither'"),
+    (dict(target="govindjee", degrees=(1,)), "degree 1 below the geometry degree"),
+    (dict(target="govindjee", degrees=(3, 1)), "degree 1 below the geometry degree"),
+])
+def test_run_convergence_checks_its_inputs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        bezproj.run_convergence(**{"levels": 2, **kwargs})

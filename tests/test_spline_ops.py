@@ -255,6 +255,43 @@ def test_compose_fuses_chains(rng):
     assert np.allclose(step.points, direct.points, atol=1e-12)
 
 
+def test_identity_plans_are_exact(rng):
+    """A plan onto its own source space is exact, whichever builder made it;
+    coarsening and refining back composes to an inexact plan all the same."""
+    sp, net = _curve(rng, [0, 0, 0, 0.3, 0.3, 0.6, 1, 1, 1], 2, rational=True)
+    plans = [
+        plan_h_coarsen(sp, None),
+        plan_p_reduce(sp, 0),
+        plan_k_smooth(sp, dec=0),
+        plan_reparameterize(sp, [[0.3, 0.6]]),
+        plan_generic(sp, sp),
+    ]
+    for plan in plans:
+        assert plan.target == sp and plan.exact, plan
+        assert np.allclose(apply_plan(plan, net).points, net.points, atol=1e-13)
+    down = plan_h_coarsen(sp, [[0.6]])
+    back = compose(down, plan_h_refine(down.target, [[0.6]]))
+    assert back.target == sp and not back.exact
+
+
+@pytest.mark.parametrize("build, exact", [
+    (lambda sp: plan_h_refine(sp), True),
+    (lambda sp: plan_p_elevate(sp, [1, 0]), True),
+    (lambda sp: plan_k_roughen(sp, [[0.6], [0.5]]), True),
+    (lambda sp: plan_h_coarsen(sp, {0: [0.3]}), False),
+    (lambda sp: plan_p_reduce(sp, [0, 1]), False),
+    (lambda sp: plan_k_smooth(sp, {0: [0.3]}), False),
+    (lambda sp: plan_reparameterize(sp, [[0.35, 0.6], [0.5]]), False),
+])
+def test_plans_that_change_the_space_are_exact_iff_it_grows(build, exact):
+    sp = SplineSpace([
+        KnotVector([0, 0, 0, 0.3, 0.3, 0.6, 1, 1, 1], 2),
+        KnotVector([0, 0, 0, 0, 0.5, 1, 1, 1, 1], 3),
+    ])
+    plan = build(sp)
+    assert plan.target != sp and plan.exact is exact
+
+
 def test_compose_requires_matching_spaces(rng):
     sp, _ = _curve(rng, [0, 0, 0, 0.5, 1, 1, 1], 2)
     other = SplineSpace([KnotVector([0, 0, 0, 1, 1, 1], 2)])
@@ -283,6 +320,14 @@ def test_plan_generic_subspace_is_projection(rng):
     net = ControlNet(rng.normal(size=(src.n_funcs, 1)))
     out = project_generic(src, tgt, net)
     assert out.points.shape == (tgt.n_funcs, 1)
+
+
+def test_plan_exactness_matches_breakpoints_within_the_tolerance():
+    """Breakpoints within 1e-12 of the domain span are one breakpoint, for
+    the exact flag as for every plan builder."""
+    src = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    tgt = SplineSpace([KnotVector([0, 0, 0, 0, 0.5 + 8e-13, 0.5 + 8e-13, 1, 1, 1, 1], 3)])
+    assert plan_generic(src, tgt).exact
 
 
 def test_plan_generic_needs_matching_breakpoints(rng):

@@ -396,6 +396,23 @@ def test_evaluate_rejects_points_outside_domain():
         evaluate(sp, net, [[1.5]])
 
 
+@pytest.mark.parametrize("n, points, message", [
+    (4, [[0.5, 0.5]], "point dimension mismatch"),
+    (3, [[0.5]], "control net size does not match space dimension"),
+    (4, [[np.nan]], "evaluation points must be finite"),
+    (4, [[0.5], [-np.inf]], "evaluation points must be finite"),
+    (4, [[-0.1]], "evaluation point outside the parametric domain"),
+    (4, [[0.5], [1.5]], "evaluation point outside the parametric domain"),
+])
+def test_evaluate_and_its_derivative_reject_bad_points_alike(n, points, message):
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    for net in (ControlNet(np.ones((n, 2))), ControlNet(np.ones((n, 2)), np.full(n, 2.0))):
+        for fn in (evaluate, evaluate_derivative):
+            with pytest.raises(ValueError) as info:
+                fn(sp, net, points)
+            assert str(info.value) == message, fn
+
+
 def test_evaluate_derivative_matches_finite_differences(rng):
     kv = KnotVector([0, 0, 0, 0.4, 0.8, 1, 1, 1], 2)
     sp = SplineSpace([kv])
