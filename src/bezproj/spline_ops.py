@@ -9,18 +9,22 @@ at once: pull to Bernstein form (C^T), map the spans, reconstruct
 (R^T) and blend with the target's smoothing weights. Exact plans blend
 too; their element values agree, so the convex blend returns them.
 
-The span matrices come from one kernel. With O the overlap of source
-span s and target span t, q the target degree and G the Gramian:
+Whether two values are the same breakpoint is decided once: per
+direction the values in play get integer positions (:func:`_positions`),
+and pairing, containment, coverage and the domain check compare those.
+
+The span matrices come from one kernel. With O the positions source
+span s and target span t share, q the target degree and G the Gramian:
 
     F = phi * G^{-1} A^T G T D
 
 where D is the degree elevation/reduction map (identity if degrees
 match), T rebases source coefficients to O in the source's local
-coordinates (identity if O = s), A expresses O in the target's local
-coordinates, and phi = |O| / |t|. When O = t this is F = T D, a plain
-restriction. An element pair's matrix is the reversed Kronecker
-product of its span matrices: :attr:`OpPlan.pairs` builds those for
-inspection, and no operation forms them.
+coordinates (identity if O is all of s), A expresses O in the target's
+local coordinates, and phi = |O| / |t|. When O is all of t this is
+F = T D with phi = 1, a plain restriction. An element pair's matrix is
+the reversed Kronecker product of its span matrices: :attr:`OpPlan.pairs`
+builds those for inspection, and no operation forms them.
 
 Plans compose direction by direction into one plan with a single
 smoothing pass. Rational nets ride along homogeneously; weights
@@ -42,7 +46,7 @@ from .bernstein import (
     reduction_matrix,
 )
 from .projection import _direction_weights
-from .spline_space import ControlNet, KnotVector, SplineSpace
+from .spline_space import _SNAP_TOL, ControlNet, KnotVector, SplineSpace, _positions
 from .tensor import _apply_along, _scatter_add, reversed_kron
 
 __all__ = [
@@ -70,8 +74,6 @@ __all__ = [
     "k_smooth",
     "reparameterize",
 ]
-
-_TOL = 1e-12
 
 
 @dataclass
@@ -146,29 +148,23 @@ def _to_local(a, b, lo, hi):
 def _span_factors(src, tgt, p_src, p_tgt):
     """Span matrices of paired source and target spans, in one array pass.
 
-    src and tgt are (n, 2) arrays of span bounds. Returns (keep, F, phi):
-    the mask of the pairs whose spans overlap, and for those pairs the
-    (q+1, p+1) matrices F and the shares phi of the target span covered
-    by the overlap. An overlap within _TOL of a span counts as equal to
-    it, so a target span equal to its source span gets the identity.
+    src and tgt are (n, 2) arrays of span bounds, each held at the value
+    of its position (:func:`_positions`), so bounds at one position are
+    one float. The overlap of a pair is at least one position wide.
+    Returns the (q+1, p+1) matrices F and the shares phi of the target
+    span covered by the overlap. A span the overlap covers whole needs no
+    window: a target span paired with it gets F = D (the degree map) and
+    phi = 1 exactly.
     """
     lo = np.maximum(src[:, 0], tgt[:, 0])
     hi = np.minimum(src[:, 1], tgt[:, 1])
-    scale = np.maximum(tgt[:, 1] - tgt[:, 0], src[:, 1] - src[:, 0])
-    keep = hi - lo > _TOL * scale
-    src, tgt, lo, hi, tol = src[keep], tgt[keep], lo[keep], hi[keep], _TOL * scale[keep]
     q = p_tgt
-
-    def cut(iv):
-        """Pairs whose overlap is a proper part of span iv."""
-        return (np.abs(lo - iv[:, 0]) > tol) | (np.abs(hi - iv[:, 1]) > tol)
-
     F = np.tile(np.eye(q + 1), (lo.size, 1, 1))
-    t = cut(tgt)
+    t = (lo != tgt[:, 0]) | (hi != tgt[:, 1])
     if t.any():
         A = interval_transform(q, *_to_local(tgt[t, 0], tgt[t, 1], lo[t], hi[t]))
         F[t] = gramian_inverse(q) @ A.transpose(0, 2, 1) @ gramian(q)
-    s = cut(src)
+    s = (lo != src[:, 0]) | (hi != src[:, 1])
     if s.any():
         F[s] = F[s] @ interval_transform(q, *_to_local(src[s, 0], src[s, 1], lo[s], hi[s]))
     if p_tgt > p_src:
@@ -176,61 +172,57 @@ def _span_factors(src, tgt, p_src, p_tgt):
     elif p_tgt < p_src:
         F = F @ reduction_matrix(p_src, p_tgt).T
     phi = (hi - lo) / (tgt[:, 1] - tgt[:, 0])
-    return keep, phi[:, None, None] * F, phi
+    return phi[:, None, None] * F, phi
 
 
 def _dim_pairing(kv_src, kv_tgt, p_src, p_tgt):
-    """Span pairing of one direction, with coverage validated. Each
-    target span meets only the source spans that overlap it, and all
-    pairs are transformed in one array pass."""
-    bs, bt = kv_src.breakpoints, kv_tgt.breakpoints
-    first = np.searchsorted(bs[1:], bt[:-1], side="right")
-    counts = np.maximum(np.searchsorted(bs[:-1], bt[1:], side="left") - first, 0)
+    """Span pairing of one direction, with coverage and the domain
+    validated, and whether the target space contains the source's.
+
+    Spans pair when their position ranges (:func:`_positions`) intersect,
+    so a target span meets the source spans that overlap it and no
+    sliver; all pairs are transformed in one array pass. The target
+    contains the source when the degree does not drop and every source
+    breakpoint is a target one of no higher continuity.
+    """
+    (ps, pt), at = _positions([kv_src.breakpoints, kv_tgt.breakpoints])
+    first = np.searchsorted(ps[1:], pt[:-1], side="right")
+    counts = np.maximum(np.searchsorted(ps[:-1], pt[1:], side="left") - first, 0)
     tgt = np.repeat(np.arange(kv_tgt.n_elements), counts)
     src = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    keep, F, phi = _span_factors(
-        np.stack([bs[src], bs[src + 1]], axis=1),
-        np.stack([bt[tgt], bt[tgt + 1]], axis=1),
+    F, phi = _span_factors(
+        at[np.stack([ps[src], ps[src + 1]], axis=1)],
+        at[np.stack([pt[tgt], pt[tgt + 1]], axis=1)],
         p_src, p_tgt,
     )
-    tgt, src = tgt[keep], src[keep]
-    cover = np.bincount(tgt, weights=phi, minlength=kv_tgt.n_elements)
-    bad = np.flatnonzero(np.abs(cover - 1.0) > 1e-10)
+    # source spans are consecutive: they cover every target span inside their range
+    bad = np.flatnonzero((pt[:-1] < ps[0]) | (pt[1:] > ps[-1]))
     if bad.size:
+        cover = np.bincount(tgt, weights=phi, minlength=kv_tgt.n_elements)[bad[0]]
         raise ValueError(
-            f"source elements cover {cover[bad[0]]:.15g} of a target span; "
+            f"source elements cover {cover:.15g} of a target span; "
             "the spaces do not tile the same domain"
         )
-    return SpanPairing(tgt, src, F)
-
-
-def _contains(kvs, kvt):
-    """Whether one direction's target space contains the source's: the
-    degree does not drop, and every source breakpoint is a target one, as
-    _breakpoint_index matches them, of no higher continuity."""
-    if kvt.degree < kvs.degree:
-        return False
-    i = _breakpoint_index(kvt, kvs.breakpoints)
-    smooth_t = kvt.degree - kvt.multiplicities[i]
-    return bool(np.all((i >= 0) & (smooth_t <= kvs.degree - kvs.multiplicities)))
+    if ps[0] != pt[0] or ps[-1] != pt[-1]:
+        raise ValueError("source and target parametric domains differ")
+    i = np.minimum(np.searchsorted(pt, ps), pt.size - 1)
+    smooth_t, smooth_s = p_tgt - kv_tgt.multiplicities[i], p_src - kv_src.multiplicities
+    contains = p_tgt >= p_src and bool(np.all((pt[i] == ps) & (smooth_t <= smooth_s)))
+    return SpanPairing(tgt, src, F), contains
 
 
 def _build_plan(name, source, target):
     """Plan from source to target; exact iff the target space contains the source's."""
     if source.parametric_dim != target.parametric_dim:
         raise ValueError("parametric dimensions differ")
-    for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
-        if not (
-            abs(kvs.domain[0] - kvt.domain[0]) <= _TOL
-            and abs(kvs.domain[1] - kvt.domain[1]) <= _TOL
-        ):
-            raise ValueError("source and target parametric domains differ")
-    pairings = tuple(
+    dims = [
         _dim_pairing(kvs, kvt, kvs.degree, kvt.degree)
         for kvs, kvt in zip(source.knot_vectors, target.knot_vectors)
+    ]
+    return OpPlan(
+        name=name, source=source, target=target,
+        pairings=tuple(P for P, _ in dims), exact=all(c for _, c in dims),
     )
-    exact = all(map(_contains, source.knot_vectors, target.knot_vectors))
-    return OpPlan(name=name, source=source, target=target, pairings=pairings, exact=exact)
 
 
 def apply_plan(plan, net, weight_mode="approximate"):
@@ -317,10 +309,11 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
     tgt = target_space.bounds(target_elements)
     factors = []
     for p, s_iv, t in zip(space.degrees, src, tgt.transpose(1, 0, 2)):
-        if np.any(t[:, 0] < s_iv[0] - _TOL) or np.any(t[:, 1] > s_iv[1] + _TOL):
+        (ps, pt), at = _positions([s_iv, t])
+        if np.any(pt[:, 0] < ps[0]) or np.any(pt[:, 1] > ps[1]):
             raise ValueError("target element not contained in source element")
         # the overlap is the target span: phi = 1 and F = T
-        factors.append(_span_factors(np.broadcast_to(s_iv, t.shape), t, p, p)[1])
+        factors.append(_span_factors(np.broadcast_to(at[ps], pt.shape), at[pt], p, p)[0])
     R = target_space.reconstruction(target_elements).transpose(0, 2, 1)
     return dict(zip(target_elements, R @ (reversed_kron(factors) @ Q)))
 
@@ -338,15 +331,20 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
     coeffs = np.asarray(coeffs, dtype=np.float64)
     (tgt,) = target_space.bounds([target_element])
     src = space.bounds(elements)
-    factors = []
-    phi = np.ones(len(src))
+    factors, shape, boxes = [], [], []
     for p, t_iv, s in zip(target_space.degrees, tgt, src.transpose(1, 0, 2)):
-        keep, F, phi_d = _span_factors(s, np.broadcast_to(t_iv, s.shape), p, p)
-        if not keep.all():
+        (pt, ps), at = _positions([t_iv, s])
+        lo, hi = np.maximum(ps[:, 0], pt[0]) - pt[0], np.minimum(ps[:, 1], pt[1]) - pt[0]
+        if np.any(lo >= hi):
             raise ValueError("source element does not overlap the target element")
-        factors.append(F)
-        phi = phi * phi_d
-    if abs(phi.sum() - 1.0) > 1e-10:
+        factors.append(_span_factors(at[ps], np.broadcast_to(at[pt], ps.shape), p, p)[0])
+        shape.append(pt[1] - pt[0])
+        boxes.append(map(slice, lo, hi))
+    # every cell between consecutive target positions lies in exactly one source element
+    count = np.zeros(shape, dtype=np.int64)
+    for box in zip(*boxes):
+        count[box] += 1
+    if np.any(count != 1):
         raise ValueError("source elements do not tile the target element")
     C, S = space.extraction(elements), space.supports(elements)
     Qbar = (reversed_kron(factors) @ (C.transpose(0, 2, 1) @ coeffs[S])).sum(axis=0)
@@ -383,12 +381,11 @@ def _per_dim_arg(space, arg, what, scalars=False):
 
 
 def _breakpoint_index(kv, values):
-    """Index of the breakpoint of kv within _TOL of the domain span of
-    each value (the lower one if two are), or -1."""
-    bp, t = kv.breakpoints, np.asarray(values, dtype=np.float64).ravel()
-    i = np.clip(np.searchsorted(bp, t), 1, bp.size - 1)
-    near = np.abs(bp[[i - 1, i]] - t) <= _TOL * (bp[-1] - bp[0])
-    return np.where(near[0], i - 1, np.where(near[1], i, -1))
+    """Index of the breakpoint of kv at the position (:func:`_positions`,
+    on kv's domain span) of each value, or -1."""
+    (pb, pv), _ = _positions([kv.breakpoints, np.ravel(values)], _SNAP_TOL * np.ptp(kv.breakpoints))
+    i = np.minimum(np.searchsorted(pb, pv), pb.size - 1)
+    return np.where(pb[i] == pv, i, -1)
 
 
 def _repeat_rank(idx):
@@ -423,15 +420,18 @@ def _edit_plan(name, space, args, edit):
 def plan_h_refine(space, splits=None):
     """Split elements by inserting new breakpoints; exact.
 
-    splits maps direction -> new breakpoint values (strictly inside
-    existing spans). None bisects every span in every direction.
+    splits maps direction -> new breakpoint values, each of multiplicity
+    1: strictly inside an existing span, and not the same breakpoint as
+    another split. None bisects every span in every direction.
     """
 
     def edit(kv, pts):
         bp, (a, b) = kv.breakpoints, kv.domain
         pts = np.asarray((bp[:-1] + bp[1:]) / 2.0 if pts is None else pts, dtype=np.float64).ravel()
         inside = (a < pts) & (pts < b)
-        hit = inside & (_breakpoint_index(kv, pts) >= 0)
+        # at the position of a breakpoint or of an earlier split
+        pos = np.concatenate(_positions([bp, pts], _SNAP_TOL * (b - a))[0])
+        hit = inside & (_repeat_rank(pos)[bp.size:] > 0)
         _reject(pts, hit, "split point {} is already a breakpoint")
         _reject(pts, ~inside, f"insertion point {{}} not strictly inside ({a}, {b})")
         return np.r_[bp, pts], np.r_[kv.multiplicities, np.ones(pts.size, int)], kv.degree
@@ -534,7 +534,11 @@ def plan_k_smooth(space, values=None, dec=1):
 
 
 def plan_reparameterize(space, new_interior):
-    """Move interior breakpoints, keeping counts and multiplicities; inexact."""
+    """Move interior breakpoints, keeping counts and multiplicities; inexact.
+
+    The new breakpoints must be strictly increasing inside the domain,
+    no two of them (or one and an end) the same breakpoint.
+    """
 
     def edit(kv, vals):
         bp, (a, b) = kv.breakpoints.copy(), kv.domain
@@ -542,11 +546,12 @@ def plan_reparameterize(space, new_interior):
             new = np.asarray(vals, dtype=np.float64).ravel()
             if new.size != bp.size - 2:
                 raise ValueError(f"expected {bp.size - 2} interior breakpoints, got {new.size}")
-            if new.size and not (np.all(np.diff(new) > 0) and new[0] > a and new[-1] < b):
+            bp[1:-1] = new
+            # one position each, in order: none the same breakpoint as another or an end
+            if np.any(np.diff(_positions([bp], _SNAP_TOL * (b - a))[0][0]) <= 0):
                 raise ValueError(
                     "new interior breakpoints must be strictly increasing inside the domain"
                 )
-            bp[1:-1] = new
         return bp, kv.multiplicities, kv.degree
 
     args = _per_dim_arg(space, new_interior, "new_interior")
@@ -560,9 +565,7 @@ def plan_generic(source, target):
     geometrically.
     """
     for kvs, kvt in zip(source.knot_vectors, target.knot_vectors):
-        if kvs.n_elements != kvt.n_elements or np.any(
-            _breakpoint_index(kvt, kvs.breakpoints) != np.arange(kvs.n_elements + 1)
-        ):
+        if not np.array_equal(*_positions([kvs.breakpoints, kvt.breakpoints])[0]):
             raise ValueError("generic projection needs matching breakpoints")
     return _build_plan("generic", source, target)
 

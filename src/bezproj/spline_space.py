@@ -83,12 +83,34 @@ def _window_knots(W):
     return U, W[:, p, None, None], W[:, p + 1, None, None]
 
 
+def _positions(values, tol=None):
+    """Where "the same breakpoint" is decided, for knot vectors and plans.
+
+    values is a list of arrays of one direction (knots, breakpoints, user
+    values, element bounds). Returns, per array, the integer position of
+    each value in their merged, sorted list, and the value of each
+    position. A value within tol (default: _SNAP_TOL times the values'
+    extent) of the one before it, once that is snapped, takes its position.
+    """
+    v = np.sort(np.concatenate([np.ravel(x) for x in values]))
+    tol = _SNAP_TOL * (v[-1] - v[0]) if tol is None else tol
+    # snapping only lowers a value, so only one whose own gap starts small can move
+    gaps = v[1:] - v[:-1]
+    if ((gaps > 0) & (gaps <= tol)).any():
+        for i in np.flatnonzero(gaps <= tol) + 1:
+            if v[i] - v[i - 1] <= tol:
+                v[i] = v[i - 1]
+    # a value lies at or after its run's first value and before the next run's
+    at = v[np.concatenate(([True], v[1:] != v[:-1]))]
+    return [np.searchsorted(at, x, side="right") - 1 for x in values], at
+
+
 def _open_knots(knots, degree, snap_tol):
     """Validate an open knot vector of a float or Fraction (object) array.
 
-    Nonzero gaps of at most snap_tol times the span are closed in place,
-    so span logic can use exact equality. Returns (breakpoints,
-    multiplicities); ValueError names the first broken rule.
+    Nonzero gaps of at most snap_tol times the span are closed in place
+    (:func:`_positions`), so span logic can use exact equality. Returns
+    (breakpoints, multiplicities); ValueError names the first broken rule.
     """
     p = int(degree)
     if p < 1:
@@ -97,23 +119,17 @@ def _open_knots(knots, degree, snap_tol):
         raise ValueError("knots must be finite")
     if knots.size < 2 * (p + 1):
         raise ValueError(f"need at least {2 * (p + 1)} knots for degree {p}, got {knots.size}")
-    gaps = np.diff(knots)
-    if np.any(gaps < 0):
+    if np.any(np.diff(knots) < 0):
         raise ValueError("knots must be nondecreasing")
     span = knots[-1] - knots[0]
     if span <= 0:
         raise ValueError("knot vector spans an empty domain")
 
-    # a snapped knot can only move the next gap up, so the loop runs only
-    # when some gap is small to begin with
-    if np.any((gaps > 0) & (gaps <= snap_tol * span)):
-        for i in range(1, knots.size):
-            if knots[i] != knots[i - 1] and knots[i] - knots[i - 1] <= snap_tol * span:
-                knots[i] = knots[i - 1]
-
+    (pos,), breakpoints = _positions([knots], snap_tol * span)
+    knots[:] = breakpoints[pos]
     if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-p - 1 :] == knots[-1])):
         raise ValueError("knot vector must be open: p+1 repeated end knots")
-    breakpoints, counts = np.unique(knots, return_counts=True)
+    counts = np.bincount(pos)
     if np.any(counts[1:-1] > p):
         raise ValueError(f"interior knot multiplicity exceeds degree {p}")
     if counts[0] > p + 1 or counts[-1] > p + 1:
@@ -417,11 +433,13 @@ def _checked_points(space, net, points):
         raise ValueError("point dimension mismatch")
     if net.n != space.n_funcs:
         raise ValueError("control net size does not match space dimension")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("evaluation points must be finite")
-    for x, kv in zip(pts.T, space.knot_vectors):
-        a, b = kv.domain
-        if np.any(x < a) or np.any(x > b):
+    if pts.shape[0]:
+        # one min and one max per direction: NaN and inf reach both
+        ends = np.array([(x.min(), x.max()) for x in pts.T])
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("evaluation points must be finite")
+        domains = np.array([kv.domain for kv in space.knot_vectors])
+        if np.any(ends[:, 0] < domains[:, 0]) or np.any(ends[:, 1] > domains[:, 1]):
             raise ValueError("evaluation point outside the parametric domain")
     return pts
 
@@ -452,16 +470,17 @@ def evaluate(space, net, points):
 
     m = pts.shape[0]
     first = np.zeros(m, dtype=np.int64)
-    local = [(0, 1.0)]  # (offset from first, (m, 1) values) per local function
+    local = [(0, None)]  # (offset from first, (m,) values) per local function
     stride = 1
     for d, kv in enumerate(space.knot_vectors):
         s, xi = _locate(kv, pts[:, d])
-        N = np.einsum("mab,mb->ma", kv.extraction()[s], bernstein_matrix(kv.degree, xi))
+        # (p+1, m): each function's values are one contiguous row
+        N = np.einsum("mab,mb->am", kv.extraction()[s], bernstein_matrix(kv.degree, xi), order="C")
         first += stride * kv.supports()[s, 0]
         # the first direction cycles fastest
         local = [
-            (offset + stride * i, w * Ni)
-            for i, Ni in enumerate(N.T[:, :, None])
+            (offset + stride * i, Ni if w is None else w * Ni)
+            for i, Ni in enumerate(N)
             for offset, w in local
         ]
         stride *= kv.n
@@ -470,7 +489,7 @@ def evaluate(space, net, points):
         # scaled in place: one more (m, D) temporary per function is
         # fresh memory on every call, paid in page faults
         g = H.take(first + offset, axis=0)
-        g *= w
+        g *= w[:, None]
         out += g
     if net.is_rational:
         return out[:, :-1] / out[:, -1:]

@@ -240,9 +240,25 @@ def interval_transform_ref(p, a, b):
     return A
 
 
-def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt, tol=1e-12):
+def positions_ref(values, span):
+    """Position of each value in the sorted list of values, and the value
+    of each position: a run of values, each within 1e-12 * span of the
+    run's first, is one position, held at that first value (the snapping
+    rule of KnotVector)."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    out, anchors = [0] * len(values), []
+    for i in order:
+        if not anchors or values[i] - anchors[-1] > 1e-12 * span:
+            anchors.append(values[i])
+        out[i] = len(anchors) - 1
+    return out, anchors
+
+
+def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt):
     """One span pair's matrix F and share phi, or None without overlap
-    (the per-pair kernel described in bezproj.spline_ops)."""
+    (the per-pair kernel described in bezproj.spline_ops). The bounds
+    are the values of their positions, so a bound of both spans is one
+    float."""
     from bezproj.bernstein import elevation_matrix, gramian, gramian_inverse, reduction_matrix
 
     def to_local(iv, lo, hi):
@@ -251,8 +267,7 @@ def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt, tol=1e-12):
 
     lo = max(src_iv[0], tgt_iv[0])
     hi = min(src_iv[1], tgt_iv[1])
-    scale = max(tgt_iv[1] - tgt_iv[0], src_iv[1] - src_iv[0])
-    if hi - lo <= tol * scale:
+    if hi <= lo:
         return None
     if p_tgt > p_src:
         D = elevation_matrix(p_src, p_tgt).T
@@ -261,16 +276,16 @@ def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt, tol=1e-12):
     else:
         D = None
     q = p_tgt
-    if abs(lo - src_iv[0]) <= tol * scale and abs(hi - src_iv[1]) <= tol * scale:
+    if (lo, hi) == tuple(src_iv):
         T = None
     else:
         T = interval_transform_ref(q, *to_local(src_iv, lo, hi))
-    phi = (hi - lo) / (tgt_iv[1] - tgt_iv[0])
-    if abs(lo - tgt_iv[0]) <= tol * scale and abs(hi - tgt_iv[1]) <= tol * scale:
-        F = np.eye(q + 1)
+    if (lo, hi) == tuple(tgt_iv):
+        F, phi = np.eye(q + 1), 1.0
     else:
         A = interval_transform_ref(q, *to_local(tgt_iv, lo, hi))
         F = gramian_inverse(q) @ A.T @ gramian(q)
+        phi = (hi - lo) / (tgt_iv[1] - tgt_iv[0])
     if T is not None:
         F = F @ T
     if D is not None:
@@ -280,21 +295,39 @@ def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt, tol=1e-12):
 
 def dim_pairing_ref(kv_src, kv_tgt):
     """(targets, sources, matrices) of one direction: every source span
-    against every target span, sorted by target then source."""
+    against every target span, their bounds held at the values of their
+    positions (positions_ref, on the extent of both), sorted by target
+    then source."""
+    bs, bt = list(kv_src.breakpoints), list(kv_tgt.breakpoints)
+    pos, anchors = positions_ref(bs + bt, max(bs + bt) - min(bs + bt))
+    vs = [anchors[i] for i in pos[: len(bs)]]
+    vt = [anchors[i] for i in pos[len(bs):]]
     targets, sources, mats = [], [], []
     for k in range(kv_tgt.n_elements):
         for j in range(kv_src.n_elements):
             got = dim_factor_ref(
-                tuple(kv_src.breakpoints[j : j + 2]),
-                tuple(kv_tgt.breakpoints[k : k + 2]),
-                kv_src.degree,
-                kv_tgt.degree,
+                tuple(vs[j : j + 2]), tuple(vt[k : k + 2]), kv_src.degree, kv_tgt.degree
             )
             if got is not None:
                 targets.append(k)
                 sources.append(j)
                 mats.append(got[0])
     return np.array(targets), np.array(sources), np.array(mats)
+
+
+def contains_ref(kv_src, kv_tgt):
+    """Whether the target space contains the source's: the degree does
+    not drop, and each source breakpoint lies within 1e-12 of the extent
+    of both of a target breakpoint of no higher continuity."""
+    p, q = kv_src.degree, kv_tgt.degree
+    if q < p:
+        return False
+    span = max(kv_src.domain[1], kv_tgt.domain[1]) - min(kv_src.domain[0], kv_tgt.domain[0])
+    for b, m in zip(kv_src.breakpoints, kv_src.multiplicities):
+        near = [k for k, c in enumerate(kv_tgt.breakpoints) if abs(c - b) <= 1e-12 * span]
+        if not near or q - kv_tgt.multiplicities[near[0]] > p - m:
+            return False
+    return True
 
 
 def local_function_bernstein_row_ref(g, p, a, b):

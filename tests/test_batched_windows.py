@@ -112,8 +112,8 @@ def _plans(rng):
     bp = space.knot_vectors[0].breakpoints
     # degree 3 at the same breakpoints, C2 where the source is C1: inexact
     smoother = SplineSpace([KnotVector(np.r_[[0.0] * 3, bp, [1.0] * 3], 3), space.knot_vectors[1]])
-    # the same breakpoints up to 5e-14, within _TOL of the spans: every span pairs
-    # with its source as a plain (scaled) identity
+    # the same breakpoints up to 5e-14, within the snapping tolerance: every span
+    # pairs with its own source span as an exact identity
     nudged = SplineSpace([
         KnotVector(np.r_[[0.0] * 3, bp[1:-1] + 5e-14, [1.0] * 3], 2), space.knot_vectors[1]
     ])
@@ -133,7 +133,8 @@ def _plans(rng):
 
 def test_dim_pairing_matches_scalar_reference_for_every_builder(rng):
     identities = 0
-    for plan, exact in _plans(rng):
+    plans = _plans(rng)
+    for plan, exact in plans:
         assert plan.exact is exact, plan.name
         for kvs, kvt, P in zip(plan.source.knot_vectors, plan.target.knot_vectors, plan.pairings):
             targets, sources, mats = dim_pairing_ref(kvs, kvt)
@@ -147,6 +148,9 @@ def test_dim_pairing_matches_scalar_reference_for_every_builder(rng):
                     assert np.array_equal(got, ref), plan.name
                     identities += 1
     assert identities > 0
+    nudged = plans[0][0].pairings[0]
+    assert np.array_equal(nudged.target, nudged.source)
+    assert all(np.array_equal(M, np.eye(3)) for M in nudged.matrix)
 
 
 def test_dim_pairing_keeps_its_coverage_check():

@@ -37,9 +37,13 @@ def ref_h_refine(kv, pts, _):
         pts = (kv.breakpoints[:-1] + kv.breakpoints[1:]) / 2.0
     pts = np.asarray(pts, dtype=np.float64).ravel()
     a, b = kv.domain
+    running = kv
     for t in pts:
-        if a < t < b and np.any(_near(kv, t)):
-            raise ValueError(f"split point {t} is already a breakpoint")
+        if a < t < b:
+            # a split names a breakpoint of the knot vector refined so far
+            if np.any(_near(running, t)):
+                raise ValueError(f"split point {t} is already a breakpoint")
+            running = with_inserted_ref(running, [t])
     return with_inserted_ref(kv, pts) if pts.size else kv
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bezproj.bernstein import elevation_matrix
 from bezproj.spline_ops import (
     apply_plan,
     compose,
@@ -47,7 +48,8 @@ def _max_deviation(sp_a, net_a, sp_b, net_b, n=100):
 
 def test_h_refine_and_k_smooth_roundtrip():
     sp = SplineSpace([KnotVector([0, 0, 0, 1, 1, 1], 2)])
-    fine = plan_h_refine(sp, [0.25, 0.5, 0.5]).target
+    # h-refinement adds breakpoints of multiplicity 1; k-roughening repeats one
+    fine = plan_k_roughen(plan_h_refine(sp, [0.25, 0.5]).target, [0.5]).target
     assert list(fine.knot_vectors[0].multiplicities) == [3, 1, 2, 3]
     back = plan_k_smooth(fine, [0.25, 0.5, 0.5]).target
     assert back == sp
@@ -56,13 +58,13 @@ def test_h_refine_and_k_smooth_roundtrip():
 def test_h_refine_and_k_roughen_merge_like_sequential_insertion(rng):
     kv = KnotVector([0, 0, 0, 0.3, 0.6, 1, 1, 1], 2)
     sp = SplineSpace([kv])
-    new = np.r_[rng.uniform(0.05, 0.95, 6), 0.45, 0.45]
+    new = np.r_[rng.uniform(0.05, 0.95, 6), 0.45]
     rng.shuffle(new)
     U = kv.knots
-    for t in np.r_[new, 0.3]:
+    for t in np.r_[new, 0.45, 0.3]:
         U = np.insert(U, np.searchsorted(U, t, side="right"), t)
-    # new breakpoints come from h-refine, a copy of an existing one from k-roughen
-    merged = plan_k_roughen(plan_h_refine(sp, new).target, [0.3]).target.knot_vectors[0]
+    # new breakpoints come from h-refine, copies of breakpoints from k-roughen
+    merged = plan_k_roughen(plan_h_refine(sp, new).target, [0.45, 0.3]).target.knot_vectors[0]
     assert np.array_equal(merged.knots, U)
     assert merged == KnotVector(U, 2)
     assert plan_h_refine(sp, {0: []}).target == sp
@@ -328,6 +330,57 @@ def test_plan_exactness_matches_breakpoints_within_the_tolerance():
     src = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
     tgt = SplineSpace([KnotVector([0, 0, 0, 0, 0.5 + 8e-13, 0.5 + 8e-13, 1, 1, 1, 1], 3)])
     assert plan_generic(src, tgt).exact
+
+
+def test_plan_pairs_breakpoints_within_the_tolerance_as_one(rng):
+    """A target breakpoint 8e-13 from the source's is the same breakpoint
+    for the pairing too: each target span pairs with its own source span
+    through the exact elevation matrix, and no sliver pair appears. The
+    elevated pieces meet C1 only up to the 8e-13 shift in the target's
+    geometry, so the blended net keeps them to 1e-12, not to rounding."""
+    src = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    tgt = SplineSpace([KnotVector([0, 0, 0, 0, 0.5 + 8e-13, 0.5 + 8e-13, 1, 1, 1, 1], 3)])
+    plan = plan_generic(src, tgt)
+    assert plan.exact
+    (P,) = plan.pairings
+    assert P.target.tolist() == [0, 1] and P.source.tolist() == [0, 1]
+    assert all(np.array_equal(M, elevation_matrix(2, 3).T) for M in P.matrix)
+    net = ControlNet(rng.normal(size=(src.n_funcs, 2)))
+    out = apply_plan(plan, net)
+    got = tgt.extraction().transpose(0, 2, 1) @ out.points[tgt.supports()]
+    source = src.extraction().transpose(0, 2, 1) @ net.points[src.supports()]
+    want = elevation_matrix(2, 3).T @ source
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_plan_domains_within_the_tolerance_are_one_domain():
+    """On [0, 1e6] a target end 1e-7 away is within the tolerance: the
+    plan builds, each span paired with itself as an exact identity."""
+    src = SplineSpace([KnotVector([0, 0, 0, 5e5, 1e6, 1e6, 1e6], 2)])
+    tgt = SplineSpace([KnotVector([0, 0, 0, 5e5] + [1e6 + 1e-7] * 3, 2)])
+    plan = plan_generic(src, tgt)
+    assert plan.exact
+    (P,) = plan.pairings
+    assert P.target.tolist() == [0, 1] and P.source.tolist() == [0, 1]
+    assert all(np.array_equal(M, np.eye(3)) for M in P.matrix)
+
+
+@pytest.mark.parametrize("splits", [[0.3, 0.3], [0.3, 0.3 + 5e-13], [0.3 + 5e-13, 0.3]])
+def test_h_refine_rejects_a_repeated_split(splits):
+    """h-refinement adds breakpoints of multiplicity 1: a split at (or
+    within the tolerance of) an earlier split is already a breakpoint."""
+    sp = SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)])
+    with pytest.raises(ValueError, match=f"split point {splits[1]} is already a breakpoint"):
+        plan_h_refine(sp, splits)
+
+
+@pytest.mark.parametrize("new", [[0.5, 0.5 + 5e-13], [1e-13, 0.5], [0.5, 1 - 1e-13]])
+def test_reparameterize_rejects_breakpoints_within_the_tolerance(new):
+    """New interior breakpoints that would snap together, or onto an end,
+    would change the element count; they are refused."""
+    sp = SplineSpace([KnotVector([0, 0, 0, 0, 0.3, 0.6, 1, 1, 1, 1], 3)])
+    with pytest.raises(ValueError, match="strictly increasing inside the domain"):
+        plan_reparameterize(sp, new)
 
 
 def test_plan_generic_needs_matching_breakpoints(rng):
