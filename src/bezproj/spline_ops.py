@@ -47,7 +47,7 @@ from .bernstein import (
 )
 from .projection import _direction_weights
 from .spline_space import _SNAP_TOL, ControlNet, KnotVector, SplineSpace, _positions
-from .tensor import _apply_along, _scatter_add, reversed_kron
+from .tensor import _apply_along, _scatter_add, _unit_segments, reversed_kron
 
 __all__ = [
     "PairTransform",
@@ -141,8 +141,9 @@ class OpPlan:
 
 
 def _to_local(a, b, lo, hi):
-    """Windows [lo, hi] in the biunit coordinates of intervals [a, b]."""
-    return (2.0 * lo - a - b) / (b - a), (2.0 * hi - a - b) / (b - a)
+    """Windows [lo, hi] in the biunit coordinates of intervals [a, b];
+    an end at a maps to -1 and one at b to +1, exactly."""
+    return 2.0 * (lo - a) / (b - a) - 1.0, 2.0 * (hi - a) / (b - a) - 1.0
 
 
 def _span_factors(src, tgt, p_src, p_tgt):
@@ -188,8 +189,7 @@ def _dim_pairing(kv_src, kv_tgt, p_src, p_tgt):
     (ps, pt), at = _positions([kv_src.breakpoints, kv_tgt.breakpoints])
     first = np.searchsorted(ps[1:], pt[:-1], side="right")
     counts = np.maximum(np.searchsorted(ps[:-1], pt[1:], side="left") - first, 0)
-    tgt = np.repeat(np.arange(kv_tgt.n_elements), counts)
-    src = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    tgt, src = _unit_segments(first, first + counts)
     F, phi = _span_factors(
         at[np.stack([ps[src], ps[src + 1]], axis=1)],
         at[np.stack([pt[tgt], pt[tgt + 1]], axis=1)],
@@ -252,10 +252,10 @@ def apply_plan(plan, net, weight_mode="approximate"):
 
 def _compose_pairings(first, then):
     """Span pairing of `then` after `first`: sum over the middle spans."""
-    lo = np.searchsorted(first.target, then.source, side="left")
-    counts = np.searchsorted(first.target, then.source, side="right") - lo
-    i2 = np.repeat(np.arange(then.source.size), counts)
-    i1 = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    i2, i1 = _unit_segments(
+        np.searchsorted(first.target, then.source, side="left"),
+        np.searchsorted(first.target, then.source, side="right"),
+    )
     tgt, src = then.target[i2], first.source[i1]
     keys, inverse = np.unique(np.stack([tgt, src], axis=1), axis=0, return_inverse=True)
     mats = _scatter_add(inverse.ravel(), then.matrix[i2] @ first.matrix[i1], keys.shape[0])

@@ -339,7 +339,7 @@ class SplineSpace:
         return reversed_kron([kv.reconstruction()[s] for kv, s in self._spans(ids)])
 
     # Single-element readers of the same stacks, under the names that
-    # perfbench/tracing.py reports layers by (ROADMAP item 5).
+    # perfbench/tracing.py reports layers by (ROADMAP item 4).
 
     def element(self, e):
         """Bounds, supports, C and R of element e."""

@@ -40,6 +40,14 @@ def _kron(acc, f):
     return (f[:, :, None, :, None] * acc[:, None, :, None, :]).reshape(n, r * ra, c * ca)
 
 
+def _unit_segments(lo, hi):
+    """The unit segments [t, t + 1] of integer intervals [lo, hi]: the
+    interval of each, and its t (so t runs over lo..hi - 1 per interval)."""
+    n = hi - lo
+    which = np.repeat(np.arange(n.size), n)
+    return which, lo[which] + np.arange(which.size) - np.repeat(np.cumsum(n) - n, n)
+
+
 def _apply_along(X, d, ops, gather=None, scatter=None, n_out=None):
     """Apply per-element operators along direction d of a grid.
 

@@ -43,13 +43,16 @@ import numpy as np
 
 from .bernstein import _dual_functionals
 from .spline_space import (
+    _SNAP_TOL,
     _bezier_extraction,
     _element_ids,
     _holds_bool,
     _integer,
     _number_array,
+    _positions,
     _read_json,
 )
+from .tensor import _unit_segments
 
 __all__ = [
     "TMesh",
@@ -79,10 +82,13 @@ class TMesh:
                 raise ValueError("global knot vectors must be nondecreasing")
             if G.size < 2 * (p + 1):
                 raise ValueError("global knot vector too short for its degree")
+            # "the same knot" by KnotVector's rule, so that every later
+            # comparison of knots is exact
+            (pos,), at = _positions([G], _SNAP_TOL * (G[-1] - G[0]))
+            G[:] = at[pos]
             if not (np.all(G[: p + 1] == G[0]) and np.all(G[-p - 1 :] == G[-1])):
                 raise ValueError("global knot vectors must be open")
         self.N = tuple(G.size for G in self.knot_vectors)
-        self._tol = 1e-12 * max(G[-1] - G[0] for G in self.knot_vectors)
 
         N = np.array(self.N)
         V, bad = _index_rows(vertices, 2, "vertex", "two integers")
@@ -352,7 +358,7 @@ class TMesh:
         order = np.lexsort((rects[:, 0], rects[:, 2]))
         box = rects[order].reshape(-1, 2, 2)  # [rectangle, direction, (first, last)]
         bounds = np.stack([G[d][box[:, d] - 1] for d in (0, 1)], axis=1)
-        keep = np.all(bounds[:, :, 1] - bounds[:, :, 0] > self._tol, axis=1)
+        keep = np.all(bounds[:, :, 1] - bounds[:, :, 0] > 0, axis=1)
         element = np.full(len(rects), -1)
         element[order[keep]] = np.arange(keep.sum())
         box, bounds = box[keep], bounds[keep]
@@ -374,9 +380,7 @@ class TMesh:
         pair = np.sort((e * n_anchors + k)[e >= 0])
         e, k = np.divmod(pair[np.diff(pair, prepend=-1) > 0], max(n_anchors, 1))
         support = np.stack([g[i[:, [0, -1]] - 1] for g, i in zip(G, index)], axis=1)[k]
-        inside = (support[:, :, 0] <= bounds[e, :, 0] + self._tol) & (
-            bounds[e, :, 1] <= support[:, :, 1] + self._tol
-        )
+        inside = (support[:, :, 0] <= bounds[e, :, 0]) & (bounds[e, :, 1] <= support[:, :, 1])
         covers = inside.all(axis=1)
         return _Elements(box, bounds, e[covers], k[covers])
 
@@ -392,96 +396,79 @@ class TMesh:
 
     def bounds(self, ids=None):
         """Parametric bounds of the Bezier elements, (n, 2, 2)."""
-        return self._stacks[0][self._checked(ids, check=False)]
+        return self._stacks[0][_element_ids(ids, self.n_elements)]
 
     def supports(self, ids=None):
         """Anchor positions (function ids) supported on each element,
         (n, n_loc), in the mesh-wide anchor order."""
-        return self._stacks[1][self._checked(ids)]
+        return self._stacks[1][_element_ids(ids, self.n_elements)]
 
     def extraction(self, ids=None):
         """Extraction operators C of the elements, (n, n_loc, n_bern)."""
-        return self._stacks[2][self._checked(ids)]
+        return self._stacks[2][_element_ids(ids, self.n_elements)]
 
     def reconstruction(self, ids=None):
         """Reconstruction operators R = C^{-1} from dual functionals, stacked like C."""
-        return self._stacks[3][self._checked(ids)]
+        return self._stacks[3][_element_ids(ids, self.n_elements)]
 
     def element_extraction(self, e):
         """Extraction and reconstruction operators (C, R) of Bezier
         element e, as read-only views of the cached stacks; row k of C is
         the function of anchor supports([e])[0, k]."""
-        self._checked([e])
-        return self._stacks[2][e], self._stacks[3][e]
-
-    def _checked(self, ids, check=True):
-        """ids as an index array; with check, raises the ValueError of
-        the first malformed element."""
-        errors = self._stacks[-1]
-        ids = _element_ids(ids, len(self._stacks[0]))
-        bad = [e for e in ids.tolist() if e in errors] if check and errors else []
-        if bad:
-            raise ValueError(errors[bad[0]])
-        return ids
+        _, _, C, R = self._stacks
+        (e,) = _element_ids([e], self.n_elements)
+        return C[e], R[e]
 
     @cached_property
     def _stacks(self):
-        """Bounds, supports, C and R of every Bezier element, read-only,
-        and the message of the error each malformed element raises.
+        """Bounds, supports, C and R of every Bezier element, read-only;
+        ValueError, for every read, unless each element lies in one
+        polynomial piece of each function supported on it and supports
+        (p1+1)(p2+1) of them, as on an analysis-suitable mesh.
 
         Per direction, one call of each blossom kernel gives the rows of
         every distinct (anchor, element interval); a row of C is the
         Kronecker product of the anchor's two rows, a column of R that of
         its two dual-functional rows (Beirao da Veiga, Buffa, Cho & Sangalli
-        2012). An element's error is the fault of its first pair with one,
-        else a wrong count of supported functions.
+        2012).
         """
         els = self._elements
         e, k = els.element, els.anchor
-        n_el = len(els.box)
         n = (self.degrees[0] + 1) * (self.degrees[1] + 1)
-        rows, faults = [], []
+        rows = []
         for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table[0])):
             span, base = els.box[e, d], self.N[d] + 1  # each pair's element interval
             first, which = _distinct((k * base + span[:, 0]) * base + span[:, 1])
             g, (a, b) = G[idx[k[first]] - 1], els.bounds[e[first], d].T
-            r, f = _bernstein_rows(g, p, a, b)
+            r = _bernstein_rows(g, p, a, b)
             dual = _dual_functionals(g[:, 1 : p + 1], a[:, None], b[:, None])
             rows.append(np.stack([r, dual])[:, which])
-            faults.append(f[which])
-        fault = np.where(faults[0] > 0, faults[0], faults[1])
-        bad = np.flatnonzero(fault)
-        bad = bad[np.diff(e[bad], prepend=-1) > 0]  # the first of each element
-        errors = {x: _ROW_FAULTS[f] for x, f in zip(e[bad].tolist(), fault[bad].tolist())}
-        count = np.bincount(e, minlength=n_el)
-        for x in np.flatnonzero(count != n).tolist():
-            errors.setdefault(
-                x, f"element {x} supports {count[x]} functions, expected {n}; mesh is malformed"
+        count = np.bincount(e, minlength=len(els.box))
+        bad = np.flatnonzero(count != n)
+        if bad.size:
+            x = bad[0]
+            raise ValueError(
+                f"element {x} supports {count[x]} functions, expected {n}; mesh is malformed"
             )
-        good = np.ones(n_el, dtype=bool)
-        good[list(errors)] = False
-        sel = good[e]
-        S = np.zeros((n_el, n), dtype=np.int64)
-        S[good] = k[sel].reshape(-1, n)
-        CR = np.zeros((2, n_el, n, n))
-        CR[:, good] = (rows[1][:, sel, :, None] * rows[0][:, sel, None, :]).reshape(2, -1, n, n)
-        C, R = CR[0], CR[1].transpose(0, 2, 1)
+        C, R = (rows[1][:, :, :, None] * rows[0][:, :, None, :]).reshape(2, -1, n, n)
+        S, R = k.reshape(-1, n), R.transpose(0, 2, 1)
         for a in (els.bounds, S, C, R):
             a.flags.writeable = False
-        return els.bounds, S, C, R, errors
+        return els.bounds, S, C, R
 
     def is_nested(self, other):
         """True if this mesh is nested in `other`: vertices preserved and
         every edge covered by edges of `other`; ValueError unless degrees
-        and global knot vectors agree (within 1e-12 of the widest span).
-        Nested meshes need not span nested spaces, which is not checked.
+        and global knot vectors agree, knot for knot, by KnotVector's rule
+        for the same knot. Nested meshes need not span nested spaces,
+        which is not checked.
         """
         if not isinstance(other, TMesh):
             raise TypeError("is_nested expects a TMesh")
         if self.degrees != other.degrees:
             raise ValueError("meshes have different degrees")
         for Ga, Gb in zip(self.knot_vectors, other.knot_vectors):
-            if Ga.size != Gb.size or np.any(np.abs(Ga - Gb) > self._tol):
+            if Ga.size != Gb.size or not np.array_equal(*_positions([Ga, Gb])[0]):
                 raise ValueError("meshes have different global knot vectors")
         return not ((self._vertex & ~other._vertex).any() or (self._wall & ~other._wall).any())
 
@@ -523,14 +510,6 @@ class _Elements(NamedTuple):
     bounds: np.ndarray  # (n, 2, 2) parametric bounds, the same way
     element: np.ndarray  # the element of each pair
     anchor: np.ndarray  # the anchor of each pair
-
-
-def _unit_segments(lo, hi):
-    """The unit segments [t, t + 1] of integer intervals [lo, hi]: the
-    interval of each, and its t."""
-    n = hi - lo
-    which = np.repeat(np.arange(n.size), n)
-    return which, lo[which] + np.arange(which.size) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _distinct(key):
@@ -633,37 +612,22 @@ def _rectangles(wall, message):
     return np.stack([i1, i2, j1, j2], axis=1), corner_id[left, below[left, y]]
 
 
-# why an (element, anchor) row cannot be computed, by fault code
-_ROW_FAULTS = (
-    None,
-    "local knot vector has empty support",
-    "the requested interval is not a polynomial piece of the local function",
-)
-
-
 def _bernstein_rows(g, p, a, b):
     """Bernstein coefficients on [a, b] of local-knot-vector functions.
 
-    g holds one local knot vector of p+2 knots per row; its [a, b] must
-    lie in one polynomial piece [g[k], g[k+1]] of the function, up to
-    1e-10 of the support. Padded with p copies of each end knot, g puts
-    the function in row p - k of the 2p+2 knots from padded index k, the
-    kernel window of that piece, so one kernel call computes every row.
-    Returns the (m, p+1) rows and each row's fault code, an index into
-    _ROW_FAULTS (0 for none).
+    g holds one local knot vector of p+2 knots per row; its [a, b], read
+    from the same snapped global knots, must lie in one polynomial piece
+    [g[k], g[k+1]] of the function, else ValueError. Padded with p copies
+    of each end knot, g puts the function in row p - k of the 2p+2 knots
+    from padded index k, the kernel window of that piece, so one kernel
+    call computes every row. Returns the (m, p+1) rows.
     """
     m = np.arange(len(g))
-    k = np.sum(g[:, 1 : p + 1] <= 0.5 * (a + b)[:, None], axis=1)
-    lo, hi = g[m, k], g[m, k + 1]
-    tol = 1e-10 * (g[:, -1] - g[:, 0])
-    fault = np.where(
-        g[:, -1] <= g[:, 0], 1, np.where((a < lo - tol) | (b > hi + tol) | (hi <= lo), 2, 0)
-    )
-    ok = fault == 0
-    W = g[m[:, None], np.clip(k[:, None] + np.arange(-p, p + 2), 0, p + 1)][ok]
-    rows = np.zeros((len(g), p + 1))
-    rows[ok] = _bezier_extraction(W, a[ok], b[ok])[np.arange(len(W)), (p - k)[ok]]
-    return rows, fault
+    k = np.sum(g[:, 1 : p + 1] <= a[:, None], axis=1)
+    if np.any((a < g[m, k]) | (b > g[m, k + 1])):
+        raise ValueError("the requested interval is not a polynomial piece of the local function")
+    W = g[m[:, None], np.clip(k[:, None] + np.arange(-p, p + 2), 0, p + 1)]
+    return _bezier_extraction(W, a, b)[m, p - k]
 
 
 def read_tmesh_json(source):

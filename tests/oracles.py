@@ -262,8 +262,9 @@ def dim_factor_ref(src_iv, tgt_iv, p_src, p_tgt):
     from bezproj.bernstein import elevation_matrix, gramian, gramian_inverse, reduction_matrix
 
     def to_local(iv, lo, hi):
+        """[lo, hi] in the biunit coordinates of iv; its ends map to -1 and +1 exactly."""
         a, b = iv
-        return (2.0 * lo - a - b) / (b - a), (2.0 * hi - a - b) / (b - a)
+        return 2.0 * (lo - a) / (b - a) - 1.0, 2.0 * (hi - a) / (b - a) - 1.0
 
     lo = max(src_iv[0], tgt_iv[0])
     hi = min(src_iv[1], tgt_iv[1])

@@ -180,7 +180,9 @@ def test_stacked_tmesh_operators_match_scalar_reference(fixtures_dir, name):
             assert not C.flags.writeable and not R.flags.writeable
 
 
-def test_tmesh_element_errors_stay_with_their_element(fixtures_dir):
+def test_tmesh_element_errors_raise_from_every_read(fixtures_dir):
+    """A malformed element fails the checks that run when the stacks are
+    built, so every read raises its error, whichever elements it asks for."""
     path = os.path.join(fixtures_dir, "tmesh_d.json")
 
     def mesh_with(**changes):
@@ -197,18 +199,19 @@ def test_tmesh_element_errors_stay_with_their_element(fixtures_dir):
     els = mesh._elements
     drop = np.flatnonzero(els.element == 3)[-1]
     short = mesh_with(element=np.delete(els.element, drop), anchor=np.delete(els.anchor, drop))
-    with pytest.raises(ValueError, match="element 3 supports 15 functions, expected 16"):
-        short.element_extraction(3)
-    assert np.array_equal(short.element_extraction(2)[0], mesh.element_extraction(2)[0])
-
     # element 5 widened to the whole index and parametric range in x
     G1 = mesh.knot_vectors[0]
     box, bounds = els.box.copy(), els.bounds.copy()
     box[5, 0], bounds[5, 0] = (1, G1.size), (G1[0], G1[-1])
     wide = mesh_with(box=box, bounds=bounds)
-    with pytest.raises(ValueError, match="not a polynomial piece of the local function"):
-        wide.element_extraction(5)
-    assert np.array_equal(wide.element_extraction(4)[1], mesh.element_extraction(4)[1])
+    for bad, message in (
+        (short, "element 3 supports 15 functions, expected 16"),
+        (wide, "not a polynomial piece of the local function"),
+    ):
+        for read in (lambda: bad.element_extraction(3), lambda: bad.element_extraction(5),
+                     lambda: bad.element_extraction(2), lambda: bad.bounds([4])):
+            with pytest.raises(ValueError, match=message):
+                read()
 
 
 # ------------------------------------------------------------ exact extract

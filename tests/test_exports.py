@@ -103,6 +103,23 @@ def test_no_matrix_inversion_in_the_package():
     assert not calls, f"inv called at {calls}"
 
 
+@pytest.mark.parametrize("module", ["tmesh", "spline_ops"])
+def test_no_float_tolerance_outside_the_snapping_rule(module):
+    """The T-mesh and the plans decide "the same knot" by KnotVector's rule
+    alone (spline_space._SNAP_TOL), so they hold no tolerance literal."""
+    path = os.path.join(os.path.dirname(bezproj.__file__), module + ".py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    small = [
+        f"{module}.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < node.value < 1e-6
+    ]
+    assert not small, f"float tolerances at {small}"
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(levels=1), "a convergence rate needs at least 2 levels"),
     (dict(degrees=(7,)), r"degrees must lie in \[1, 5\]"),

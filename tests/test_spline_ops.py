@@ -3,6 +3,7 @@ import pytest
 
 from bezproj.bernstein import elevation_matrix
 from bezproj.spline_ops import (
+    _to_local,
     apply_plan,
     compose,
     h_coarsen,
@@ -363,6 +364,16 @@ def test_plan_domains_within_the_tolerance_are_one_domain():
     (P,) = plan.pairings
     assert P.target.tolist() == [0, 1] and P.source.tolist() == [0, 1]
     assert all(np.array_equal(M, np.eye(3)) for M in P.matrix)
+
+
+def test_window_ends_at_the_span_ends_are_minus_one_and_one_exactly(rng):
+    """A window end at its span's end is exactly -1 or +1 in the span's
+    biunit coordinates, for spans inside [0, 1] and on any scale."""
+    a, b = np.sort(rng.uniform(0, 1, size=(2, 10**5)), axis=0)
+    scale = 10.0 ** rng.uniform(-6, 6, size=10**5)
+    for lo, hi in ((a, b), (scale * (a - 0.5), scale * (b - 0.5))):
+        left, right = _to_local(lo, hi, lo, hi)
+        assert np.all(left == -1.0) and np.all(right == 1.0)
 
 
 @pytest.mark.parametrize("splits", [[0.3, 0.3], [0.3, 0.3 + 5e-13], [0.3 + 5e-13, 0.3]])

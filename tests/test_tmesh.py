@@ -284,6 +284,57 @@ def test_tensor_mesh_local_knots_match_slices():
     assert len(seen) == sp.n_funcs
 
 
+def _random_knots(rng, p):
+    """An open knot vector of degree p on a span from 1e-6 to 1e6, with
+    one to five interior breakpoints of multiplicity 1..p."""
+    span = 10.0 ** rng.uniform(-6, 6)
+    lo = span * rng.uniform(-1, 1)
+    interior = np.sort(rng.uniform(0, 1, size=rng.integers(1, 6)))
+    knots = np.repeat(interior, rng.integers(1, p + 1, size=interior.size))
+    return lo + span * np.r_[[0.0] * (p + 1), knots, [1.0] * (p + 1)]
+
+
+def _assert_matches_tensor_space(degrees, knots):
+    mesh = TMesh.tensor(degrees, knots)
+    sp = SplineSpace([KnotVector(G, p) for G, p in zip(knots, degrees)])
+    for G, kv in zip(mesh.knot_vectors, sp.knot_vectors):
+        assert np.array_equal(G, kv.knots)
+    assert (mesh.n_funcs, mesh.n_elements) == (sp.n_funcs, sp.n_elements)
+    # anchors and elements run in the tensor order, the first direction fastest
+    for read in ("bounds", "supports", "extraction", "reconstruction"):
+        assert np.array_equal(getattr(mesh, read)(), getattr(sp, read)()), read
+
+
+def test_tensor_mesh_matches_its_spline_space_bit_for_bit():
+    """TMesh.tensor decides "the same knot" per direction, as KnotVector
+    does: on x knots 1e-7 apart and y knots 5e5 apart, a tolerance taken
+    from the wider direction dropped the x element [0, 1e-7]."""
+    _assert_matches_tensor_space(
+        (2, 2), [[0, 0, 0, 1e-7, 1, 1, 1], [0, 0, 0, 5e5, 1e6, 1e6, 1e6]]
+    )
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        degrees = tuple(int(p) for p in rng.integers(1, 5, size=2))
+        _assert_matches_tensor_space(degrees, [_random_knots(rng, p) for p in degrees])
+
+
+def test_knots_within_the_snapping_tolerance_are_one_knot(fixtures_dir):
+    """A global knot within 1e-12 of its direction's span of the knot
+    before it is that knot: the mesh is the one with the two knots equal."""
+    mesh = _load(fixtures_dir, "tmesh_d")
+    d = tmesh_to_dict(mesh)
+    G = mesh.knot_vectors[1]
+    near, equal = G.copy(), G.copy()
+    near[8] = G[7] + 0.5e-12 * (G[-1] - G[0])
+    equal[8] = G[7]
+    a, b = (TMesh(d["degrees"], [d["knot_vectors"][0], y], d["vertices"], d["edges"])
+            for y in (near, equal))
+    assert a.n_elements == mesh.n_elements - 4
+    assert np.array_equal(a.knot_vectors[1], b.knot_vectors[1])
+    for read in ("bounds", "supports", "extraction", "reconstruction"):
+        assert np.array_equal(getattr(a, read)(), getattr(b, read)()), read
+
+
 # ------------------------------------------------------- nesting, I/O
 
 
@@ -310,6 +361,17 @@ def test_is_nested_compares_knots_within_the_span_tolerance(scale, apart):
         TMesh.tensor((2, 2), [H, G]).is_nested(mesh)
     H[3] = G[3] + 1e-13 * scale
     assert TMesh.tensor((2, 2), [H, G]).is_nested(mesh)
+
+
+def test_is_nested_compares_each_direction_on_its_own_span():
+    """An x knot moved by 1e-7 of the x span is another knot, however wide
+    the y span is."""
+    Gx, Gy = np.array([0, 0, 0, 0.5, 1, 1, 1]), np.array([0, 0, 0, 5e5, 1e6, 1e6, 1e6])
+    mesh = TMesh.tensor((2, 2), [Gx, Gy])
+    moved = Gx.copy()
+    moved[3] += 1e-7
+    with pytest.raises(ValueError, match="different global knot vectors"):
+        TMesh.tensor((2, 2), [moved, Gy]).is_nested(mesh)
 
 
 def test_tmesh_json_roundtrip(tmp_path, fixtures_dir):
