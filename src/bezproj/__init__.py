@@ -28,14 +28,8 @@ from .spline_ops import (
     OpPlan,
     apply_plan,
     compose,
-    h_coarsen,
-    h_refine,
-    k_roughen,
-    k_smooth,
     large_to_small,
     multi_to_one,
-    p_elevate,
-    p_reduce,
     plan_generic,
     plan_h_coarsen,
     plan_h_refine,
@@ -44,8 +38,6 @@ from .spline_ops import (
     plan_p_elevate,
     plan_p_reduce,
     plan_reparameterize,
-    project_generic,
-    reparameterize,
 )
 from .spline_space import (
     ControlNet,
@@ -101,14 +93,6 @@ __all__ = [
     "plan_k_smooth",
     "plan_reparameterize",
     "plan_generic",
-    "project_generic",
-    "h_refine",
-    "h_coarsen",
-    "p_elevate",
-    "p_reduce",
-    "k_roughen",
-    "k_smooth",
-    "reparameterize",
     "large_to_small",
     "multi_to_one",
     # T-meshes

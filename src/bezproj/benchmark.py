@@ -98,35 +98,35 @@ def expression_target(expr):
     return TargetFunction(f)
 
 
-def uniform_space(degree, n_elements, lo=0.0, hi=1.0):
-    """Maximally smooth uniform univariate space on [lo, hi]."""
-    bp = np.linspace(lo, hi, n_elements + 1)
-    knots = np.concatenate([[lo] * degree, bp, [hi] * degree])
+def uniform_space(degree, n_elements):
+    """Maximally smooth uniform univariate space on [0, 1]."""
+    bp = np.linspace(0.0, 1.0, n_elements + 1)
+    knots = np.concatenate([[0.0] * degree, bp, [1.0] * degree])
     return SplineSpace([KnotVector(knots, degree)])
 
 
-def quarter_cylinder(radius=1.0, length=2.0):
+def quarter_cylinder():
     """Quarter-cylinder shell as a biquadratic-by-linear NURBS surface.
 
-    The arc runs in the xy-plane from (0, 0) to (sqrt(2) R, 0); the axis
-    is z in [0, length]. Returns (space, net).
+    The arc of radius 1 runs in the xy-plane from (0, 0) to (sqrt(2), 0);
+    the axis is z in [0, 2]. Returns (space, net).
     """
     s = np.sqrt(2.0) / 2.0
-    c = np.sqrt(2.0) * radius
+    c = np.sqrt(2.0)
     kv1 = KnotVector([0, 0, 0, 1, 1, 1], 2)
     kv2 = KnotVector([0, 0, 1, 1], 1)
     arc = np.array([[0.0, 0.0], [c / 2.0, c / 2.0], [c, 0.0]])
     pts = np.zeros((6, 3))
     pts[0:3, 0:2] = arc
     pts[3:6, 0:2] = arc
-    pts[3:6, 2] = length
+    pts[3:6, 2] = 2.0
     weights = np.array([1.0, s, 1.0, 1.0, s, 1.0])
     return SplineSpace([kv1, kv2]), ControlNet(pts, weights)
 
 
-def _govindjee_target(radius=1.0, length=2.0):
-    space0, net0 = quarter_cylinder(radius, length)
-    c = np.sqrt(2.0) * radius
+def _govindjee_target():
+    space0, net0 = quarter_cylinder()
+    c, length = np.sqrt(2.0), 2.0
 
     def f(pts):
         x = evaluate(space0, net0, pts)

@@ -27,6 +27,7 @@ from .spline_space import (
     _common_denominator,
     _exact_extraction,
     _exact_windows,
+    _fields,
     _window_knots,
     evaluate,
     parse_number,
@@ -160,7 +161,7 @@ def cmd_op(name, in_path, out_path, knots, degree, weighting):
             plan = spline_ops.plan_reparameterize(space, kargs)
         out_net = spline_ops.apply_plan(plan, net, weight_mode=_WEIGHTING[weighting])
         write_spline_json(out_path, plan.target, out_net)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     _echo(f"{name}: {space.n_elements} -> {plan.target.n_elements} elements")
     _echo(f"exact: {'yes' if plan.exact else 'no'}")
@@ -183,7 +184,8 @@ def _exact_read(raw):
     every knot is an int or a string that reads as a rational; then
     read_spline_json reads the file as it is and names any bad knot.
     """
-    G = raw.get("knot_vectors") if isinstance(raw, dict) else None
+    _fields(raw)  # a JSON object, else ValueError
+    G = raw.get("knot_vectors")
     if not (
         isinstance(G, list)
         and all(isinstance(g, list) and all(type(u) in (int, str) for u in g) for g in G)
@@ -244,7 +246,7 @@ def cmd_extract(in_path, element):
             factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
             C = space.extraction([element])[0].tolist()
             R = space.reconstruction([element])[0].tolist()
-    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     if len(factors) > 1:
         for d, F in enumerate(factors):
@@ -299,7 +301,7 @@ def cmd_lift_normals(in_path, out_path, weighting):
     try:
         space, net = read_spline_json(in_path)
         vecs = lift_normals(space, net, weight_mode=_WEIGHTING[weighting])
-    except ValueError as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     write_spline_json(
         out_path, space, net, extra={"normal_vectors": vecs.points.tolist()}
@@ -320,7 +322,7 @@ def cmd_check_as(in_path):
     """Report analysis-suitability; exit 1 when extensions intersect."""
     try:
         mesh = read_tmesh_json(in_path)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     bad = mesh.analysis_violations()
     junction = mesh.extensions().junction.tolist()
@@ -341,7 +343,7 @@ def cmd_anchors(in_path):
     try:
         mesh = read_tmesh_json(in_path)
         anchors = mesh.anchors()
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     for k, (x, y) in enumerate(anchors.tolist()):
         _echo(f"{k}: {mesh.anchor_kind} x={x} y={y}")
@@ -356,7 +358,7 @@ def cmd_local_kv(in_path, anchor):
         mesh = read_tmesh_json(in_path)
         idx1, idx2 = mesh.local_knot_indices(anchor)
         g1, g2 = mesh.local_knot_vectors(anchor)
-    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     _echo(f"indices 1: {idx1.tolist()}")
     _echo(f"indices 2: {idx2.tolist()}")
@@ -372,7 +374,7 @@ def cmd_tmesh_extract(in_path, element):
     try:
         mesh = read_tmesh_json(in_path)
         C, R = mesh.element_extraction(element)
-    except (ValueError, IndexError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
     (x, y), anchors = mesh.bounds([element])[0].tolist(), mesh.supports([element])[0]
     _echo(f"bounds: {tuple(x)} x {tuple(y)}")

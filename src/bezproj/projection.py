@@ -40,31 +40,16 @@ __all__ = [
 class TargetFunction:
     """Callable target for projection.
 
-    Wraps either a vectorized function taking an (m, d) array of
-    parametric points and returning (m,) or (m, k), or a per-point
-    function (set vectorized=False). Instances are callable with the
-    vectorized convention either way.
-
-    degree, if given, declares the target to be a polynomial of at most
-    that degree per parametric direction; projection quadrature then
-    drops to the minimal exact order.
+    Wraps a vectorized function taking an (m, d) array of parametric
+    points and returning (m,) or (m, k) values, which are checked.
     """
 
-    def __init__(self, f, vectorized=True, degree=None):
+    def __init__(self, f):
         self._f = f
-        self._vectorized = vectorized
-        if degree is not None:
-            degree = _integer(degree, "degree")
-            if degree < 0:
-                raise ValueError("declared degree must be >= 0")
-        self.degree = degree
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self._vectorized:
-            out = np.asarray(self._f(pts), dtype=np.float64)
-        else:
-            out = np.asarray([self._f(p) for p in pts], dtype=np.float64)
+        out = np.asarray(self._f(pts), dtype=np.float64)
         if out.ndim == 1:
             out = out[:, None]
         if out.shape[0] != pts.shape[0]:
@@ -78,18 +63,10 @@ def _as_target(f):
     return f if isinstance(f, TargetFunction) else TargetFunction(f)
 
 
-def _quad_orders(space, quad_order, f_degree=None, rational=False):
-    """Gauss point counts per direction.
-
-    Defaults to p + 3 points; a declared polynomial target degree lowers
-    this to the minimal count that integrates the projection integrand
-    exactly (the weight function adds another p in the rational case).
-    """
+def _quad_orders(space, quad_order):
+    """Gauss point counts per direction: quad_order, checked, or p + 3."""
     if quad_order is None:
-        if f_degree is None:
-            return tuple(p + 3 for p in space.degrees)
-        mult = 2 if rational else 1
-        return tuple((mult * p + f_degree) // 2 + 1 for p in space.degrees)
+        return tuple(p + 3 for p in space.degrees)
     if np.isscalar(quad_order):
         quad_order = [quad_order] * space.parametric_dim
     orders = tuple(_integer(q, "quad_order") for q in quad_order)
@@ -175,11 +152,7 @@ def smoothing_weight_table(space, mode="approximate"):
         volume-weighted variant of "approximate"; no quadrature needed.
       uniform: plain averaging over the support elements.
     """
-    table = np.ones((1, 1))
-    for kv in space.knot_vectors:
-        w = _direction_weights(kv, mode)
-        table = np.einsum("ei,fj->feji", table, w).reshape(len(table) * len(w), -1)
-    return table
+    return reversed_kron([_direction_weights(kv, mode) for kv in space.knot_vectors])
 
 
 @dataclass
@@ -187,8 +160,6 @@ class ProjectionReport:
     """Result of a Bezier projection run."""
 
     net: ControlNet
-    coefficients: np.ndarray
-    weight_mode: str = "approximate"
 
 
 def _spline_on_grid(space, H, rules):
@@ -214,9 +185,7 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     """
     f = _as_target(f)
     weights = _checked_weights(weights, space.n_funcs, "space dimension")
-    orders = _quad_orders(
-        space, quad_order, f_degree=f.degree, rational=weights is not None
-    )
+    orders = _quad_orders(space, quad_order)
     X, rules = _target_on_grid(f, space, orders)
     if weights is not None:
         X = _spline_on_grid(space, weights[:, None], rules) * X
@@ -228,14 +197,8 @@ def bezier_project(f, space, weights=None, weight_mode="approximate", quad_order
     coeffs = X.reshape(space.n_funcs, -1)
 
     if weights is not None:
-        out = ControlNet(coeffs / weights[:, None], weights)
-    else:
-        out = ControlNet(coeffs)
-    return ProjectionReport(
-        net=out,
-        coefficients=out.points,
-        weight_mode=weight_mode,
-    )
+        return ProjectionReport(ControlNet(coeffs / weights[:, None], weights))
+    return ProjectionReport(ControlNet(coeffs))
 
 
 def global_l2_project(f, space, weights=None, quad_order=None):
@@ -249,11 +212,7 @@ def global_l2_project(f, space, weights=None, quad_order=None):
     """
     f = _as_target(f)
     weights = _checked_weights(weights, space.n_funcs, "space dimension")
-    orders = _quad_orders(
-        space, quad_order, f_degree=f.degree, rational=weights is not None
-    )
-    if quad_order is None:
-        orders = tuple(max(q, p + 1) for q, p in zip(orders, space.degrees))
+    orders = _quad_orders(space, quad_order)
     for q, p in zip(orders, space.degrees):
         if q < p + 1:
             raise ValueError(
@@ -290,13 +249,9 @@ def l2_error(f, space, net, quad_order=None, relative=False):
     f = _as_target(f)
     if not isinstance(net, ControlNet):
         net = ControlNet(net)
-    if quad_order is None:
-        if f.degree is not None and not net.is_rational:
-            orders = tuple(max(p, f.degree) + 1 for p in space.degrees)
-        else:
-            orders = tuple(p + 4 for p in space.degrees)
-    else:
-        orders = _quad_orders(space, quad_order)
+    # by default one Gauss point more than the projectors take
+    default = [p + 4 for p in space.degrees]
+    orders = _quad_orders(space, default if quad_order is None else quad_order)
     vals, rules = _target_on_grid(f, space, orders)
     S = _spline_on_grid(space, net.homogeneous(), rules)
     if net.is_rational:
@@ -318,7 +273,7 @@ def l2_error(f, space, net, quad_order=None, relative=False):
     return err
 
 
-def lift_normals(space, net, weight_mode="approximate", quad_order=None):
+def lift_normals(space, net, weight_mode="approximate"):
     """Control vectors reproducing the unit normal field of a planar curve.
 
     The curve tangent is rotated by +90 degrees, normalized, and
@@ -337,11 +292,4 @@ def lift_normals(space, net, weight_mode="approximate", quad_order=None):
             raise ValueError("tangent vanishes; normal undefined")
         return np.stack([-T[:, 1], T[:, 0]], axis=1) / mag[:, None]
 
-    report = bezier_project(
-        TargetFunction(unit_normal),
-        space,
-        weights=net.weights,
-        weight_mode=weight_mode,
-        quad_order=quad_order,
-    )
-    return report.net
+    return bezier_project(unit_normal, space, weights=net.weights, weight_mode=weight_mode).net

@@ -57,7 +57,6 @@ __all__ = [
     "compose",
     "large_to_small",
     "multi_to_one",
-    "project_generic",
     "plan_h_refine",
     "plan_h_coarsen",
     "plan_p_elevate",
@@ -66,13 +65,6 @@ __all__ = [
     "plan_k_smooth",
     "plan_reparameterize",
     "plan_generic",
-    "h_refine",
-    "h_coarsen",
-    "p_elevate",
-    "p_reduce",
-    "k_roughen",
-    "k_smooth",
-    "reparameterize",
 ]
 
 
@@ -489,34 +481,30 @@ def plan_p_reduce(space, dec=1):
     return _degree_plan("p-reduce", space, dec, "dec", -1)
 
 
-def plan_k_roughen(space, values=None, inc=1):
-    """Raise interior knot multiplicities, lowering continuity; exact.
+def plan_k_roughen(space, values=None):
+    """Raise interior knot multiplicities by one, lowering continuity; exact.
 
-    A value listed twice is raised twice.
+    A value listed twice is raised twice; None raises every interior knot.
     """
-    if inc < 0:
-        raise ValueError("roughening increment must be >= 0")
 
     def edit(kv, vals):
         i = np.arange(1, kv.n_elements) if vals is None else _breakpoint_index(kv, vals)
         _reject(vals, (i <= 0) | (i == kv.n_elements), "{} is not an interior breakpoint")
         mult = kv.multiplicities.copy()
-        np.add.at(mult, i, inc)
+        np.add.at(mult, i, 1)
         return kv.breakpoints, mult, kv.degree
 
     return _edit_plan("k-roughen", space, _per_dim_arg(space, values, "values"), edit)
 
 
-def plan_k_smooth(space, values=None, dec=1):
-    """Lower interior knot multiplicities, raising continuity; inexact.
+def plan_k_smooth(space, values=None):
+    """Lower interior knot multiplicities by one, raising continuity; inexact.
 
     A value listed twice is lowered twice; None lowers every interior
-    knot whose multiplicity exceeds dec.
+    knot whose multiplicity exceeds one.
     """
-    if dec < 0:
-        raise ValueError("smoothing decrement must be >= 0")
     values = [
-        kv.breakpoints[1:-1][kv.multiplicities[1:-1] > dec] if vals is None else vals
+        kv.breakpoints[1:-1][kv.multiplicities[1:-1] > 1] if vals is None else vals
         for kv, vals in zip(space.knot_vectors, _per_dim_arg(space, values, "values"))
     ]
     if all(len(vals) == 0 for vals in values):
@@ -525,9 +513,9 @@ def plan_k_smooth(space, values=None, dec=1):
     def edit(kv, vals):
         i = _breakpoint_index(kv, vals)
         mult = kv.multiplicities.copy()
-        spent = dec * (_repeat_rank(i) + 1) > mult[i]
+        spent = _repeat_rank(i) >= mult[i]
         _reject(vals, (i <= 0) | (i == kv.n_elements) | spent, "no removable interior knot at {}")
-        np.add.at(mult, i, -dec)
+        np.add.at(mult, i, -1)
         return kv.breakpoints, mult, kv.degree
 
     return _edit_plan("k-smooth", space, values, edit)
@@ -568,47 +556,3 @@ def plan_generic(source, target):
         if not np.array_equal(*_positions([kvs.breakpoints, kvt.breakpoints])[0]):
             raise ValueError("generic projection needs matching breakpoints")
     return _build_plan("generic", source, target)
-
-
-def project_generic(source, target, net, weight_mode="approximate"):
-    """Project a net between same-breakpoint spaces (degree/continuity)."""
-    return apply_plan(plan_generic(source, target), net, weight_mode)
-
-
-# ---------------------------------------------------------------------------
-# user-facing operations
-
-
-def h_refine(space, net, splits=None, weight_mode="approximate"):
-    plan = plan_h_refine(space, splits)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def h_coarsen(space, net, remove, weight_mode="approximate"):
-    plan = plan_h_coarsen(space, remove)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def p_elevate(space, net, inc=1, weight_mode="approximate"):
-    plan = plan_p_elevate(space, inc)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def p_reduce(space, net, dec=1, weight_mode="approximate"):
-    plan = plan_p_reduce(space, dec)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def k_roughen(space, net, values=None, inc=1, weight_mode="approximate"):
-    plan = plan_k_roughen(space, values, inc)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def k_smooth(space, net, values=None, dec=1, weight_mode="approximate"):
-    plan = plan_k_smooth(space, values, dec)
-    return plan.target, apply_plan(plan, net, weight_mode)
-
-
-def reparameterize(space, net, new_interior, weight_mode="approximate"):
-    plan = plan_reparameterize(space, new_interior)
-    return plan.target, apply_plan(plan, net, weight_mode)

@@ -22,6 +22,7 @@ cycle fastest, matching :func:`bezproj.tensor.reversed_kron`.
 
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import chain
 
@@ -543,7 +544,7 @@ def _number_array(values, what, ndim):
         arr = np.array(values)
         if arr.dtype.kind == "b" or (arr.dtype.kind in "iuf" and _holds_bool(values, arr.ndim)):
             raise TypeError("booleans are not numbers")
-        if arr.dtype.kind not in "iuf":
+        if arr.dtype.kind not in "iuf" and arr.ndim:
             arr = np.array(values, dtype=object)
             if np.frompyfunc(isinstance, 2, 1)(arr, bool).any():
                 raise TypeError("booleans are not numbers")
@@ -577,22 +578,47 @@ def _integer(x, what):
     raise ValueError(f"{what} must be integers, got {x!r}")
 
 
+def _fields(data, *names):
+    """The named fields of a JSON object; ValueError names a missing one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    return [data[name] for name in names]
+
+
+def _list_fields(data, *names):
+    """The named fields of a JSON object, each a list; ValueError names
+    the first that is missing or not a list."""
+    values = _fields(data, *names)
+    for name, value in zip(names, values):
+        if not isinstance(value, (list, np.ndarray)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+    return values
+
+
 def _space_from_dict(data):
+    degrees, knot_vectors = _list_fields(data, "degrees", "knot_vectors")
+    if len(degrees) != len(knot_vectors):
+        raise ValueError(
+            f"degrees has {len(degrees)} entries but knot_vectors has {len(knot_vectors)}"
+        )
     kvs = [
         KnotVector(_number_array(knots, "knot_vectors", 1), _integer(p, "degrees"))
-        for knots, p in zip(data["knot_vectors"], data["degrees"])
+        for knots, p in zip(knot_vectors, degrees)
     ]
     return SplineSpace(kvs)
 
 
 def _read_json(source):
-    """The JSON data of a file path or file object; a dict passes as is."""
-    if isinstance(source, dict):
-        return source
+    """The JSON data of a file path or file object; data passes as is."""
     if hasattr(source, "read"):
         return json.load(source)
-    with open(source) as fh:
-        return json.load(fh)
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source) as fh:
+            return json.load(fh)
+    return source
 
 
 def read_spline_json(source):
@@ -604,10 +630,11 @@ def read_spline_json(source):
     """
     data = _read_json(source)
     space = _space_from_dict(data)
-    if _integer(data["parametric_dim"], "parametric_dim") != space.parametric_dim:
+    dim, points, physical_dim = _fields(data, "parametric_dim", "control_points", "physical_dim")
+    if _integer(dim, "parametric_dim") != space.parametric_dim:
         raise ValueError("parametric_dim does not match knot_vectors")
-    points = _number_array(data["control_points"], "control_points", 2)
-    if points.shape[1] != _integer(data["physical_dim"], "physical_dim"):
+    points = _number_array(points, "control_points", 2)
+    if points.shape[1] != _integer(physical_dim, "physical_dim"):
         raise ValueError("physical_dim does not match control_points")
     weights = None
     if data.get("weights") is not None:

@@ -48,6 +48,7 @@ from .spline_space import (
     _element_ids,
     _holds_bool,
     _integer,
+    _list_fields,
     _number_array,
     _positions,
     _read_json,
@@ -633,7 +634,7 @@ def _bernstein_rows(g, p, a, b):
 def read_tmesh_json(source):
     """Read a T-mesh from a JSON file path, file object, or dict."""
     data = _read_json(source)
-    return TMesh(data["degrees"], data["knot_vectors"], data["vertices"], data["edges"])
+    return TMesh(*_list_fields(data, "degrees", "knot_vectors", "vertices", "edges"))
 
 
 def tmesh_to_dict(mesh):

@@ -87,7 +87,7 @@ def test_bezier_project_matches_per_element_reference(rng, mode, rational):
         quad = tuple(p + 3 for p in space.degrees)
         got = bezier_project(_target, space, weights=weights, weight_mode=mode)
         ref = _bezier_project_ref(TargetFunction(_target), space, weights, mode, quad)
-        _close(got.coefficients, ref, rel=1e-13)
+        _close(got.net.points, ref, rel=1e-13)
 
 
 def _apply_plan_ref(plan, net, mode):

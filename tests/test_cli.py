@@ -434,6 +434,25 @@ def test_extract_rejects_boolean_knots(runner, tmp_path):
     _assert_rejected(result, 'knot_vectors must hold numbers or "n/d" strings (booleans')
 
 
+def test_extract_rejects_a_file_that_is_not_a_json_object(runner, tmp_path):
+    """A file holding a JSON string was read as the path of another file."""
+    src, wrapper = tmp_path / "curve.json", tmp_path / "wrapper.json"
+    _quadratic_curve(src)
+    wrapper.write_text(json.dumps(str(src)))
+    result = runner.invoke(main, ["extract", "--in", str(wrapper), "--element", "0"])
+    _assert_rejected(result, "expected a JSON object, got str")
+
+
+def test_op_names_a_degrees_field_that_is_not_a_list(runner, tmp_path):
+    src = tmp_path / "curve.json"
+    _quadratic_curve(src)
+    src.write_text(json.dumps(dict(json.loads(src.read_text()), degrees=2)))
+    result = runner.invoke(
+        main, ["op", "h-refine", "--in", str(src), "--out", str(tmp_path / "o.json")]
+    )
+    _assert_rejected(result, "degrees must be a list, got 2")
+
+
 # ---------------------------------------------------------- convergence
 
 
@@ -618,6 +637,18 @@ def test_lift_normals_rejects_surface(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_lift_normals_names_a_missing_field(runner, tmp_path):
+    src = tmp_path / "arc.json"
+    _quarter_circle(src)
+    data = json.loads(src.read_text())
+    del data["knot_vectors"]
+    src.write_text(json.dumps(data))
+    result = runner.invoke(
+        main, ["lift-normals", "--in", str(src), "--out", str(tmp_path / "o.json")]
+    )
+    _assert_rejected(result, "missing field 'knot_vectors'")
+
+
 # ---------------------------------------------------------------- tmesh
 
 
@@ -702,6 +733,26 @@ def test_tmesh_rejects_boolean_vertex(runner, fixtures_dir, tmp_path):
     src.write_text(json.dumps(data))
     result = runner.invoke(main, ["tmesh", "anchors", "--in", str(src)])
     _assert_rejected(result, "vertex [True, True] must be two integers")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(degrees=2), "degrees must be a list, got 2"),
+        (dict(knot_vectors=5), "knot_vectors must be a list, got 5"),
+        (dict(vertices=7), "vertices must be a list, got 7"),
+        (dict(edges=None), "edges must be a list, got None"),
+        (None, "expected a JSON object, got list"),
+    ],
+    ids=["degrees", "knot_vectors", "vertices", "edges", "array"],
+)
+def test_tmesh_reader_names_a_malformed_field(runner, fixtures_dir, tmp_path, change, message):
+    with open(os.path.join(fixtures_dir, "tmesh_a.json")) as fh:
+        data = json.load(fh)
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(list(data.values()) if change is None else dict(data, **change)))
+    result = runner.invoke(main, ["tmesh", "anchors", "--in", str(path)])
+    _assert_rejected(result, message)
 
 
 def test_tmesh_local_kv_names_a_short_anchor(runner, fixtures_dir, tmp_path):

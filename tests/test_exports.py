@@ -2,6 +2,7 @@
 removed names and calls stay gone."""
 
 import ast
+import dataclasses
 import glob
 import importlib
 import inspect
@@ -12,6 +13,7 @@ import re
 import pytest
 
 import bezproj
+from bezproj.projection import ProjectionReport
 
 MODULES = ["bezproj"] + [
     f"bezproj.{m.name}" for m in pkgutil.iter_modules(bezproj.__path__)
@@ -46,6 +48,9 @@ def test_per_element_api_is_gone():
         "local_bernstein_projection", "smoothing_weights", "multi_index_2d", "multi_index_3d",
         # a T-mesh is held and queried as arrays only
         "Anchor", "Extension", "BezierElement", "v_edges", "h_edges", "_covering", "_walk",
+        # a transfer runs one way: plan_*, then apply_plan
+        "h_refine", "h_coarsen", "p_elevate", "p_reduce", "k_roughen", "k_smooth",
+        "reparameterize", "project_generic",
     }
     # thin readers of the arrays, kept unexported under names perfbench traces
     traced = {"gramian_inverse_multi", "bspline_basis_matrix", "local_spline_coefficients"}
@@ -65,6 +70,23 @@ def test_per_element_api_is_gone():
     }
     for cls, names in methods.items():
         assert not [n for n in names if hasattr(cls, n)], cls
+
+
+def test_no_option_only_tests_set():
+    """Options that no caller outside the tests set are constants, and a
+    projection reports its net alone."""
+    removed = {
+        bezproj.TargetFunction: {"vectorized", "degree"},
+        bezproj.plan_k_roughen: {"inc"},
+        bezproj.plan_k_smooth: {"dec"},
+        bezproj.lift_normals: {"quad_order"},
+        bezproj.uniform_space: {"lo", "hi"},
+        bezproj.quarter_cylinder: {"radius", "length"},
+    }
+    for fn, names in removed.items():
+        left = names & set(inspect.signature(fn).parameters)
+        assert not left, f"{fn.__name__} still takes {sorted(left)}"
+    assert [f.name for f in dataclasses.fields(ProjectionReport)] == ["net"]
 
 
 def _defined(name):

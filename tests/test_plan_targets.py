@@ -85,14 +85,16 @@ def reference(op, kvs, args, k):
         if op in ("p_elevate", "p_reduce") and min(args) < 0:
             what = "elevation increments" if op == "p_elevate" else "reduction decrements"
             raise ValueError(f"{what} must be >= 0")
+        # None raises or lowers each interior knot (with one to spare) once
+        steps = [1 if a is None else k for a in args]
         if op == "k_smooth":
             args = [
-                kv.breakpoints[1:-1][kv.multiplicities[1:-1] > k] if a is None else a
+                kv.breakpoints[1:-1][kv.multiplicities[1:-1] > 1] if a is None else a
                 for kv, a in zip(kvs, args)
             ]
             if all(len(a) == 0 for a in args):
                 raise ValueError("no interior knot has multiplicity to spare")
-        return tuple(REFERENCES[op](kv, a, k) for kv, a in zip(kvs, args))
+        return tuple(REFERENCES[op](kv, a, s) for kv, a, s in zip(kvs, args, steps))
     except ValueError as exc:
         return str(exc)
 
@@ -109,8 +111,12 @@ REFERENCES = {
 
 
 def built(op, kvs, args, k):
-    """Target knot vectors of the plan builder, or its error message."""
+    """Target knot vectors of the plan builder, or its error message. The
+    k-builders raise or lower by one per listed value, so each value goes
+    in k times."""
     space = SplineSpace(kvs)
+    if op in ("k_roughen", "k_smooth"):
+        args = [a if a is None else [t for t in a for _ in range(k)] for a in args]
     per_dim = args if op in ("p_elevate", "p_reduce") else dict(enumerate(args))
     try:
         plan = {
@@ -118,8 +124,8 @@ def built(op, kvs, args, k):
             "h_coarsen": lambda: plan_h_coarsen(space, per_dim),
             "p_elevate": lambda: plan_p_elevate(space, per_dim),
             "p_reduce": lambda: plan_p_reduce(space, per_dim),
-            "k_roughen": lambda: plan_k_roughen(space, per_dim, k),
-            "k_smooth": lambda: plan_k_smooth(space, per_dim, k),
+            "k_roughen": lambda: plan_k_roughen(space, per_dim),
+            "k_smooth": lambda: plan_k_smooth(space, per_dim),
             "reparameterize": lambda: plan_reparameterize(space, per_dim),
         }[op]()
     except ValueError as exc:
@@ -184,7 +190,7 @@ def cases(draw):
         args = [draw(new_interiors(kv)) for kv in kvs]
     else:
         args = [draw(value_lists(kv)) for kv in kvs]
-    k = draw(st.integers(1 if op == "k_smooth" else 0, 3))
+    k = draw(st.integers(1, 3))
     return op, kvs, args, k
 
 

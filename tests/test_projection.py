@@ -138,7 +138,7 @@ def test_projection_reproduces_member_splines(rng):
         f = TargetFunction(lambda pts: evaluate(sp, net, pts))
         report = bezier_project(f, sp)
         assert isinstance(report, ProjectionReport)
-        assert np.allclose(report.coefficients, coeffs, atol=1e-11)
+        assert np.allclose(report.net.points, coeffs, atol=1e-11)
 
 
 def test_projection_reproduces_rational_member(rng):
@@ -156,7 +156,7 @@ def test_projection_constant_on_rational_arc():
     sp = _space([0, 0, 0, 1, 1, 1], 2)
     w = np.array([1.0, s, 1.0])
     report = bezier_project(lambda pts: np.full(pts.shape[0], 4.25), sp, weights=w)
-    assert np.allclose(report.coefficients, 4.25, atol=1e-13)
+    assert np.allclose(report.net.points, 4.25, atol=1e-13)
 
 
 def test_projection_unit_weights_equal_polynomial_path():
@@ -167,7 +167,7 @@ def test_projection_unit_weights_equal_polynomial_path():
 
     a = bezier_project(f, sp)
     b = bezier_project(f, sp, weights=np.ones(sp.n_funcs))
-    assert np.allclose(a.coefficients, b.net.points, atol=1e-14)
+    assert np.allclose(a.net.points, b.net.points, atol=1e-14)
 
 
 def test_projection_weight_validation():
@@ -193,15 +193,6 @@ def test_projection_near_global_on_sine():
     e_local = l2_error(f, sp, local)
     e_global = l2_error(f, sp, ref)
     assert e_local <= 2.0 * e_global
-
-
-def test_declared_degree_uses_minimal_exact_quadrature():
-    sp = _space([0, 0, 0, 0.25, 0.6, 1, 1, 1], 2)
-    poly = TargetFunction(lambda pts: 3 * pts[:, 0] ** 2 - pts[:, 0] + 1, degree=2)
-    got = bezier_project(poly, sp)
-    full = bezier_project(lambda pts: 3 * pts[:, 0] ** 2 - pts[:, 0] + 1, sp,
-                          quad_order=12)
-    assert np.allclose(got.coefficients, full.coefficients, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +223,8 @@ def test_quad_order_is_checked_where_it_enters(quad_order, message):
             call()
     # an integral float is an integer count
     assert np.array_equal(
-        bezier_project(f, sp, quad_order=4.0).coefficients,
-        bezier_project(f, sp, quad_order=4).coefficients,
+        bezier_project(f, sp, quad_order=4.0).net.points,
+        bezier_project(f, sp, quad_order=4).net.points,
     )
 
 
@@ -248,29 +239,10 @@ def test_gauss_rules_are_cached_and_read_only():
             a[0] = 0.0
 
 
-def test_target_function_pointwise_mode():
-    sp = _space([0, 0, 0.5, 1, 1], 1)
-    f = TargetFunction(lambda p: float(p[0]) ** 2, vectorized=False)
-    report = bezier_project(f, sp)
-    ref = bezier_project(lambda pts: pts[:, 0] ** 2, sp)
-    assert np.allclose(report.coefficients, ref.coefficients, atol=1e-14)
-
-
 def test_target_function_validates_output_shape():
     f = TargetFunction(lambda pts: np.zeros(3))
     with pytest.raises(ValueError):
         f(np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        TargetFunction(lambda pts: pts, degree=-1)
-
-
-@pytest.mark.parametrize("degree", [1.5, True, "2"], ids=["fraction", "bool", "text"])
-def test_target_function_degree_must_be_an_integer(degree):
-    """A declared degree sets the quadrature order; 1.5 and True were read
-    as 1, which under-integrates a degree-2 target."""
-    with pytest.raises(ValueError, match=r"^degree must be integers, got "):
-        TargetFunction(lambda pts: pts[:, 0], degree=degree)
-    assert TargetFunction(lambda pts: pts[:, 0], degree=2.0).degree == 2
 
 
 def test_target_function_rejects_non_finite_values():
@@ -301,7 +273,7 @@ def test_global_equals_local_on_single_element():
     def f(pts):
         return np.exp(pts[:, 0])
 
-    a = bezier_project(f, sp).coefficients
+    a = bezier_project(f, sp).net.points
     b = global_l2_project(f, sp).points
     assert np.allclose(a, b, atol=1e-12)
 
@@ -324,10 +296,9 @@ def test_global_projection_matches_element_loop_reference(rng, dim, rational, qu
 
 
 def test_global_projection_of_a_declared_constant():
-    """A declared degree lowers the Gauss count to what the right-hand side
-    needs, but the mass matrix still gets p + 1 points per direction: one
-    point made it singular."""
-    f = TargetFunction(lambda pts: np.full(len(pts), 2.0), degree=0)
+    """The mass matrix needs p + 1 Gauss points per direction, which the
+    default rule, p + 3, gives a constant target too."""
+    f = TargetFunction(lambda pts: np.full(len(pts), 2.0))
     got = global_l2_project(f, uniform_space(1, 8))
     assert np.allclose(got.points, 2.0, rtol=0, atol=1e-13)
 

@@ -6,14 +6,8 @@ from bezproj.spline_ops import (
     _to_local,
     apply_plan,
     compose,
-    h_coarsen,
-    h_refine,
-    k_roughen,
-    k_smooth,
     large_to_small,
     multi_to_one,
-    p_elevate,
-    p_reduce,
     plan_generic,
     plan_h_coarsen,
     plan_h_refine,
@@ -22,8 +16,6 @@ from bezproj.spline_ops import (
     plan_p_elevate,
     plan_p_reduce,
     plan_reparameterize,
-    project_generic,
-    reparameterize,
 )
 from bezproj.spline_space import ControlNet, KnotVector, SplineSpace, evaluate
 from oracles import exact_bernstein_proj, random_open_kv
@@ -119,14 +111,16 @@ def test_p_elevate_and_reduce_check_one_entry_per_direction():
 
 def test_h_refine_preserves_curve(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.5, 1, 1, 1], 2, rational=True)
-    tgt, out = h_refine(sp, net, {0: [0.2, 0.7]})
-    assert tgt.n_elements == 4
+    plan = plan_h_refine(sp, {0: [0.2, 0.7]})
+    tgt, out = plan.target, apply_plan(plan, net)
+    assert plan.exact and tgt.n_elements == 4
     assert _max_deviation(sp, net, tgt, out) < 1e-12
 
 
 def test_h_refine_default_bisects_every_element(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.4, 1, 1, 1], 2)
-    tgt, out = h_refine(sp, net)
+    plan = plan_h_refine(sp)
+    tgt, out = plan.target, apply_plan(plan, net)
     assert np.allclose(tgt.knot_vectors[0].breakpoints, [0, 0.2, 0.4, 0.7, 1])
     assert _max_deviation(sp, net, tgt, out) < 1e-12
 
@@ -139,22 +133,25 @@ def test_h_refine_rejects_existing_breakpoint(rng):
 
 def test_h_coarsen_roundtrip_recovers_refined_curve(rng):
     sp, net = _curve(rng, [0, 0, 0, 1, 1, 1], 2)
-    fine_sp, fine_net = h_refine(sp, net, {0: [0.3, 0.6]})
-    back_sp, back_net = h_coarsen(fine_sp, fine_net, {0: [0.3, 0.6]})
+    fine = plan_h_refine(sp, {0: [0.3, 0.6]})
+    back = plan_h_coarsen(fine.target, {0: [0.3, 0.6]})
+    back_sp, back_net = back.target, apply_plan(back, apply_plan(fine, net))
     assert back_sp == sp
     assert np.allclose(back_net.points, net.points, atol=1e-11)
 
 
 def test_h_coarsen_removes_full_multiplicity(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.5, 0.5, 1, 1, 1], 2)
-    tgt, _ = h_coarsen(sp, net, {0: [0.5]})
-    assert tgt.n_elements == 1
+    plan = plan_h_coarsen(sp, {0: [0.5]})
+    assert plan.target.n_elements == 1
+    assert apply_plan(plan, net).n == plan.target.n_funcs
 
 
 def test_p_elevate_preserves_curve(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.3, 1, 1, 1], 2, rational=True)
-    tgt, out = p_elevate(sp, net)
-    assert tgt.degrees == (3,)
+    plan = plan_p_elevate(sp)
+    tgt, out = plan.target, apply_plan(plan, net)
+    assert plan.exact and tgt.degrees == (3,)
     assert _max_deviation(sp, net, tgt, out) < 1e-12
 
 
@@ -172,23 +169,27 @@ def test_p_elevate_zero_increment_direction():
 
 def test_p_reduce_roundtrip(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.4, 1, 1, 1], 2)
-    up_sp, up_net = p_elevate(sp, net)
-    down_sp, down_net = p_reduce(up_sp, up_net)
+    up = plan_p_elevate(sp)
+    down = plan_p_reduce(up.target)
+    down_sp, down_net = down.target, apply_plan(down, apply_plan(up, net))
     assert down_sp == sp
     assert np.allclose(down_net.points, net.points, atol=1e-10)
 
 
 def test_k_roughen_preserves_curve(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.25, 0.75, 1, 1, 1], 2, rational=True)
-    tgt, out = k_roughen(sp, net)
+    plan = plan_k_roughen(sp)
+    tgt, out = plan.target, apply_plan(plan, net)
+    assert plan.exact
     assert list(tgt.knot_vectors[0].multiplicities) == [3, 2, 2, 3]
     assert _max_deviation(sp, net, tgt, out) < 1e-12
 
 
 def test_k_smooth_roundtrip(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.5, 1, 1, 1], 2)
-    rough_sp, rough_net = k_roughen(sp, net)
-    back_sp, back_net = k_smooth(rough_sp, rough_net)
+    rough = plan_k_roughen(sp)
+    back = plan_k_smooth(rough.target)
+    back_sp, back_net = back.target, apply_plan(back, apply_plan(rough, net))
     assert back_sp == sp
     assert np.allclose(back_net.points, net.points, atol=1e-11)
 
@@ -206,7 +207,8 @@ def test_reparameterize_moves_breakpoints(rng):
     from bezproj.projection import smoothing_weight_table
 
     sp, net = _curve(rng, [0, 0, 0, 0.5, 1, 1, 1], 2)
-    tgt, out = reparameterize(sp, net, {0: [0.7]})
+    plan = plan_reparameterize(sp, {0: [0.7]})
+    tgt, out = plan.target, apply_plan(plan, net)
     assert np.allclose(tgt.knot_vectors[0].breakpoints, [0, 0.7, 1])
 
     lams = []
@@ -236,7 +238,8 @@ def test_ops_work_on_surfaces(rng):
         [KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2), KnotVector([0, 0, 1, 1], 1)]
     )
     net = ControlNet(rng.normal(size=(sp.n_funcs, 3)))
-    tgt, out = h_refine(sp, net, {0: [0.25], 1: [0.5]})
+    plan = plan_h_refine(sp, {0: [0.25], 1: [0.5]})
+    tgt, out = plan.target, apply_plan(plan, net)
     assert tgt.element_shape == (3, 2)
     pts = rng.uniform(0, 1, size=(40, 2))
     assert np.allclose(
@@ -265,7 +268,7 @@ def test_identity_plans_are_exact(rng):
     plans = [
         plan_h_coarsen(sp, None),
         plan_p_reduce(sp, 0),
-        plan_k_smooth(sp, dec=0),
+        plan_k_roughen(sp, [[]]),
         plan_reparameterize(sp, [[0.3, 0.6]]),
         plan_generic(sp, sp),
     ]
@@ -321,7 +324,7 @@ def test_plan_generic_subspace_is_projection(rng):
     plan = plan_generic(src, tgt)
     assert not plan.exact
     net = ControlNet(rng.normal(size=(src.n_funcs, 1)))
-    out = project_generic(src, tgt, net)
+    out = apply_plan(plan, net)
     assert out.points.shape == (tgt.n_funcs, 1)
 
 
@@ -495,11 +498,13 @@ def test_rational_refinement_keeps_circle_on_circle(rng):
     net = ControlNet(
         np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.array([1.0, s, 1.0])
     )
-    tgt, out = h_refine(sp, net, {0: [0.5]})
+    fine = plan_h_refine(sp, {0: [0.5]})
+    tgt, out = fine.target, apply_plan(fine, net)
     ts = np.linspace(0, 1, 41)[:, None]
     xy = evaluate(tgt, out, ts)
     assert np.allclose(np.linalg.norm(xy, axis=1), 1.0, atol=1e-12)
-    tgt2, out2 = p_elevate(tgt, out)
+    up = plan_p_elevate(tgt)
+    tgt2, out2 = up.target, apply_plan(up, out)
     xy2 = evaluate(tgt2, out2, ts)
     assert np.allclose(np.linalg.norm(xy2, axis=1), 1.0, atol=1e-12)
 
@@ -518,9 +523,9 @@ def test_exact_plans_random_suite(rng):
                 abs(t - u) for t in new for u in sp.knot_vectors[0].breakpoints
             ) < 1e-3 or abs(new[0] - new[1]) < 1e-3:
                 new = rng.uniform(a + 0.01, b - 0.01, size=2)
-            tgt, out = h_refine(sp, net, {0: sorted(float(t) for t in new)})
+            plan = plan_h_refine(sp, {0: sorted(float(t) for t in new)})
         elif kind == "p":
-            tgt, out = p_elevate(sp, net, int(rng.integers(1, 3)))
+            plan = plan_p_elevate(sp, int(rng.integers(1, 3)))
         else:
             kv = sp.knot_vectors[0]
             candidates = [
@@ -530,5 +535,6 @@ def test_exact_plans_random_suite(rng):
             ]
             if not candidates:
                 continue
-            tgt, out = k_roughen(sp, net, {0: candidates[:1]})
-        assert _max_deviation(sp, net, tgt, out) < 1e-11
+            plan = plan_k_roughen(sp, {0: candidates[:1]})
+        assert plan.exact
+        assert _max_deviation(sp, net, plan.target, apply_plan(plan, net)) < 1e-11

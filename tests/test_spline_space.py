@@ -652,6 +652,45 @@ def test_spline_json_rejects_non_integer_dimensions(key, value):
         read_spline_json(data)
 
 
+@pytest.mark.parametrize(
+    "degrees, knot_vectors",
+    [([2, 3], [[0, 0, 0, 1, 1, 1]]), ([2], [[0, 0, 0, 1, 1, 1], [0, 0, 1, 1]])],
+    ids=["two degrees, one knot vector", "one degree, two knot vectors"],
+)
+def test_spline_json_needs_one_degree_per_knot_vector(degrees, knot_vectors):
+    """Either file was read as a 1-D quadratic, the extra entry dropped."""
+    data = {
+        "parametric_dim": 1,
+        "physical_dim": 1,
+        "degrees": degrees,
+        "knot_vectors": knot_vectors,
+        "control_points": [[0.0], [1.0], [2.0]],
+    }
+    message = f"degrees has {len(degrees)} entries but knot_vectors has {len(knot_vectors)}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_spline_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, ndim",
+    [("control_points", None, 2), ("control_points", {"x": 1}, 2), ("knot_vectors", [None], 1),
+     ("weights", "1/2", 1)],
+    ids=["null control points", "object control points", "null knot vector", "text weights"],
+)
+def test_spline_json_names_a_field_that_is_not_an_array(key, value, ndim):
+    """A null, object or string where an array belongs raised AttributeError."""
+    data = {
+        "parametric_dim": 1,
+        "physical_dim": 1,
+        "degrees": [1],
+        "knot_vectors": [[0, 0, 1, 1]],
+        "control_points": [[0.0], [1.0]],
+        key: value,
+    }
+    with pytest.raises(ValueError, match=f"^{key} must be a {ndim}-D array of numbers$"):
+        read_spline_json(data)
+
+
 def test_knot_vector_caches_stacked_operators(rng):
     for p in (1, 2, 3):
         kv = KnotVector(random_open_kv(rng, p), p)

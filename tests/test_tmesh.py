@@ -565,8 +565,9 @@ def _set(path, value):
         (_set(["knot_vectors", 0, 4], None), 'knot_vectors must hold numbers or "n/d" strings'),
         (_set(["knot_vectors", 1], 5), "knot_vectors must be a 1-D array of numbers"),
         (_set(["knot_vectors", 0, 4], "abc"), 'knot_vectors must hold numbers or "n/d" strings'),
+        (_set(["knot_vectors", 1], None), "knot_vectors must be a 1-D array of numbers"),
     ],
-    ids=["fractional degree", "null knot", "scalar knot vector", "text knot"],
+    ids=["fractional degree", "null knot", "scalar knot vector", "text knot", "null knot vector"],
 )
 def test_read_tmesh_json_names_the_bad_field(fixtures_dir, change, message):
     with open(os.path.join(fixtures_dir, "tmesh_d.json")) as fh:
