@@ -22,6 +22,7 @@ from .tensor import reversed_kron
 __all__ = [
     "eval_basis",
     "bernstein_matrix",
+    "bernstein_rows",
     "gramian",
     "gramian_inverse",
     "interval_transform",
@@ -86,15 +87,29 @@ def bernstein_matrix(p, xi):
 
     Returns shape (len(xi), p + 1); row k holds all basis values at
     xi[k]. Points outside the biunit interval are allowed and evaluate
-    the polynomial extension.
+    the polynomial extension. The transpose of :func:`bernstein_rows`,
+    copied to C order: the matrix products it enters round by layout.
     """
+    return np.ascontiguousarray(bernstein_rows(p, xi).T)
+
+
+def bernstein_rows(p, xi):
+    """The degree-p Bernstein basis on [-1, 1] at the m points xi, as
+    (p + 1, m) rows: row i, C(p, i) lo^(p - i) hi^i with lo = (1 - xi) / 2
+    and hi = (1 + xi) / 2, is one contiguous row over the points."""
     x = np.ascontiguousarray(xi, dtype=np.float64).ravel()
     lo = (1.0 - x) / 2.0
     hi = (1.0 + x) / 2.0
-    out = np.empty((x.size, p + 1))
+    out = np.empty((p + 1, x.size))
     binom = 1.0
     for i in range(p + 1):
-        out[:, i] = binom * lo ** (p - i) * hi**i
+        # (binom lo^(p-i)) hi^i, leaving out factors of exactly 1: no bit changes
+        row = out[i]
+        row[...] = lo ** (p - i) if i < p else hi**i
+        if binom != 1.0:
+            row *= binom
+        if 0 < i < p:
+            row *= hi**i
         binom = binom * (p - i) / (i + 1)
     return out
 

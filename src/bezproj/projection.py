@@ -130,9 +130,7 @@ def _direction_weights(kv, mode):
         num = kv.extraction().sum(axis=2)
         if mode == "exact":
             num = num * np.diff(kv.breakpoints)[:, None]
-    denom = np.zeros(kv.n)
-    np.add.at(denom, kv.supports(), num)
-    return num / denom[kv.supports()]
+    return num / _scatter_add(kv.supports(), num, kv.n)[kv.supports()]
 
 
 def smoothing_weight_table(space, mode="approximate"):

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bernstein import _dual_functionals, bernstein_matrix
+from .bernstein import _dual_functionals, bernstein_rows
 from .tensor import reversed_kron
 
 __all__ = [
@@ -184,6 +184,7 @@ class KnotVector:
         self.knots.flags.writeable = False
         self.degree = int(degree)
         self._extraction = None
+        self._entries = None
         self._reconstruction = None
         self._supports = None
 
@@ -232,6 +233,15 @@ class KnotVector:
             W = _span_windows(self.knots, self.multiplicities, p)
             self._extraction = _bezier_extraction(W, W[:, p], W[:, p + 1])
         return self._extraction
+
+    def _extraction_entries(self):
+        """The extraction operators entry by entry: a read-only
+        ((p+1)^2, n_elements) array whose row a (p+1) + b holds C[:, a, b]
+        contiguously, for sums along evaluation points. Computed once."""
+        if self._entries is None:
+            self._entries = self.extraction().reshape(self.n_elements, -1).T.copy()
+            self._entries.flags.writeable = False
+        return self._entries
 
     def reconstruction(self):
         """Reconstruction operators R = C^-1 from the dual functionals,
@@ -445,39 +455,68 @@ def _checked_points(space, net, points):
     return pts
 
 
-def _locate(kv, x):
-    """Element of each point x along kv, right-continuous at breakpoints,
-    and the point's biunit coordinate in it."""
-    s = np.searchsorted(kv.breakpoints, x, side="right") - 1
-    np.clip(s, 0, kv.n_elements - 1, out=s)
-    lo, hi = kv.breakpoints[s], kv.breakpoints[s + 1]
-    return s, (2.0 * x - lo - hi) / (hi - lo)
+def _lookup(kv, x):
+    """Element s of each point x along kv, right-continuous at breakpoints
+    (the last element keeps the domain's end), the first function
+    supported there, the point's biunit coordinate xi in s, and the
+    width of s."""
+    bp = kv.breakpoints
+    s = np.searchsorted(bp[1:-1], x, side="right")
+    lo, hi = bp.take(s), bp.take(s + 1)
+    h = hi - lo
+    return s, kv.supports().take(s * (kv.degree + 1)), (2.0 * x - lo - hi) / h, h
+
+
+def _function_rows(kv, s, B):
+    """Values (p+1, m) of the p+1 functions supported on each point's
+    element s, N[a] = sum_b C[s, a, b] B[b], from Bernstein rows B (p+1, m)."""
+    q = kv.degree + 1
+    G = kv._extraction_entries().take(s, axis=1).reshape(q, q, -1)
+    G *= B
+    return G.sum(axis=1)
+
+
+def _net_sum(H, first, local):
+    """sum of w H[first + offset] over the (offset, (m,) w) pairs of local,
+    as (D, m) rows: each control-point gather is scaled through its
+    transpose into one reused buffer and added."""
+    out = np.zeros((H.shape[1], first.size))
+    scaled = np.empty_like(out)
+    for offset, w in local:
+        np.multiply(H.take(first + offset, axis=0).T, w, out=scaled)
+        out += scaled
+    return out
+
+
+def _net_rows(net):
+    """The rows a net sums: its points, or homogeneous ones if rational.
+    Only read: a polynomial net's points are not copied, which would cost
+    O(n_funcs) per call whatever the number of points."""
+    return net.homogeneous() if net.is_rational else net.points
 
 
 def evaluate(space, net, points):
     """Evaluate the spline (rational if weighted) at parametric points.
 
-    points is (m, d) or a single point; returns (m, physical_dim).
-    Per direction every point looks up its element and the values of
-    the p+1 functions supported there, N = C B(xi). The (p+1)^d local
-    functions of a point are the control points at fixed offsets from
-    its first supported one, so the sum runs over the local functions:
-    one control-point gather each, weighted by its tensor-product value.
+    points is (m, d) or a single point; returns a C-contiguous
+    (m, physical_dim) array. Every pass runs along the m points, on
+    (., m) rows. Per direction one lookup gives each point's element s
+    and biunit coordinate xi, the Bernstein basis there is (p+1, m)
+    rows, and the p+1 functions supported on s are N = C[s] B(xi),
+    summed along rows of the knot vector's cached transposed C. The
+    (p+1)^d local functions of a point are the control points at fixed
+    offsets from its first supported one, so the sum runs over the local
+    functions: one control-point gather each, weighted by its
+    tensor-product value and added into a (D, m) accumulator.
     """
     pts = _checked_points(space, net, points)
-    # only read: a polynomial net's points are not copied, which would
-    # cost O(n_funcs) per call whatever the number of points
-    H = net.homogeneous() if net.is_rational else net.points
-
-    m = pts.shape[0]
-    first = np.zeros(m, dtype=np.int64)
+    first = np.zeros(pts.shape[0], dtype=np.int64)
     local = [(0, None)]  # (offset from first, (m,) values) per local function
     stride = 1
     for d, kv in enumerate(space.knot_vectors):
-        s, xi = _locate(kv, pts[:, d])
-        # (p+1, m): each function's values are one contiguous row
-        N = np.einsum("mab,mb->am", kv.extraction()[s], bernstein_matrix(kv.degree, xi), order="C")
-        first += stride * kv.supports()[s, 0]
+        s, first_d, xi, _ = _lookup(kv, pts[:, d])
+        N = _function_rows(kv, s, bernstein_rows(kv.degree, xi))
+        first += stride * first_d
         # the first direction cycles fastest
         local = [
             (offset + stride * i, Ni if w is None else w * Ni)
@@ -485,41 +524,36 @@ def evaluate(space, net, points):
             for offset, w in local
         ]
         stride *= kv.n
-    out = np.zeros((m, H.shape[1]))
-    for offset, w in local:
-        # scaled in place: one more (m, D) temporary per function is
-        # fresh memory on every call, paid in page faults
-        g = H.take(first + offset, axis=0)
-        g *= w[:, None]
-        out += g
+    out = _net_sum(_net_rows(net), first, local)
     if net.is_rational:
-        return out[:, :-1] / out[:, -1:]
-    return out
+        out = out[:-1] / out[-1]
+    return np.ascontiguousarray(out.T)
 
 
 def evaluate_derivative(space, net, points):
     """First derivative of a univariate spline curve at parametric points.
 
     Only parametric dimension 1 is supported. Each point's element is
-    differentiated in Bernstein form, N' = C[s] dB(xi) 2 / (hi - lo) with
-    dB_j = (p/2)(B^{p-1}_{j-1} - B^{p-1}_j), right-continuous at breakpoints
-    like :func:`evaluate`; rational curves use the quotient rule on C[s] B(xi).
+    differentiated in Bernstein form, N' = C[s] dB(xi) / (hi - lo) with
+    dB_j = p (B^{p-1}_{j-1} - B^{p-1}_j) from the rows of degree p - 1,
+    after the lookup of :func:`evaluate`, and so right-continuous at
+    breakpoints like it; rational curves use the quotient rule on
+    N = C[s] B(xi).
     """
     if space.parametric_dim != 1:
         raise ValueError("derivative evaluation implemented for curves only")
     kv = space.knot_vectors[0]
     pts = _checked_points(space, net, points)
-    s, xi = _locate(kv, pts[:, 0])
-    C = kv.extraction()[s]
-    H = (net.homogeneous() if net.is_rational else net.points)[kv.supports()[s]]
-    B = np.pad(bernstein_matrix(kv.degree - 1, xi), ((0, 0), (1, 1)))
-    dB = (kv.degree / np.diff(kv.breakpoints)[s])[:, None] * (B[:, :-1] - B[:, 1:])
-    dH = np.einsum("ma,mad->md", np.einsum("mab,mb->ma", C, dB), H)
-    if not net.is_rational:
-        return dH
-    val = np.einsum("ma,mad->md", np.einsum("mab,mb->ma", C, bernstein_matrix(kv.degree, xi)), H)
-    w, dw = val[:, -1:], dH[:, -1:]
-    return (dH[:, :-1] - val[:, :-1] / w * dw) / w
+    H = _net_rows(net)
+    p = kv.degree
+    s, first, xi, h = _lookup(kv, pts[:, 0])
+    B = np.pad(bernstein_rows(p - 1, xi), ((1, 1), (0, 0)))
+    dH = _net_sum(H, first, enumerate(_function_rows(kv, s, (p / h) * (B[:-1] - B[1:]))))
+    if net.is_rational:
+        val = _net_sum(H, first, enumerate(_function_rows(kv, s, bernstein_rows(p, xi))))
+        w, dw = val[-1], dH[-1]
+        dH = (dH[:-1] - val[:-1] / w * dw) / w
+    return np.ascontiguousarray(dH.T)
 
 
 def bspline_basis_matrix(knots, p, xs):

@@ -97,9 +97,9 @@ def _defined(name):
 
 def test_bernstein_kernels_are_defined_once():
     """The blossom kernels live in bernstein.py; Bernstein values come from
-    bernstein_matrix alone."""
+    bernstein_rows alone (bernstein_matrix is its transpose)."""
     defined = {name: _defined(name) for name in MODULES}
-    for kernel in ("_bernstein_blossoms", "_dual_functionals"):
+    for kernel in ("_bernstein_blossoms", "_dual_functionals", "bernstein_rows"):
         assert [m for m, names in defined.items() if kernel in names] == ["bezproj.bernstein"]
     assert not [m for m, names in defined.items() if "_basis_value" in names]
 

@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from bezproj.bernstein import bernstein_matrix
+from bezproj.bernstein import bernstein_matrix, bernstein_rows
 from bezproj.spline_space import bspline_basis_matrix
 from oracles import bernstein_design_ref, bspline_design, random_open_kv
 
@@ -12,6 +12,16 @@ def test_bernstein_matrix_matches_reference(rng):
     for p in range(1, 7):
         xi = rng.uniform(-1, 1, size=23)
         assert np.allclose(bernstein_matrix(p, xi), bernstein_design_ref(p, xi), atol=1e-14)
+
+
+def test_bernstein_matrix_is_the_transpose_of_the_rows(rng):
+    """The same bits, laid out point by point in C order."""
+    for p in range(0, 7):
+        xi = rng.uniform(-1, 1, size=31)
+        rows = bernstein_rows(p, xi)
+        assert rows.shape == (p + 1, 31) and rows.flags.c_contiguous
+        got = bernstein_matrix(p, xi)
+        assert got.flags.c_contiguous and np.array_equal(got, rows.T)
 
 
 def test_bernstein_matrix_allows_points_outside_biunit(rng):

@@ -93,6 +93,23 @@ def test_smoothing_weights_golden_two_element_quadratic():
     assert t[0, 0] == 1.0
 
 
+def test_smoothing_weights_sum_like_add_at(rng):
+    """The per-function sums in input order, as np.add.at forms them: the same bits."""
+    for p in (1, 2, 3):
+        kv = KnotVector(random_open_kv(rng, p, 40), p)
+        for mode in ("approximate", "exact", "uniform"):
+            if mode == "uniform":
+                num = np.ones((kv.n_elements, p + 1))
+            else:
+                num = kv.extraction().sum(axis=2)
+                if mode == "exact":
+                    num = num * np.diff(kv.breakpoints)[:, None]
+            denom = np.zeros(kv.n)
+            np.add.at(denom, kv.supports(), num)
+            got = smoothing_weight_table(SplineSpace([kv]), mode)
+            assert np.array_equal(got, num / denom[kv.supports()])
+
+
 def test_smoothing_weights_normalized_all_modes(rng):
     for _ in range(5):
         p = int(rng.integers(1, 5))

@@ -344,7 +344,7 @@ def evaluation_cases(draw):
         for t in sorted(interior):
             U += [t / den] * draw(st.integers(1, p))
         knots.append((U + [1.0] * (p + 1), p))
-    m = draw(st.sampled_from([1, 50]))
+    m = draw(st.sampled_from([1, 50, 1000]))
     dim = draw(st.integers(1, 3))
     return knots, m, dim, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
@@ -379,6 +379,34 @@ def test_evaluate_matches_index_tensor_reference(case):
         w = evaluate_ref(sp, ControlNet(H[:, -1:]), pts)
         bound = (bound[:, :-1] + np.abs(ref) * bound[:, -1:]) / w
     assert np.all(np.abs(got - ref) <= bound)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_evaluate_returns_contiguous_float_rows(rng, rational):
+    """(m, D) float64 in C order, for 1 to 3 directions and 1 to 3 coordinates."""
+    for d in (1, 2, 3):
+        sp = SplineSpace([KnotVector([0, 0, 0, 0.4, 1, 1, 1], 2)] * d)
+        for D in (1, 2, 3):
+            weights = rng.uniform(0.5, 2.0, sp.n_funcs) if rational else None
+            net = ControlNet(rng.normal(size=(sp.n_funcs, D)), weights)
+            for m in (1, 7):
+                got = evaluate(sp, net, rng.uniform(0.0, 1.0, (m, d)))
+                assert got.shape == (m, D)
+                assert got.dtype == np.float64
+                assert got.flags.c_contiguous
+
+
+def test_cached_transposed_extraction_is_read_only_and_equal(rng):
+    for p in (1, 2, 3, 4):
+        kv = KnotVector(random_open_kv(rng, p, 6), p)
+        C = kv.extraction()
+        E = kv._extraction_entries()
+        assert E is kv._extraction_entries()
+        assert E.shape == ((p + 1) ** 2, kv.n_elements)
+        assert not E.flags.writeable and E.flags.c_contiguous
+        for a in range(p + 1):
+            for b in range(p + 1):
+                assert np.array_equal(E[a * (p + 1) + b], C[:, a, b])
 
 
 def test_evaluate_rejects_non_finite_points():
