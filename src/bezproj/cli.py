@@ -22,7 +22,7 @@ import numpy as np
 
 from . import benchmark, spline_ops
 from .bernstein import _bernstein_blossoms
-from .projection import TargetFunction, l2_error, lift_normals
+from .projection import l2_error, lift_normals
 from .spline_space import (
     _common_denominator,
     _exact_extraction,
@@ -97,8 +97,17 @@ def _default_coarsen(space):
 
 
 def _l2_change(space_in, net_in, space_out, net_out):
-    f = TargetFunction(lambda pts: evaluate(space_in, net_in, pts))
-    return l2_error(f, space_out, net_out)
+    """L2 distance between the input and output fields. The output is
+    first refined, exactly, at the input breakpoints it lacks, so that
+    both fields are smooth on every element its Gauss rule integrates."""
+    splits = [
+        kv_in.breakpoints[spline_ops._breakpoint_index(kv_out, kv_in.breakpoints) < 0]
+        for kv_in, kv_out in zip(space_in.knot_vectors, space_out.knot_vectors)
+    ]
+    if any(s.size for s in splits):
+        refine = spline_ops.plan_h_refine(space_out, splits)
+        space_out, net_out = refine.target, spline_ops.apply_plan(refine, net_out)
+    return l2_error(lambda pts: evaluate(space_in, net_in, pts), space_out, net_out)
 
 
 @main.command("op")

@@ -106,12 +106,14 @@ def _positions(values, tol=None):
     return [np.searchsorted(at, x, side="right") - 1 for x in values], at
 
 
-def _open_knots(knots, degree, snap_tol):
+def _open_knots(knots, degree, snap_tol, interior=None):
     """Validate an open knot vector of a float or Fraction (object) array.
 
     Nonzero gaps of at most snap_tol times the span are closed in place
-    (:func:`_positions`), so span logic can use exact equality. Returns
-    (breakpoints, multiplicities); ValueError names the first broken rule.
+    (:func:`_positions`), so span logic can use exact equality. An
+    interior knot repeats at most `interior` times, by default the
+    degree (a T-mesh allows p + 1). Returns (breakpoints,
+    multiplicities); ValueError names the first broken rule.
     """
     p = int(degree)
     if p < 1:
@@ -131,8 +133,10 @@ def _open_knots(knots, degree, snap_tol):
     if not (np.all(knots[: p + 1] == knots[0]) and np.all(knots[-p - 1 :] == knots[-1])):
         raise ValueError("knot vector must be open: p+1 repeated end knots")
     counts = np.bincount(pos)
-    if np.any(counts[1:-1] > p):
-        raise ValueError(f"interior knot multiplicity exceeds degree {p}")
+    most = p if interior is None else interior
+    if np.any(counts[1:-1] > most):
+        bound = f"degree {p}" if most == p else most
+        raise ValueError(f"interior knot multiplicity exceeds {bound}")
     if counts[0] > p + 1 or counts[-1] > p + 1:
         raise ValueError("boundary knot multiplicity exceeds degree + 1")
     return breakpoints, counts
@@ -421,9 +425,12 @@ class ControlNet:
         return self.weights is not None
 
     def homogeneous(self):
-        """Homogeneous coordinates (w * P, w); plain points if polynomial."""
+        """Homogeneous coordinates (w * P, w) as a new array; a polynomial
+        net's points as a read-only view, which costs nothing."""
         if self.weights is None:
-            return self.points.copy()
+            view = self.points.view()
+            view.flags.writeable = False
+            return view
         return np.hstack([self.points * self.weights[:, None], self.weights[:, None]])
 
     @classmethod
@@ -488,13 +495,6 @@ def _net_sum(H, first, local):
     return out
 
 
-def _net_rows(net):
-    """The rows a net sums: its points, or homogeneous ones if rational.
-    Only read: a polynomial net's points are not copied, which would cost
-    O(n_funcs) per call whatever the number of points."""
-    return net.homogeneous() if net.is_rational else net.points
-
-
 def evaluate(space, net, points):
     """Evaluate the spline (rational if weighted) at parametric points.
 
@@ -524,7 +524,7 @@ def evaluate(space, net, points):
             for offset, w in local
         ]
         stride *= kv.n
-    out = _net_sum(_net_rows(net), first, local)
+    out = _net_sum(net.homogeneous(), first, local)
     if net.is_rational:
         out = out[:-1] / out[-1]
     return np.ascontiguousarray(out.T)
@@ -544,7 +544,7 @@ def evaluate_derivative(space, net, points):
         raise ValueError("derivative evaluation implemented for curves only")
     kv = space.knot_vectors[0]
     pts = _checked_points(space, net, points)
-    H = _net_rows(net)
+    H = net.homogeneous()
     p = kv.degree
     s, first, xi, h = _lookup(kv, pts[:, 0])
     B = np.pad(bernstein_rows(p - 1, xi), ((1, 1), (0, 0)))

@@ -50,6 +50,7 @@ from .spline_space import (
     _integer,
     _list_fields,
     _number_array,
+    _open_knots,
     _positions,
     _read_json,
 )
@@ -76,19 +77,13 @@ class TMesh:
             raise ValueError("degrees must be >= 1")
         self.anchor_kind = _ANCHOR_KINDS[self.degrees[0] % 2][self.degrees[1] % 2]
         self.knot_vectors = tuple(_number_array(G, "knot_vectors", 1) for G in knot_vectors)
-        for G, p in zip(self.knot_vectors, self.degrees):
-            if not np.all(np.isfinite(G)):
-                raise ValueError("global knot vectors must be finite")
-            if np.any(np.diff(G) < 0):
-                raise ValueError("global knot vectors must be nondecreasing")
-            if G.size < 2 * (p + 1):
-                raise ValueError("global knot vector too short for its degree")
-            # "the same knot" by KnotVector's rule, so that every later
-            # comparison of knots is exact
-            (pos,), at = _positions([G], _SNAP_TOL * (G[-1] - G[0]))
-            G[:] = at[pos]
-            if not (np.all(G[: p + 1] == G[0]) and np.all(G[-p - 1 :] == G[-1])):
-                raise ValueError("global knot vectors must be open")
+        for d, (G, p) in enumerate(zip(self.knot_vectors, self.degrees)):
+            # KnotVector's rules, but an interior knot may repeat p + 1 times; G
+            # is snapped in place, so that every later comparison of knots is exact
+            try:
+                _open_knots(G, p, _SNAP_TOL, interior=p + 1)
+            except ValueError as exc:
+                raise ValueError(f"global knot vector {d}: {exc}") from None
         self.N = tuple(G.size for G in self.knot_vectors)
 
         N = np.array(self.N)
@@ -189,7 +184,7 @@ class TMesh:
         arrays, one entry each) and how many there are.
         """
         w = _by_direction(self._wall)[d]  # [c, t]
-        bands, which = _distinct(lo * w.shape[1] + hi)
+        _, bands, which = np.unique(lo * w.shape[1] + hi, return_index=True, return_inverse=True)
         lo, hi = lo[bands], hi[bands]
         prefix = np.zeros((w.shape[0], w.shape[1] + 1), dtype=np.int64)
         np.cumsum(w, axis=1, out=prefix[:, 1:])
@@ -439,7 +434,8 @@ class TMesh:
         rows = []
         for d, (G, p, idx) in enumerate(zip(self.knot_vectors, self.degrees, self._knot_table[0])):
             span, base = els.box[e, d], self.N[d] + 1  # each pair's element interval
-            first, which = _distinct((k * base + span[:, 0]) * base + span[:, 1])
+            key = (k * base + span[:, 0]) * base + span[:, 1]
+            _, first, which = np.unique(key, return_index=True, return_inverse=True)
             g, (a, b) = G[idx[k[first]] - 1], els.bounds[e[first], d].T
             r = _bernstein_rows(g, p, a, b)
             dual = _dual_functionals(g[:, 1 : p + 1], a[:, None], b[:, None])
@@ -452,7 +448,8 @@ class TMesh:
                 f"element {x} supports {count[x]} functions, expected {n}; mesh is malformed"
             )
         C, R = (rows[1][:, :, :, None] * rows[0][:, :, None, :]).reshape(2, -1, n, n)
-        S, R = k.reshape(-1, n), R.transpose(0, 2, 1)
+        # R in C order, as SplineSpace's, so that products with it round alike
+        S, R = k.reshape(-1, n), R.transpose(0, 2, 1).copy()
         for a in (els.bounds, S, C, R):
             a.flags.writeable = False
         return els.bounds, S, C, R
@@ -511,17 +508,6 @@ class _Elements(NamedTuple):
     bounds: np.ndarray  # (n, 2, 2) parametric bounds, the same way
     element: np.ndarray  # the element of each pair
     anchor: np.ndarray  # the anchor of each pair
-
-
-def _distinct(key):
-    """The first position of each distinct key, ascending by key, and the
-    index into those of every entry (np.unique would import numpy.ma)."""
-    order = np.argsort(key, kind="stable")
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[order[1:]] != key[order[:-1]]
-    which = np.empty(len(key), dtype=np.int64)
-    which[order] = np.cumsum(new) - 1
-    return order[new], which
 
 
 _INT64_MAX = np.iinfo(np.int64).max

@@ -129,6 +129,33 @@ def spline_eval_scipy(knots, p, coeffs, xs):
     return bspline_design(knots, p, xs) @ np.asarray(coeffs)
 
 
+def l2_change_ref(space_in, net_in, space_out, net_out, nq=20):
+    """L2 distance between two spline fields on one domain: an nq-point
+    Gauss rule per direction on every span of the union of their
+    breakpoints, each field evaluated through scipy's basis functions
+    (rational if weighted), the first direction cycling fastest."""
+    x, w = leggauss(nq)
+    cuts = [np.union1d(a.knots, b.knots) for a, b in zip(space_in.knot_vectors,
+                                                          space_out.knot_vectors)]
+    pts = [((c[1:] + c[:-1]) / 2)[:, None] + ((c[1:] - c[:-1]) / 2)[:, None] * x for c in cuts]
+    wts = [((c[1:] - c[:-1]) / 2)[:, None] * w for c in cuts]
+
+    def field(space, net):
+        design = np.ones((1, 1))
+        for kv, xs in zip(space.knot_vectors, pts):
+            design = np.kron(bspline_design(kv.knots, kv.degree, xs.ravel()), design)
+        if net.weights is None:
+            return design @ net.points
+        H = design @ np.c_[net.points * net.weights[:, None], net.weights]
+        return H[:, :-1] / H[:, -1:]
+
+    weight = np.ones(1)
+    for wd in wts:
+        weight = np.kron(wd.ravel(), weight)
+    diff = field(space_in, net_in) - field(space_out, net_out)
+    return np.sqrt(np.sum(weight * np.sum(diff**2, axis=1)))
+
+
 def extraction_by_collocation(knots, p):
     """Per-element extraction operators via collocation against scipy.
 

@@ -2,6 +2,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -9,10 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from oracles import bezier_extraction_ref, fraction_inverse_ref
+from oracles import bezier_extraction_ref, fraction_inverse_ref, l2_change_ref
 
+import bezproj
+from bezproj import spline_ops
 from bezproj.benchmark import CSV_HEADER, expression_target
-from bezproj.cli import main
+from bezproj.cli import _default_coarsen, _l2_change, main
 from bezproj.spline_space import (
     ControlNet,
     KnotVector,
@@ -191,6 +195,58 @@ def test_op_surface_per_direction_knots(runner, tmp_path):
     out_space, _ = read_spline_json(dst)
     assert out_space.knot_vectors[0].n_elements == 2
     assert out_space.knot_vectors[1].n_elements == 3
+
+
+def _random_field(rng, degrees, n):
+    """A polynomial spline with n functions per direction on random
+    interior breakpoints of multiplicity 1, with random points in the
+    unit square."""
+    kvs = []
+    for p, m in zip(degrees, n):
+        interior = np.sort(rng.uniform(0.05, 0.95, m - p - 1))
+        kvs.append(KnotVector(np.r_[[0.0] * (p + 1), interior, [1.0] * (p + 1)], p))
+    space = SplineSpace(kvs)
+    return space, ControlNet(rng.random((space.n_funcs, 2)))
+
+
+def _coarsen(space):
+    """The plan of `bezproj op h-coarsen` without --knots."""
+    return spline_ops.plan_h_coarsen(space, _default_coarsen(space))
+
+
+@pytest.mark.parametrize(
+    "plan, degrees, n",
+    [
+        (_coarsen, (1,), (16,)),
+        (_coarsen, (3,), (12,)),
+        (_coarsen, (2, 1), (8, 6)),
+        (spline_ops.plan_p_reduce, (2,), (16,)),
+        (spline_ops.plan_p_reduce, (4,), (11,)),
+        (spline_ops.plan_p_reduce, (2, 3), (7, 8)),
+    ],
+    ids=["coarsen p1", "coarsen p3", "coarsen 2d", "reduce p2", "reduce p4", "reduce 2d"],
+)
+def test_l2_change_integrates_across_the_breakpoints_the_target_lacks(plan, degrees, n):
+    """The target lacks source breakpoints, so per target element the
+    source field has kinks; a Gauss rule on the target elements alone
+    was off by up to 22% in these cases."""
+    space, net = _random_field(np.random.default_rng(sum(n)), degrees, n)
+    op = plan(space)
+    out = spline_ops.apply_plan(op, net)
+    ref = l2_change_ref(space, net, op.target, out)
+    assert abs(_l2_change(space, net, op.target, out) - ref) <= 1e-12 * ref
+
+
+def test_op_prints_the_l2_change_of_the_written_net(runner, tmp_path):
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    space, net = _random_field(np.random.default_rng(5), (2,), (16,))
+    write_spline_json(src, space, net)
+    result = runner.invoke(main, ["op", "p-reduce", "--in", str(src), "--out", str(dst)])
+    assert result.exit_code == 0, result.output
+    (line,) = [s for s in result.output.splitlines() if s.startswith("L2 change: ")]
+    got = float(line.split(": ")[1])
+    ref = l2_change_ref(space, net, *read_spline_json(dst))
+    assert abs(got - ref) <= 5e-7 * ref
 
 
 # -------------------------------------------------------------- extract
@@ -781,3 +837,36 @@ def test_tmesh_extract_out_of_range(runner, fixtures_dir):
     result = runner.invoke(main, ["tmesh", "extract", "--in", path, "--element", "99"])
     assert result.exit_code == 1
     assert "outside" in result.output
+
+
+# ---------------------------------------------------------------- imports
+
+_RUN_AND_LIST_NUMPY_MA = """
+import sys
+from bezproj.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path, fixtures_dir):
+    """Importing numpy.ma costs tens of milliseconds and no command
+    needs it; np.unique imports it unless asked for index outputs."""
+    exact, curve = tmp_path / "exact.json", tmp_path / "curve.json"
+    exact.write_text(json.dumps({
+        "parametric_dim": 1, "physical_dim": 1, "degrees": [2],
+        "knot_vectors": [[0, 0, 0, "1/3", 1, 1, 1]], "control_points": [[0], [1], [2], [3]],
+    }))
+    _quadratic_curve(curve)
+    commands = [
+        ["extract", "--in", str(exact), "--element", "1"],
+        ["op", "h-coarsen", "--in", str(curve), "--out", str(tmp_path / "coarse.json")],
+        ["tmesh", "extract", "--in", os.path.join(fixtures_dir, "tmesh_d.json"), "--element", "0"],
+        ["convergence", "--levels", "2"],
+    ]
+    src = os.path.dirname(os.path.dirname(bezproj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for args in commands:
+        run = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_NUMPY_MA, *args],
+                             capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.splitlines()[-1] == "False", args

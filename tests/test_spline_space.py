@@ -381,6 +381,19 @@ def test_evaluate_matches_index_tensor_reference(case):
     assert np.all(np.abs(got - ref) <= bound)
 
 
+def test_homogeneous_points_of_a_polynomial_net_are_a_read_only_view():
+    net = ControlNet(np.arange(6.0).reshape(3, 2))
+    H = net.homogeneous()
+    assert np.shares_memory(H, net.points)
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = -1.0
+    assert np.array_equal(net.points, np.arange(6.0).reshape(3, 2))
+    # a rational net's homogeneous points are a new array
+    rational = ControlNet(net.points, [1.0, 2.0, 3.0])
+    assert not np.shares_memory(rational.homogeneous(), net.points)
+    assert rational.homogeneous().flags.writeable
+
+
 @pytest.mark.parametrize("rational", [False, True])
 def test_evaluate_returns_contiguous_float_rows(rng, rational):
     """(m, D) float64 in C order, for 1 to 3 directions and 1 to 3 coordinates."""

@@ -10,6 +10,7 @@ from oracles import (
     analysis_violations_ref,
     extensions_ref,
     local_knot_indices_ref,
+    positions_ref,
 )
 from scipy.interpolate import BSpline
 
@@ -494,8 +495,86 @@ def test_tmesh_validation():
     kv = [0, 0, 0, 1, 2, 2, 2]
     with pytest.raises(ValueError, match="degrees must be >= 1"):
         TMesh((0, 2), [kv, kv], [(1, 1)], [])
-    with pytest.raises(ValueError, match="global knot vectors must be finite"):
+    with pytest.raises(ValueError, match="^global knot vector 0: knots must be finite$"):
         TMesh.tensor((2, 2), [[0, 0, 0, np.nan, 2, 2, 2], kv])
+
+
+@pytest.mark.parametrize(
+    "knots, message",
+    [
+        ([0, 0, 0, 0, 0.5, 1, 1, 1], "boundary knot multiplicity exceeds degree + 1"),
+        ([1, 1, 1, 1, 1, 1], "knot vector spans an empty domain"),
+    ],
+    ids=["end knot repeated p + 2 times", "all knots equal"],
+)
+@pytest.mark.parametrize("d", [0, 1])
+def test_tmesh_refuses_knots_that_a_knot_vector_refuses(knots, message, d):
+    """Accepted before: the first gave an anchor with local knots
+    [0, 0, 0, 0], the zero function, and the second no elements."""
+    G = [[0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1]]
+    G[d] = knots
+    with pytest.raises(ValueError) as mesh:
+        TMesh.tensor((2, 2), G)
+    assert str(mesh.value) == f"global knot vector {d}: {message}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        KnotVector(knots, 2)
+
+
+def _faulty_knots(rng, p):
+    """_random_knots with at most one fault of KnotVector's rules, or an
+    interior knot repeated p + 1 or p + 2 times."""
+    G = _random_knots(rng, p)
+    a, b = G[0], G[-1]
+    i = int(rng.integers(p + 1, G.size - p - 1))  # an interior knot
+    fault = rng.integers(10)
+    if fault == 1:
+        G[rng.integers(G.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif fault == 2:
+        G = G[: rng.integers(1, 2 * (p + 1))]
+    elif fault == 3:
+        G[[i, i + 1]] = G[[i + 1, i]]
+    elif fault == 4:
+        G = G[1:] if rng.integers(2) else G[:-1]
+    elif fault == 5:
+        G = np.r_[a, G] if rng.integers(2) else np.r_[G, b]
+    elif fault == 6:
+        G = np.sort(np.r_[G[G != G[i]], np.repeat(G[i], p + 1 + rng.integers(2))])
+    elif fault == 7:
+        G = np.full(G.size, a)
+    elif fault == 8:
+        # a copy of an interior knot within the snapping tolerance
+        G = np.insert(G, i + 1, G[i] + 0.5e-12 * (b - a))
+    return G
+
+
+def test_tmesh_refuses_exactly_what_a_knot_vector_refuses():
+    """TMesh.tensor and KnotVector check knots by the same rules and
+    report the same fault, the mesh naming the direction. The one
+    difference: a T-mesh interior knot may repeat p + 1 times."""
+    rng = np.random.default_rng(26)
+    seen = set()
+    for _ in range(600):
+        p, d = int(rng.integers(1, 5)), int(rng.integers(2))
+        G, ok = _faulty_knots(rng, p), [0.0] * (p + 1) + [1.0] * (p + 1)
+        try:
+            KnotVector(G, p)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        seen.add(want and re.sub(r"\d+", "#", want))
+        if want == f"interior knot multiplicity exceeds degree {p}":
+            pos, _ = positions_ref(G.tolist(), G[-1] - G[0])
+            most = np.bincount(pos)[1:-1].max()
+            want = None if most == p + 1 else f"interior knot multiplicity exceeds {p + 1}"
+            seen.add(f"interior knot repeated {'p + 1' if most == p + 1 else 'more'} times")
+        try:
+            TMesh.tensor((p, p), [G, ok] if d == 0 else [ok, G])
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == (want and f"global knot vector {d}: {want}"), (p, G.tolist())
+    # no fault, each of the eight rules broken, and both interior cases
+    assert len(seen) == 10, seen
 
 
 @pytest.mark.parametrize(
