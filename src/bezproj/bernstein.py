@@ -36,7 +36,7 @@ _CONDITION_WARN_DEGREE = 5
 
 
 def _check_degree(p):
-    if not isinstance(p, (int, np.integer)) or p < 0:
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {p!r}")
 
 

@@ -15,7 +15,6 @@ strings like "3/8".
 
 import json
 import math
-import sys
 
 import click
 import numpy as np
@@ -28,9 +27,9 @@ from .spline_space import (
     _exact_extraction,
     _exact_windows,
     _fields,
+    _number_array,
     _window_knots,
     evaluate,
-    parse_number,
     read_spline_json,
     write_spline_json,
 )
@@ -53,28 +52,22 @@ _weighting_option = click.option(
 )
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: the one place where bad input, a bad path or a
+    bad id becomes `Error: ...` and exit status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's main exits quietly when the reader of stdout has gone
+        except (ValueError, IndexError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 def main():
     """Local spline projection and refinement tools."""
-
-
-def _fail(exc):
-    raise click.ClickException(str(exc))
-
-
-def _echo(message, nl=True):
-    """click.echo to the current sys.stdout.
-
-    Without a file, click.echo caches a text wrapper per stdout object,
-    and for an in-memory stream that wrapper is the stream itself, which
-    the cache then keeps alive: every in-process call that captures
-    stdout (tests, embedding, benchmarks) would keep its whole output.
-    """
-    click.echo(message, file=sys.stdout, nl=nl)
-
-
-def _parse_values(text):
-    return [parse_number(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _knots_arg(knots, dim):
@@ -83,7 +76,10 @@ def _knots_arg(knots, dim):
         return None
     if len(knots) > dim:
         raise ValueError(f"--knots given {len(knots)} times for {dim} directions")
-    return {d: _parse_values(text) for d, text in enumerate(knots)}
+    return {
+        d: _number_array([tok for tok in text.split(",") if tok.strip()], "--knots", 1)
+        for d, text in enumerate(knots)
+    }
 
 
 def _default_coarsen(space):
@@ -136,47 +132,44 @@ def _l2_change(space_in, net_in, space_out, net_out):
 @_weighting_option
 def cmd_op(name, in_path, out_path, knots, degree, weighting):
     """Apply a refinement or coarsening operation to a spline file."""
-    try:
-        space, net = read_spline_json(in_path)
-        kargs = _knots_arg(knots, space.parametric_dim)
-        if name == "h-refine":
-            plan = spline_ops.plan_h_refine(space, splits=kargs)
-        elif name == "h-coarsen":
-            plan = spline_ops.plan_h_coarsen(
-                space, kargs if kargs is not None else _default_coarsen(space)
-            )
-        elif name in ("p-elevate", "p-reduce"):
-            if degree is None:
-                steps = [1] * space.parametric_dim
-            else:
-                sign = 1 if name == "p-elevate" else -1
-                steps = [sign * (degree - p) for p in space.degrees]
-                if any(s <= 0 for s in steps):
-                    raise ValueError(
-                        f"target degree {degree} does not {name.replace('-', ' ')} "
-                        f"a degree-{space.degrees} space"
-                    )
-            if name == "p-elevate":
-                plan = spline_ops.plan_p_elevate(space, inc=steps)
-            else:
-                plan = spline_ops.plan_p_reduce(space, dec=steps)
-        elif name == "k-roughen":
-            plan = spline_ops.plan_k_roughen(space, values=kargs)
-        elif name == "k-smooth":
-            plan = spline_ops.plan_k_smooth(space, values=kargs)
-        else:  # reparam
-            if kargs is None:
-                raise ValueError("reparam needs --knots with the new interior breakpoints")
-            plan = spline_ops.plan_reparameterize(space, kargs)
-        out_net = spline_ops.apply_plan(plan, net, weight_mode=_WEIGHTING[weighting])
-        write_spline_json(out_path, plan.target, out_net)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
-    _echo(f"{name}: {space.n_elements} -> {plan.target.n_elements} elements")
-    _echo(f"exact: {'yes' if plan.exact else 'no'}")
+    space, net = read_spline_json(in_path)
+    kargs = _knots_arg(knots, space.parametric_dim)
+    if name == "h-refine":
+        plan = spline_ops.plan_h_refine(space, splits=kargs)
+    elif name == "h-coarsen":
+        plan = spline_ops.plan_h_coarsen(
+            space, kargs if kargs is not None else _default_coarsen(space)
+        )
+    elif name in ("p-elevate", "p-reduce"):
+        if degree is None:
+            steps = [1] * space.parametric_dim
+        else:
+            sign = 1 if name == "p-elevate" else -1
+            steps = [sign * (degree - p) for p in space.degrees]
+            if any(s <= 0 for s in steps):
+                raise ValueError(
+                    f"target degree {degree} does not {name.replace('-', ' ')} "
+                    f"a degree-{space.degrees} space"
+                )
+        if name == "p-elevate":
+            plan = spline_ops.plan_p_elevate(space, inc=steps)
+        else:
+            plan = spline_ops.plan_p_reduce(space, dec=steps)
+    elif name == "k-roughen":
+        plan = spline_ops.plan_k_roughen(space, values=kargs)
+    elif name == "k-smooth":
+        plan = spline_ops.plan_k_smooth(space, values=kargs)
+    else:  # reparam
+        if kargs is None:
+            raise ValueError("reparam needs --knots with the new interior breakpoints")
+        plan = spline_ops.plan_reparameterize(space, kargs)
+    out_net = spline_ops.apply_plan(plan, net, weight_mode=_WEIGHTING[weighting])
+    write_spline_json(out_path, plan.target, out_net)
+    print(f"{name}: {space.n_elements} -> {plan.target.n_elements} elements")
+    print(f"exact: {'yes' if plan.exact else 'no'}")
     if not plan.exact:
-        _echo(f"L2 change: {_l2_change(space, net, plan.target, out_net):.6e}")
-    _echo(f"wrote {out_path}")
+        print(f"L2 change: {_l2_change(space, net, plan.target, out_net):.6e}")
+    print(f"wrote {out_path}")
 
 
 def _format_matrix(rows):
@@ -231,40 +224,37 @@ def cmd_extract(in_path, element):
     """Print the extraction operator C and reconstruction operator R of
     one element. Exact rationals when every knot is an integer or an
     "n/d" string, decimals otherwise."""
-    try:
-        with open(in_path) as fh:
-            exact, raw = _exact_read(json.load(fh))
-        space, _ = read_spline_json(raw)
-        spans = space.unravel_element(element)
-        if exact:
-            # integer numerator matrices, each over one denominator
-            factors, duals = [], []
-            for d, ((U, _), kv, k) in enumerate(zip(exact, space.knot_vectors, spans)):
-                W = _exact_windows(U, kv.degree)
-                if len(W) != kv.n_elements:
-                    raise ValueError(
-                        f"direction {d}: {len(W)} exact nonzero spans but {kv.n_elements} "
-                        "float elements; near-equal knots merge in floating point"
-                    )
-                factors.append(_common_denominator(_exact_extraction(W[k : k + 1])[0]))
-                U, a, b = _window_knots(W[k : k + 1])
-                duals.append((_bernstein_blossoms(b - U, U - a)[0].T, (b - a).item() ** kv.degree))
-            C, R = _ratio_kron(factors), _ratio_kron(duals)
-            factors = [_ratio_rows(N, den) for N, den in factors]
-        else:
-            factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
-            C = space.extraction([element])[0].tolist()
-            R = space.reconstruction([element])[0].tolist()
-    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    with open(in_path) as fh:
+        exact, raw = _exact_read(json.load(fh))
+    space, _ = read_spline_json(raw)
+    spans = space.unravel_element(element)
+    if exact:
+        # integer numerator matrices, each over one denominator
+        factors, duals = [], []
+        for d, ((U, _), kv, k) in enumerate(zip(exact, space.knot_vectors, spans)):
+            W = _exact_windows(U, kv.degree)
+            if len(W) != kv.n_elements:
+                raise ValueError(
+                    f"direction {d}: {len(W)} exact nonzero spans but {kv.n_elements} "
+                    "float elements; near-equal knots merge in floating point"
+                )
+            factors.append(_common_denominator(_exact_extraction(W[k : k + 1])[0]))
+            U, a, b = _window_knots(W[k : k + 1])
+            duals.append((_bernstein_blossoms(b - U, U - a)[0].T, (b - a).item() ** kv.degree))
+        C, R = _ratio_kron(factors), _ratio_kron(duals)
+        factors = [_ratio_rows(N, den) for N, den in factors]
+    else:
+        factors = [kv.extraction()[k].tolist() for kv, k in zip(space.knot_vectors, spans)]
+        C = space.extraction([element])[0].tolist()
+        R = space.reconstruction([element])[0].tolist()
     if len(factors) > 1:
         for d, F in enumerate(factors):
-            _echo(f"C factor, direction {d}:")
-            _echo(_format_matrix(F))
-    _echo("C:")
-    _echo(_format_matrix(C))
-    _echo("R:")
-    _echo(_format_matrix(R))
+            print(f"C factor, direction {d}:")
+            print(_format_matrix(F))
+    print("C:")
+    print(_format_matrix(C))
+    print("R:")
+    print(_format_matrix(R))
 
 
 @main.command("convergence")
@@ -280,24 +270,21 @@ def cmd_extract(in_path, element):
               help="CSV path; stdout when omitted")
 def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, out_path):
     """Run a refinement ladder and report L2 errors and observed rates."""
-    try:
-        rows = benchmark.run_convergence(
-            target=target,
-            degrees=[int(tok) for tok in degrees.split(",") if tok.strip()],
-            levels=levels,
-            weighting=_WEIGHTING[weighting],
-            projector=projector,
-            quad_order=quad_order,
-        )
-    except ValueError as exc:
-        _fail(exc)
+    rows = benchmark.run_convergence(
+        target=target,
+        degrees=[int(tok) for tok in degrees.split(",") if tok.strip()],
+        levels=levels,
+        weighting=_WEIGHTING[weighting],
+        projector=projector,
+        quad_order=quad_order,
+    )
     text = benchmark.rows_to_csv(rows)
     if out_path is None:
-        _echo(text, nl=False)
+        print(text, end="")
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
-        _echo(f"wrote {len(rows)} rows to {out_path}")
+        print(f"wrote {len(rows)} rows to {out_path}")
 
 
 @main.command("lift-normals")
@@ -307,17 +294,12 @@ def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, o
 def cmd_lift_normals(in_path, out_path, weighting):
     """Project the unit normal field of a planar curve onto its own
     space; writes the input spline plus a "normal_vectors" array."""
-    try:
-        space, net = read_spline_json(in_path)
-        vecs = lift_normals(space, net, weight_mode=_WEIGHTING[weighting])
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
-    write_spline_json(
-        out_path, space, net, extra={"normal_vectors": vecs.points.tolist()}
-    )
+    space, net = read_spline_json(in_path)
+    vecs = lift_normals(space, net, weight_mode=_WEIGHTING[weighting])
+    write_spline_json(out_path, space, net, extra={"normal_vectors": vecs.points.tolist()})
     mags = np.linalg.norm(vecs.points, axis=1)
-    _echo(f"control vector magnitudes: {mags.min():.6f} .. {mags.max():.6f}")
-    _echo(f"wrote {out_path}")
+    print(f"control vector magnitudes: {mags.min():.6f} .. {mags.max():.6f}")
+    print(f"wrote {out_path}")
 
 
 @main.group()
@@ -329,15 +311,12 @@ def tmesh():
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 def cmd_check_as(in_path):
     """Report analysis-suitability; exit 1 when extensions intersect."""
-    try:
-        mesh = read_tmesh_json(in_path)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    mesh = read_tmesh_json(in_path)
     bad = mesh.analysis_violations()
     junction = mesh.extensions().junction.tolist()
-    _echo(f"analysis-suitable: {'no' if len(bad) else 'yes'}")
+    print(f"analysis-suitable: {'no' if len(bad) else 'yes'}")
     for v, h in bad.tolist():
-        _echo(
+        print(
             f"  extension of junction {tuple(junction[v])} intersects "
             f"extension of junction {tuple(junction[h])}"
         )
@@ -349,13 +328,9 @@ def cmd_check_as(in_path):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 def cmd_anchors(in_path):
     """List anchors in global ordering."""
-    try:
-        mesh = read_tmesh_json(in_path)
-        anchors = mesh.anchors()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
-    for k, (x, y) in enumerate(anchors.tolist()):
-        _echo(f"{k}: {mesh.anchor_kind} x={x} y={y}")
+    mesh = read_tmesh_json(in_path)
+    for k, (x, y) in enumerate(mesh.anchors().tolist()):
+        print(f"{k}: {mesh.anchor_kind} x={x} y={y}")
 
 
 @tmesh.command("local-kv")
@@ -363,16 +338,13 @@ def cmd_anchors(in_path):
 @click.option("--anchor", type=int, required=True, help="anchor index (see `anchors`)")
 def cmd_local_kv(in_path, anchor):
     """Print an anchor's local knot index vectors and knot vectors."""
-    try:
-        mesh = read_tmesh_json(in_path)
-        idx1, idx2 = mesh.local_knot_indices(anchor)
-        g1, g2 = mesh.local_knot_vectors(anchor)
-    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
-    _echo(f"indices 1: {idx1.tolist()}")
-    _echo(f"indices 2: {idx2.tolist()}")
-    _echo(f"knots 1: {g1.tolist()}")
-    _echo(f"knots 2: {g2.tolist()}")
+    mesh = read_tmesh_json(in_path)
+    idx1, idx2 = mesh.local_knot_indices(anchor)
+    g1, g2 = mesh.local_knot_vectors(anchor)
+    print(f"indices 1: {idx1.tolist()}")
+    print(f"indices 2: {idx2.tolist()}")
+    print(f"knots 1: {g1.tolist()}")
+    print(f"knots 2: {g2.tolist()}")
 
 
 @tmesh.command("extract")
@@ -380,18 +352,15 @@ def cmd_local_kv(in_path, anchor):
 @click.option("--element", type=int, required=True, help="Bezier element index")
 def cmd_tmesh_extract(in_path, element):
     """Print one Bezier element's extraction and reconstruction operators."""
-    try:
-        mesh = read_tmesh_json(in_path)
-        C, R = mesh.element_extraction(element)
-    except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    mesh = read_tmesh_json(in_path)
+    C, R = mesh.element_extraction(element)
     (x, y), anchors = mesh.bounds([element])[0].tolist(), mesh.supports([element])[0]
-    _echo(f"bounds: {tuple(x)} x {tuple(y)}")
-    _echo(f"anchors: {anchors.tolist()}")
-    _echo("C:")
-    _echo(_format_matrix(np.round(C, 14).tolist()))
-    _echo("R:")
-    _echo(_format_matrix(np.round(R, 14).tolist()))
+    print(f"bounds: {tuple(x)} x {tuple(y)}")
+    print(f"anchors: {anchors.tolist()}")
+    print("C:")
+    print(_format_matrix(np.round(C, 14).tolist()))
+    print("R:")
+    print(_format_matrix(np.round(R, 14).tolist()))
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .bernstein import (
     reduction_matrix,
 )
 from .projection import _direction_weights
-from .spline_space import _SNAP_TOL, ControlNet, KnotVector, SplineSpace, _positions
+from .spline_space import _SNAP_TOL, ControlNet, KnotVector, SplineSpace, _integer, _positions
 from .tensor import _apply_along, _scatter_add, _unit_segments, reversed_kron
 
 __all__ = [
@@ -450,7 +450,10 @@ def plan_h_coarsen(space, remove):
 
 def _degree_plan(name, space, steps, what, sign):
     """Change the degree and every multiplicity by sign * steps."""
-    steps = [0 if s is None else int(s) for s in _per_dim_arg(space, steps, what, scalars=True)]
+    steps = [
+        0 if s is None else _integer(s, what)
+        for s in _per_dim_arg(space, steps, what, scalars=True)
+    ]
     if min(steps) < 0:
         kind = "elevation increments" if sign > 0 else "reduction decrements"
         raise ValueError(f"{kind} must be >= 0")

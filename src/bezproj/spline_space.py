@@ -115,7 +115,7 @@ def _open_knots(knots, degree, snap_tol, interior=None):
     degree (a T-mesh allows p + 1). Returns (breakpoints,
     multiplicities); ValueError names the first broken rule.
     """
-    p = int(degree)
+    p = _integer(degree, "degree")
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if knots.dtype != object and not np.all(np.isfinite(knots)):
@@ -563,10 +563,15 @@ def bspline_basis_matrix(knots, p, xs):
 
 
 def parse_number(x):
-    """Parse a JSON scalar that may be an exact rational string 'n/d'."""
-    if isinstance(x, str):
-        return float(Fraction(x))
-    return float(x)
+    """Parse a JSON scalar that may be an exact rational string 'n/d' as a
+    finite float; ValueError names x when it is not one."""
+    try:
+        value = float(Fraction(x)) if isinstance(x, str) else float(x)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"{x!r} is not a finite number")
 
 
 def _number_array(values, what, ndim):

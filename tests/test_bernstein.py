@@ -40,6 +40,12 @@ def test_eval_basis_rejects_points_outside_biunit():
         bernstein.eval_basis(2, -1.0000001)
 
 
+@pytest.mark.parametrize("p", [True, 2.0, -1], ids=["bool", "float", "negative"])
+def test_degrees_are_nonnegative_integers(p):
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        bernstein.gramian(p)
+
+
 def test_bernstein_integral_matches_quadrature():
     for p in range(1, 6):
         a, b = -0.3, 1.7

@@ -839,6 +839,73 @@ def test_tmesh_extract_out_of_range(runner, fixtures_dir):
     assert "outside" in result.output
 
 
+# ---------------------------------------------------------------- errors
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["op", "h-refine", "--in", "{curve}", "--out", "{missing}/o.json"], "No such file"),
+        (["convergence", "--degrees", "1", "--levels", "2", "--projector", "bezier",
+          "--out", "{missing}/x.csv"], "No such file"),
+        (["lift-normals", "--in", "{arc}", "--out", "{missing}/n.json"], "No such file"),
+        (["op", "h-refine", "--in", "{curve}", "--out", "{tmp}/o.json", "--knots", "1/0"],
+         "--knots must hold numbers or \"n/d\" strings ('1/0' is not a finite number)"),
+        (["op", "h-refine", "--in", "{curve}", "--out", "{tmp}/o.json", "--knots", "0.5,1e400"],
+         "--knots must hold numbers or \"n/d\" strings ('1e400' is not a finite number)"),
+        (["extract", "--in", "{curve}", "--element", "2"], "element 2 outside 0..1"),
+        (["tmesh", "extract", "--in", "{tmesh}", "--element", "99"], "element 99 outside 0..16"),
+        (["tmesh", "local-kv", "--in", "{tmesh}", "--anchor", "99"], "anchor 99 outside 0..42"),
+    ],
+    ids=["op-out", "convergence-out", "lift-normals-out", "knots-zero-denominator",
+         "knots-overflow", "extract-element", "tmesh-extract-element", "tmesh-local-kv-anchor"],
+)
+def test_every_command_reports_a_bad_path_number_or_id(runner, tmp_path, fixtures_dir,
+                                                       args, message):
+    """Each failure is one `Error: ...` line and exit status 1, not a traceback."""
+    paths = dict(curve=tmp_path / "curve.json", arc=tmp_path / "arc.json",
+                 tmesh=os.path.join(fixtures_dir, "tmesh_ext_right.json"),
+                 missing=tmp_path / "missing", tmp=tmp_path)
+    _quadratic_curve(paths["curve"])
+    _quarter_circle(paths["arc"])
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    _assert_rejected(result, message)
+    assert "Traceback" not in result.output
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(bezproj.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_a_bad_path_ends_the_process_with_an_error_line(tmp_path):
+    """What a terminal sees: CliRunner would catch an escaping exception."""
+    run = subprocess.run(
+        [sys.executable, "-m", "bezproj.cli", "convergence", "--degrees", "1", "--levels", "2",
+         "--projector", "bezier", "--out", str(tmp_path / "missing" / "x.csv")],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("Error:") and "Traceback" not in run.stderr, run.stderr
+
+
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path):
+    """`bezproj extract ... | head -1`: a reader that stops early is not
+    an error to report."""
+    src = tmp_path / "cube.json"
+    kv = KnotVector([0, 0, 0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1, 1, 1], 4)
+    space = SplineSpace([kv, kv, kv])
+    write_spline_json(src, space, ControlNet(np.zeros((space.n_funcs, 1))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bezproj.cli", "extract", "--in", str(src), "--element", "13"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_subprocess_env(),
+    )
+    assert proc.stdout.readline() == "C factor, direction 0:\n"
+    proc.stdout.close()  # the rest, more than a pipe holds, is still to write
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and stderr == ""
+
+
 # ---------------------------------------------------------------- imports
 
 _RUN_AND_LIST_NUMPY_MA = """

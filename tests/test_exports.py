@@ -72,6 +72,20 @@ def test_per_element_api_is_gone():
         assert not [n for n in names if hasattr(cls, n)], cls
 
 
+def test_the_command_has_one_error_boundary():
+    """Errors become `Error: ...` in the command group's invoke alone;
+    _exact_read's try chooses a reader and reports nothing."""
+    cli = importlib.import_module("bezproj.cli")
+    assert not [n for n in ("_fail", "_echo") if hasattr(cli, n)]
+    tree = ast.parse(inspect.getsource(cli))
+    holders = [
+        f.name for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and any(isinstance(n, ast.Try) for n in ast.walk(f))
+    ]
+    assert sorted(holders) == ["_exact_read", "invoke"]
+    assert sum(isinstance(n, ast.Try) for n in ast.walk(tree)) == 2
+
+
 def test_no_option_only_tests_set():
     """Options that no caller outside the tests set are constants, and a
     projection reports its net alone."""

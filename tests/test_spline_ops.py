@@ -109,6 +109,15 @@ def test_p_elevate_and_reduce_check_one_entry_per_direction():
         assert plan(sp, {1: 1}).target.degrees == (2, 3 if plan is plan_p_elevate else 1)
 
 
+@pytest.mark.parametrize("steps", [1.5, True, [1, 0.5]], ids=["fraction", "bool", "list"])
+def test_p_elevate_and_reduce_take_integer_steps(steps):
+    """int() elevated by 1 for 1.5 and for true."""
+    sp = SplineSpace([KnotVector([0, 0, 0, 1, 1, 1], 2), KnotVector([0, 0, 0, 1, 1, 1], 2)])
+    for plan, arg in ((plan_p_elevate, "inc"), (plan_p_reduce, "dec")):
+        with pytest.raises(ValueError, match=f"^{arg} must be integers, got "):
+            plan(sp, steps)
+
+
 def test_h_refine_preserves_curve(rng):
     sp, net = _curve(rng, [0, 0, 0, 0.5, 1, 1, 1], 2, rational=True)
     plan = plan_h_refine(sp, {0: [0.2, 0.7]})

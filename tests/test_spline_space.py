@@ -143,8 +143,11 @@ def test_reconstruction_matches_exact_inverse(rng):
         ([0, 0, 1, 1], 0, "degree must be >= 1, got 0"),
         ([0, 0, 0, 1, 1, 1, 2, 2, 2], 2, "interior knot multiplicity exceeds degree 2"),
         ([0, 0, 1], 1, "need at least 4 knots for degree 1, got 3"),
+        ([0, 0, 0, 1, 1, 1], 2.5, "degree must be integers, got 2.5"),
+        ([0, 0, 1, 1], True, "degree must be integers, got True"),
     ],
-    ids=["unsorted", "not-open", "degree", "multiplicity", "short"],
+    ids=["unsorted", "not-open", "degree", "multiplicity", "short", "fractional-degree",
+         "boolean-degree"],
 )
 def test_exact_extraction_checks_its_knots_like_knot_vector(knots, p, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
@@ -594,6 +597,15 @@ def test_parse_number_fractions():
     assert parse_number(0.25) == 0.25
     assert parse_number("0.25") == 0.25
     assert isinstance(parse_number("1/3"), float)
+
+
+@pytest.mark.parametrize(
+    "x", ["1/0", "1e400", "inf", "abc", None, float("nan"), 1e400],
+    ids=["zero-denominator", "overflow", "inf-string", "word", "null", "nan", "inf"],
+)
+def test_parse_number_names_what_is_not_a_finite_number(x):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(x))} is not a finite number$"):
+        parse_number(x)
 
 
 def test_spline_json_roundtrip(tmp_path, rng):
