@@ -169,6 +169,8 @@ def run_convergence(
     run) are None.
     """
     degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("degrees must name at least one degree")
     if levels < 2:
         raise ValueError("a convergence rate needs at least 2 levels")
     if any(not (isinstance(p, (int, np.integer)) and 1 <= p <= 5) for p in degrees):

@@ -13,7 +13,6 @@ All file payloads are JSON; numeric entries may be exact rational
 strings like "3/8".
 """
 
-import json
 import math
 
 import click
@@ -27,7 +26,9 @@ from .spline_space import (
     _exact_extraction,
     _exact_windows,
     _fields,
+    _integer,
     _number_array,
+    _read_json,
     _window_knots,
     evaluate,
     read_spline_json,
@@ -224,8 +225,7 @@ def cmd_extract(in_path, element):
     """Print the extraction operator C and reconstruction operator R of
     one element. Exact rationals when every knot is an integer or an
     "n/d" string, decimals otherwise."""
-    with open(in_path) as fh:
-        exact, raw = _exact_read(json.load(fh))
+    exact, raw = _exact_read(_read_json(in_path))
     space, _ = read_spline_json(raw)
     spans = space.unravel_element(element)
     if exact:
@@ -270,9 +270,10 @@ def cmd_extract(in_path, element):
               help="CSV path; stdout when omitted")
 def cmd_convergence(target, degrees, levels, weighting, projector, quad_order, out_path):
     """Run a refinement ladder and report L2 errors and observed rates."""
+    tokens = [tok for tok in degrees.split(",") if tok.strip()]
     rows = benchmark.run_convergence(
         target=target,
-        degrees=[int(tok) for tok in degrees.split(",") if tok.strip()],
+        degrees=[_integer(p, "--degrees") for p in _number_array(tokens, "--degrees", 1).tolist()],
         levels=levels,
         weighting=_WEIGHTING[weighting],
         projector=projector,

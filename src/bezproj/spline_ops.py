@@ -286,6 +286,34 @@ def compose(*plans):
 # element-level building blocks
 
 
+def _window_transfer(space, sources, target_space, targets, coeffs):
+    """Project the field coeffs, piecewise on the source elements, onto each
+    target element: R^T of the sum of phi F C^T coeffs over the pairs that
+    share a cell between positions (:func:`_positions`, on the source domain's
+    span). Targets must be covered exactly once and each source must meet one."""
+    if target_space.degrees != space.degrees:
+        raise ValueError("source and target degrees must match")
+    src, tgt, cells, size, ends = space.bounds(sources), target_space.bounds(targets), 1, 1, []
+    for p, s, t, (a, b) in zip(space.degrees, src.swapaxes(0, 1), tgt.swapaxes(0, 1), space.domain):
+        (ps, pt), at = _positions([s, t], _SNAP_TOL * (b - a))
+        lo, hi = np.maximum(ps[:, None, 0], pt[:, 0]), np.minimum(ps[:, None, 1], pt[:, 1])
+        cells, size = cells * np.maximum(hi - lo, 0), size * (pt[:, 1] - pt[:, 0])
+        ends.append((at[ps], at[pt], p))
+    distinct = cells[np.unique(sources, return_index=True)[1]]  # only a repeat covers twice
+    bad = np.flatnonzero((cells.sum(axis=0) != size) | (distinct.sum(axis=0) != size))
+    if bad.size:
+        raise ValueError(f"source elements do not cover target element {targets[bad[0]]} once")
+    stray = np.flatnonzero(~cells.any(axis=1))
+    if stray.size:
+        raise ValueError(f"source element {sources[stray[0]]} overlaps no target element")
+    i, j = np.nonzero(cells)  # by source, then target
+    F = reversed_kron([_span_factors(s[i], t[j], p, p)[0] for s, t, p in ends])
+    C, S = space.extraction(sources), space.supports(sources)
+    Q = (C.transpose(0, 2, 1) @ np.asarray(coeffs, dtype=np.float64)[S])[i]
+    R = target_space.reconstruction(targets).transpose(0, 2, 1)
+    return R @ _scatter_add(j, F @ Q, len(tgt))
+
+
 def large_to_small(space, element, target_space, target_elements, coeffs):
     """Restrict one element's field to contained target elements.
 
@@ -293,21 +321,8 @@ def large_to_small(space, element, target_space, target_elements, coeffs):
     {target_element: element-local spline coefficients}. Exact: the
     target elements must lie inside the source element.
     """
-    if target_space.degrees != space.degrees:
-        raise ValueError("source and target degrees must match")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    (src,) = space.bounds([element])
-    Q = space.extraction([element])[0].T @ coeffs[space.supports([element])[0]]
-    tgt = target_space.bounds(target_elements)
-    factors = []
-    for p, s_iv, t in zip(space.degrees, src, tgt.transpose(1, 0, 2)):
-        (ps, pt), at = _positions([s_iv, t])
-        if np.any(pt[:, 0] < ps[0]) or np.any(pt[:, 1] > ps[1]):
-            raise ValueError("target element not contained in source element")
-        # the overlap is the target span: phi = 1 and F = T
-        factors.append(_span_factors(np.broadcast_to(at[ps], pt.shape), at[pt], p, p)[0])
-    R = target_space.reconstruction(target_elements).transpose(0, 2, 1)
-    return dict(zip(target_elements, R @ (reversed_kron(factors) @ Q)))
+    out = _window_transfer(space, [element], target_space, target_elements, coeffs)
+    return dict(zip(target_elements, out))
 
 
 def multi_to_one(space, elements, target_space, target_element, coeffs):
@@ -318,29 +333,7 @@ def multi_to_one(space, elements, target_space, target_element, coeffs):
     coefficients. The source elements must tile the target element;
     the caller applies smoothing across elements.
     """
-    if target_space.degrees != space.degrees:
-        raise ValueError("source and target degrees must match")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    (tgt,) = target_space.bounds([target_element])
-    src = space.bounds(elements)
-    factors, shape, boxes = [], [], []
-    for p, t_iv, s in zip(target_space.degrees, tgt, src.transpose(1, 0, 2)):
-        (pt, ps), at = _positions([t_iv, s])
-        lo, hi = np.maximum(ps[:, 0], pt[0]) - pt[0], np.minimum(ps[:, 1], pt[1]) - pt[0]
-        if np.any(lo >= hi):
-            raise ValueError("source element does not overlap the target element")
-        factors.append(_span_factors(at[ps], np.broadcast_to(at[pt], ps.shape), p, p)[0])
-        shape.append(pt[1] - pt[0])
-        boxes.append(map(slice, lo, hi))
-    # every cell between consecutive target positions lies in exactly one source element
-    count = np.zeros(shape, dtype=np.int64)
-    for box in zip(*boxes):
-        count[box] += 1
-    if np.any(count != 1):
-        raise ValueError("source elements do not tile the target element")
-    C, S = space.extraction(elements), space.supports(elements)
-    Qbar = (reversed_kron(factors) @ (C.transpose(0, 2, 1) @ coeffs[S])).sum(axis=0)
-    return target_space.reconstruction([target_element])[0].T @ Qbar
+    return _window_transfer(space, elements, target_space, [target_element], coeffs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,11 @@ class SplineSpace:
         return tuple(kv.degree for kv in self.knot_vectors)
 
     @property
+    def domain(self):
+        """Per-direction parametric interval (lo, hi)."""
+        return tuple(kv.domain for kv in self.knot_vectors)
+
+    @property
     def shape(self):
         """Per-direction function counts."""
         return tuple(kv.n for kv in self.knot_vectors)
@@ -440,7 +445,11 @@ class ControlNet:
             return cls(H)
         w = H[:, -1]
         if np.any(w <= 0):
-            raise ValueError("projection produced nonpositive weights")
+            i = int(np.argmin(w))
+            raise ValueError(
+                "projection produced nonpositive weights; "
+                f"smallest control weight {w[i]:.6g} at function {i}"
+            )
         return cls(H[:, :-1] / w[:, None], w)
 
 
@@ -651,13 +660,17 @@ def _space_from_dict(data):
 
 
 def _read_json(source):
-    """The JSON data of a file path or file object; data passes as is."""
-    if hasattr(source, "read"):
-        return json.load(source)
+    """The JSON data of a file path or file object; data passes as is.
+    ValueError names a file that is not JSON."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
-            return json.load(fh)
-    return source
+            return _read_json(fh)
+    if not hasattr(source, "read"):
+        return source
+    try:
+        return json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{getattr(source, 'name', 'input')} is not JSON ({exc})") from None
 
 
 def read_spline_json(source):

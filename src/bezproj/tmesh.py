@@ -383,6 +383,11 @@ class TMesh:
     # -- the element interface of SplineSpace --------------------------------
 
     @property
+    def domain(self):
+        """Per-direction parametric interval (lo, hi): the global knots' ends."""
+        return tuple((float(G[0]), float(G[-1])) for G in self.knot_vectors)
+
+    @property
     def n_funcs(self):
         return len(self.anchors())
 

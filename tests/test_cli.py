@@ -856,17 +856,34 @@ def test_tmesh_extract_out_of_range(runner, fixtures_dir):
         (["extract", "--in", "{curve}", "--element", "2"], "element 2 outside 0..1"),
         (["tmesh", "extract", "--in", "{tmesh}", "--element", "99"], "element 99 outside 0..16"),
         (["tmesh", "local-kv", "--in", "{tmesh}", "--anchor", "99"], "anchor 99 outside 0..42"),
+        (["extract", "--in", "{text}", "--element", "0"],
+         "notes.md is not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (["op", "h-refine", "--in", "{text}", "--out", "{tmp}/o.json"], "notes.md is not JSON"),
+        (["tmesh", "anchors", "--in", "{text}"], "notes.md is not JSON"),
+        (["tmesh", "anchors", "--in", "{binary}"],
+         "latin1.json is not JSON ('utf-8' codec can't decode byte 0xe9"),
+        (["convergence", "--degrees", "2,x", "--levels", "2"],
+         "--degrees must hold numbers or \"n/d\" strings ('x' is not a finite number)"),
+        (["convergence", "--degrees", "2.5", "--levels", "2"],
+         "--degrees must be integers, got 2.5"),
+        (["convergence", "--degrees", "", "--levels", "2"],
+         "degrees must name at least one degree"),
     ],
     ids=["op-out", "convergence-out", "lift-normals-out", "knots-zero-denominator",
-         "knots-overflow", "extract-element", "tmesh-extract-element", "tmesh-local-kv-anchor"],
+         "knots-overflow", "extract-element", "tmesh-extract-element", "tmesh-local-kv-anchor",
+         "extract-not-json", "op-not-json", "tmesh-anchors-not-json", "tmesh-anchors-not-utf8",
+         "degrees-not-a-number", "degrees-not-an-integer", "degrees-empty"],
 )
 def test_every_command_reports_a_bad_path_number_or_id(runner, tmp_path, fixtures_dir,
                                                        args, message):
     """Each failure is one `Error: ...` line and exit status 1, not a traceback."""
     paths = dict(curve=tmp_path / "curve.json", arc=tmp_path / "arc.json",
                  tmesh=os.path.join(fixtures_dir, "tmesh_ext_right.json"),
-                 missing=tmp_path / "missing", tmp=tmp_path)
+                 missing=tmp_path / "missing", tmp=tmp_path,
+                 text=tmp_path / "notes.md", binary=tmp_path / "latin1.json")
     _quadratic_curve(paths["curve"])
+    paths["text"].write_text("# notes\n")
+    paths["binary"].write_bytes('{"degrees": "\u00e9"}'.encode("latin-1"))
     _quarter_circle(paths["arc"])
     result = runner.invoke(main, [a.format(**paths) for a in args])
     _assert_rejected(result, message)

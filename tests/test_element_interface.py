@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from bezproj.bernstein import bernstein_matrix
 from bezproj.spline_ops import large_to_small, multi_to_one
 from bezproj.spline_space import KnotVector, SplineSpace
 from bezproj.tensor import reversed_kron
@@ -158,6 +159,33 @@ def test_reconstruction_at_extreme_knot_scales(fixtures_dir, scale):
         assert np.array_equal(scaled.reconstruction(), space.reconstruction())
         C, R = space.extraction(), space.reconstruction()
         assert np.max(np.abs(C @ R - np.eye(C.shape[1]))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tmesh_c", "tmesh_d", "tmesh_ext_right"])
+def test_element_windows_restrict_a_tmesh_to_its_tensor_cells(rng, fixtures_dir, name):
+    """large_to_small from every element of an analysis-suitable T-mesh onto
+    the cells of the tensor mesh on its global knots inside it reproduces
+    the element's polynomial."""
+    mesh = _mesh(fixtures_dir, name)
+    cells = TMesh.tensor(mesh.degrees, mesh.knot_vectors)
+    coeffs = rng.normal(size=(mesh.n_funcs, 2))
+    inner, worst = cells.bounds(), 0.0
+
+    def values(space, e, lam, x):
+        """The Bernstein form of element e with spline coefficients lam at points x."""
+        box = space.bounds([e])[0]
+        xi = (2 * x - box[:, 0] - box[:, 1]) / (box[:, 1] - box[:, 0])
+        rows = [bernstein_matrix(p, xi[:, d])[:, None, :] for d, p in enumerate(space.degrees)]
+        return reversed_kron(rows)[:, 0] @ (space.extraction([e])[0].T @ lam)
+
+    for e, box in enumerate(mesh.bounds()):
+        inside = (box[:, 0] <= inner[:, :, 0]) & (inner[:, :, 1] <= box[:, 1])
+        (kids,) = np.nonzero(inside.all(axis=1))
+        for k, lam in large_to_small(mesh, e, cells, kids, coeffs).items():
+            x = inner[k, :, 0] + rng.random((20, 2)) * (inner[k, :, 1] - inner[k, :, 0])
+            want = values(mesh, e, coeffs[mesh.supports([e])[0]], x)
+            worst = max(worst, np.max(np.abs(values(cells, k, lam, x) - want)))
+    assert worst <= 1e-12, worst
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

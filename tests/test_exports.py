@@ -9,6 +9,8 @@ import inspect
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +42,20 @@ def _documented():
 def test_readme_lists_every_export():
     missing = [n for n in bezproj.__all__ if n not in _documented()]
     assert not missing, f"exported but not in the README's Public API list: {missing}"
+
+
+def test_readme_quick_start_runs():
+    """The README's library example runs, as written, on this package."""
+    with open(README) as fh:
+        section = fh.read().split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = os.path.dirname(os.path.dirname(bezproj.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "True True"
 
 
 def test_per_element_api_is_gone():
@@ -163,6 +179,7 @@ def test_no_float_tolerance_outside_the_snapping_rule(module):
     (dict(projector="neither"), "unknown projector 'neither'"),
     (dict(target="govindjee", degrees=(1,)), "degree 1 below the geometry degree"),
     (dict(target="govindjee", degrees=(3, 1)), "degree 1 below the geometry degree"),
+    (dict(degrees=()), "degrees must name at least one degree"),
 ])
 def test_run_convergence_checks_its_inputs(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -452,6 +452,26 @@ def test_large_to_small_requires_containment(rng):
         large_to_small(src, 0, tgt, [0, 2], coeffs)
 
 
+def test_window_ops_take_a_breakpoint_within_the_domain_tolerance(rng):
+    """0.5 and 0.5 + 7e-13 are one breakpoint of the domain [0, 1], for the
+    plans and for both window ops: each accepts the element it bounds and
+    returns the field's Bernstein coefficients there."""
+    A = SplineSpace([KnotVector([0, 0, 0, 0.25, 0.5, 1, 1, 1], 2)])
+    B = SplineSpace([KnotVector([0, 0, 0, 0.25, 0.5 + 7e-13, 1, 1, 1], 2)])
+    assert plan_generic(A, B).exact
+    coeffs = rng.normal(size=(A.n_funcs, 2))
+    want = A.extraction([1])[0].T @ coeffs[A.supports([1])[0]]
+    for lam in (large_to_small(A, 1, B, [1], coeffs)[1], multi_to_one(A, [1], B, 1, coeffs)):
+        assert np.max(np.abs(B.extraction([1])[0].T @ lam - want)) <= 1e-14
+    # a refusal names the target element not covered once, or the stray source
+    with pytest.raises(ValueError, match="^source elements do not cover target element 2 once$"):
+        large_to_small(A, 1, B, [1, 2], coeffs)
+    with pytest.raises(ValueError, match="^source elements do not cover target element 0 once$"):
+        multi_to_one(A, [0, 0], SplineSpace([KnotVector([0, 0, 0, 0.5, 1, 1, 1], 2)]), 0, coeffs)
+    with pytest.raises(ValueError, match="^source element 2 overlaps no target element$"):
+        multi_to_one(A, [1, 2], B, 1, coeffs)
+
+
 def test_multi_to_one_matches_bruteforce(rng):
     """Merging two source elements into one target element equals the
     brute-force piecewise L2 projection."""
